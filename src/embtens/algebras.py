@@ -18,6 +18,8 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    bilinear,
+    combination,
     is_zero_vector,
     kernel_basis,
     unit_vector,
@@ -63,18 +65,7 @@ class Algebra:
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the structure table."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(self.sc[i][j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        return bilinear(self.sc, x, y, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)
@@ -95,19 +86,26 @@ def abelian_algebra(name: str, dim: int) -> Algebra:
 
 def direct_sum(a: Algebra, b: Algebra, name: str, flavor: str = UNCHECKED) -> Algebra:
     """Direct sum with componentwise bracket and no cross terms."""
+    return Algebra(name, a.dim + b.dim, _block_table(a, b), flavor)
+
+
+def _block_table(a: Algebra, b: Algebra, ops: tuple[Matrix, ...] = ()) -> ScTable:
+    """The table on a + b: each bracket on its own block, [x, u] = ops[x]u
+    on (a, b) pairs when operators are given, and zero on (b, a) pairs."""
+    za, zb = zero_vector(a.dim), zero_vector(b.dim)
+    zero = za + zb
+
+    def entry(i: int, j: int) -> Vector:
+        if i < a.dim and j < a.dim:
+            return a.sc[i][j] + zb
+        if i >= a.dim and j >= a.dim:
+            return za + b.sc[i - a.dim][j - a.dim]
+        if i < a.dim and ops:
+            return za + ops[i].col(j - a.dim)
+        return zero
+
     n = a.dim + b.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < a.dim and j < a.dim:
-                row.append(a.sc[i][j] + zero_vector(b.dim))
-            elif i >= a.dim and j >= a.dim:
-                row.append(zero_vector(a.dim) + b.sc[i - a.dim][j - a.dim])
-            else:
-                row.append(zero_vector(n))
-        table.append(tuple(row))
-    return Algebra(name, n, tuple(table), flavor)
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -121,26 +119,27 @@ def check_lie(a: Algebra) -> CheckReport:
             res = vec_add(a.sc[i][j], a.sc[j][i])
             if not is_zero_vector(res):
                 return failing("lie", [Failure("antisymmetry", (i, j), res)])
-    for i, j, k in product(range(a.dim), repeat=3):
-        ei, ej, ek = (a.basis_vector(t) for t in (i, j, k))
-        lhs = a.bracket(ei, a.bracket(ej, ek))
-        rhs = vec_add(a.bracket(a.bracket(ei, ej), ek), a.bracket(ej, a.bracket(ei, ek)))
-        res = vec_sub(lhs, rhs)
-        if not is_zero_vector(res):
-            return failing("lie", [Failure("jacobi", (i, j, k), res)])
-    return passing("lie")
+    return _leibniz_scan(a, "lie", "jacobi")
 
 
 def check_leibniz(a: Algebra) -> CheckReport:
     """The left Leibniz identity on all basis triples; no antisymmetry."""
+    return _leibniz_scan(a, "leibniz", "leibniz")
+
+
+def _leibniz_scan(a: Algebra, check: str, law: str) -> CheckReport:
+    """[x,[y,z]] = [[x,y],z] + [y,[x,z]] on basis triples, first witness only.
+
+    Under antisymmetry this is the Jacobi identity.
+    """
     for i, j, k in product(range(a.dim), repeat=3):
         ei, ej, ek = (a.basis_vector(t) for t in (i, j, k))
-        lhs = a.bracket(ei, a.bracket(ej, ek))
-        rhs = vec_add(a.bracket(a.bracket(ei, ej), ek), a.bracket(ej, a.bracket(ei, ek)))
+        lhs = a.bracket(ei, a.sc[j][k])
+        rhs = vec_add(a.bracket(a.sc[i][j], ek), a.bracket(ej, a.sc[i][k]))
         res = vec_sub(lhs, rhs)
         if not is_zero_vector(res):
-            return failing("leibniz", [Failure("leibniz", (i, j, k), res)])
-    return passing("leibniz")
+            return failing(check, [Failure(law, (i, j, k), res)])
+    return passing(check)
 
 
 def check_two_step_nilpotent(a: Algebra) -> CheckReport:
@@ -169,18 +168,10 @@ class LeibnizRep:
                 raise DimensionMismatch(f"representation matrices must be {self.rep_dim}x{self.rep_dim}")
 
     def rho_l_of(self, x: Vector) -> Matrix:
-        return _combine(self.rho_l, x, self.rep_dim)
+        return combination(self.rho_l, x, self.rep_dim)
 
     def rho_r_of(self, x: Vector) -> Matrix:
-        return _combine(self.rho_r, x, self.rep_dim)
-
-
-def _combine(mats: tuple[Matrix, ...], x: Vector, dim: int) -> Matrix:
-    out = Matrix.zero(dim, dim)
-    for c, m in zip(x, mats):
-        if c != 0:
-            out = out + m.scale(c)
-    return out
+        return combination(self.rho_r, x, self.rep_dim)
 
 
 def _commutator(p: Matrix, q: Matrix) -> Matrix:

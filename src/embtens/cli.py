@@ -3,7 +3,8 @@
 Reports are byte-deterministic for a fixed workspace and command: all
 iteration orders are fixed by the workspace file and the package's
 basis conventions, and JSON is emitted with sorted keys.  Exit codes:
-0 pass, 1 fail (with a report), 2 usage or parse errors.
+0 pass, 1 fail (with a report), 2 usage or parse errors and an
+unwritable --output path.
 """
 from __future__ import annotations
 
@@ -325,12 +326,15 @@ def run(argv) -> tuple[int, str]:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
     except ToolkitError as exc:
+        code = 1
         payload = {"command": args.command, "error": str(exc), "ok": False}
-        rendered = _render(payload, f"{args.command}: ERROR {exc}", args.format)
-        _emit(rendered, args.output)
-        return 1, rendered
+        text = f"{args.command}: ERROR {exc}"
     rendered = _render(payload, text, args.format)
-    _emit(rendered, args.output)
+    try:
+        _emit(rendered, args.output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, ""
     return code, rendered
 
 

@@ -19,15 +19,15 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    accumulate,
     column_space,
     is_zero_vector,
     kernel_basis,
     quotient_dim,
-    vec_add,
     vec_sub,
     vector,
 )
-from .tensors import EmbeddingTensor, require_embedding_tensor
+from .tensors import EmbeddingTensor, descendent_table, require_embedding_tensor
 
 DEFAULT_MAX_DEGREE = 4
 
@@ -71,21 +71,12 @@ def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Ve
     a = rep.algebra
     acc = [ZERO] * rep.rep_dim
     for i0 in range(k):
-        sign = -1 if i0 % 2 else 1
         val = f.value(idxs[:i0] + idxs[i0 + 1:])
-        if is_zero_vector(val):
-            continue
-        img = rep.rho_l[idxs[i0]].apply(val)
-        for t, x in enumerate(img):
-            if x != 0:
-                acc[t] += sign * x
-    sign = -1 if (k + 1) % 2 else 1
+        if not is_zero_vector(val):
+            accumulate(acc, -1 if i0 % 2 else 1, rep.rho_l[idxs[i0]].apply(val))
     val = f.value(idxs[:k])
     if not is_zero_vector(val):
-        img = rep.rho_r[idxs[k]].apply(val)
-        for t, x in enumerate(img):
-            if x != 0:
-                acc[t] += sign * x
+        accumulate(acc, -1 if (k + 1) % 2 else 1, rep.rho_r[idxs[k]].apply(val))
     for i0 in range(k + 1):
         sign = -1 if (i0 + 1) % 2 else 1
         for j0 in range(i0 + 1, k + 1):
@@ -93,10 +84,7 @@ def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Ve
             if is_zero_vector(br):
                 continue
             reduced = idxs[:i0] + idxs[i0 + 1:]
-            val = f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:])
-            for t, x in enumerate(val):
-                if x != 0:
-                    acc[t] += sign * x
+            accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
     return tuple(acc)
 
 
@@ -117,8 +105,10 @@ def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
         k = f.arity
         if k + 1 > arity_cap:
             raise ArityCapExceeded(f"result arity {k + 1} above cap {arity_cap}")
-        return MultiMap.from_function(k + 1, h.dim, g.dim,
-                                      lambda idxs: _partial_entry(t, f.value, f.value_with_vector, k, idxs))
+        table = descendent_table(t)
+        return MultiMap.from_function(
+            k + 1, h.dim, g.dim,
+            lambda idxs: _partial_entry(t, table, f.value, f.value_with_vector, k, idxs))
     x = vector(f)
     if len(x) != g.dim:
         raise DimensionMismatch("a degree-one cochain is a source vector")
@@ -131,40 +121,33 @@ def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
     return MultiMap.from_function(1, h.dim, g.dim, entry)
 
 
-def _partial_entry(t: EmbeddingTensor, value, value_with_vector,
+def _partial_entry(t: EmbeddingTensor, table, value, value_with_vector,
                    k: int, idxs: tuple[int, ...]) -> Vector:
     """One entry of the coboundary of an arity-k cochain (k >= 0).
 
-    With k = 0 every sum is empty except the two middle terms, which is
-    the closed form used for degree-one cochains.
+    ``table`` is the descendent table of ``t``.  With k = 0 every sum is
+    empty except the two middle terms, which is the closed form used for
+    degree-one cochains.
     """
     g, h = t.action.source, t.action.target
     acc = [ZERO] * g.dim
-
-    def add(sign: int, val: Vector) -> None:
-        for m, x in enumerate(val):
-            if x != 0:
-                acc[m] += sign * x
-
     for i0 in range(k):
         val = value(idxs[:i0] + idxs[i0 + 1:])
         if not is_zero_vector(val):
-            add(-1 if i0 % 2 else 1, g.bracket(t.column(idxs[i0]), val))
+            accumulate(acc, -1 if i0 % 2 else 1, g.bracket(t.column(idxs[i0]), val))
     head = value(idxs[:k])
     if not is_zero_vector(head):
-        add(-1 if (k + 1) % 2 else 1, g.bracket(head, t.column(idxs[k])))
-        add(-1 if k % 2 else 1,
-            t.apply(t.action.apply(head, h.basis_vector(idxs[k]))))
+        accumulate(acc, -1 if (k + 1) % 2 else 1, g.bracket(head, t.column(idxs[k])))
+        accumulate(acc, -1 if k % 2 else 1,
+                   t.apply(t.action.apply(head, h.basis_vector(idxs[k]))))
     for i0 in range(k + 1):
         sign = -1 if (i0 + 1) % 2 else 1
-        ti = t.column(idxs[i0])
         for j0 in range(i0 + 1, k + 1):
-            slot = vec_add(t.action.apply(ti, h.basis_vector(idxs[j0])),
-                           h.sc[idxs[i0]][idxs[j0]])
+            slot = table[idxs[i0]][idxs[j0]]
             if is_zero_vector(slot):
                 continue
             reduced = idxs[:i0] + idxs[i0 + 1:]
-            add(sign, value_with_vector(reduced[:j0 - 1], slot, reduced[j0:]))
+            accumulate(acc, sign, value_with_vector(reduced[:j0 - 1], slot, reduced[j0:]))
     return tuple(acc)
 
 
@@ -184,8 +167,9 @@ def tensor_coboundary_general_degree_one(t: EmbeddingTensor, x: Vector) -> Multi
     def value_with_vector(pre, vec, post) -> Vector:
         raise AssertionError("unreachable at arity zero")
 
-    return MultiMap.from_function(1, h.dim, g.dim,
-                                  lambda idxs: _partial_entry(t, value, value_with_vector, 0, idxs))
+    table = descendent_table(t)
+    return MultiMap.from_function(
+        1, h.dim, g.dim, lambda idxs: _partial_entry(t, table, value, value_with_vector, 0, idxs))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,18 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebras import Algebra
+from .cohomology import tensor_coboundary
 from .errors import DimensionMismatch, NotNijenhuis
+from .graded import multimap_as_matrix
 from .linalg import Matrix, Vector, is_zero_vector, vec_add, vec_sub, vector
 from .reports import CheckReport, Failure, failing, passing
-from .tensors import EmbeddingTensor, check_embedding_tensor, require_embedding_tensor
+from .tensors import (
+    Action,
+    EmbeddingTensor,
+    check_embedding_tensor,
+    descendent_table,
+    require_embedding_tensor,
+)
 
 
 @dataclass(frozen=True)
@@ -53,14 +61,14 @@ def check_linear_deformation(d: DeformationDirection) -> CheckReport:
     require_embedding_tensor(d.base)
     t, fr = d.base, d.direction
     g, h = t.action.source, t.action.target
+    table = descendent_table(t)
     bad = []
     for u, v in product(range(h.dim), repeat=2):
         tu, tv = t.column(u), t.column(v)
         fu, fv = fr.col(u), fr.col(v)
         ev = h.basis_vector(v)
         lhs = vec_add(g.bracket(tu, fv), g.bracket(fu, tv))
-        rhs = vec_add(t.apply(t.action.apply(fu, ev)),
-                      fr.apply(vec_add(t.action.apply(tu, ev), h.sc[u][v])))
+        rhs = vec_add(t.apply(t.action.apply(fu, ev)), fr.apply(table[u][v]))
         res = vec_sub(lhs, rhs)
         if not is_zero_vector(res):
             bad.append(Failure("cocycle-equation", (u, v), res))
@@ -86,12 +94,10 @@ def _equivalence_failures(base: EmbeddingTensor, fr1: Matrix, fr2: Matrix,
     """
     g, h = base.action.source, base.action.target
     rho_x = base.action.of(x)
+    dx = tensor_coboundary(base, x)
     out = []
     for u in range(h.dim):
-        eu = h.basis_vector(u)
-        expected = vec_sub(base.apply(base.action.apply(x, eu)),
-                           g.bracket(x, base.column(u)))
-        res = vec_sub(vec_sub(fr2.col(u), fr1.col(u)), expected)
+        res = vec_sub(vec_sub(fr2.col(u), fr1.col(u)), dx.value((u,)))
         if not is_zero_vector(res):
             out.append(Failure("difference-is-generated", (u,), res))
             break
@@ -100,13 +106,24 @@ def _equivalence_failures(base: EmbeddingTensor, fr1: Matrix, fr2: Matrix,
         if not is_zero_vector(res):
             out.append(Failure("twist-compatibility", (u,), res))
             break
+    return out + _square_failures(base.action, x)
+
+
+def _square_failures(action: Action, x: Vector) -> list[Failure]:
+    """The first witness of each square condition on x, in this order:
+    [[x, e_i], [x, e_j]] = 0 ("bracket-square") and
+    rho([x, e_i]) rho(x) = 0 ("action-square")."""
+    g = action.source
+    ad_x = [g.bracket(x, g.basis_vector(i)) for i in range(g.dim)]
+    out = []
     for i, j in product(range(g.dim), repeat=2):
-        res = g.bracket(g.bracket(x, g.basis_vector(i)), g.bracket(x, g.basis_vector(j)))
+        res = g.bracket(ad_x[i], ad_x[j])
         if not is_zero_vector(res):
             out.append(Failure("bracket-square", (i, j), res))
             break
+    rho_x = action.of(x)
     for i in range(g.dim):
-        m = base.action.of(g.bracket(x, g.basis_vector(i))) @ rho_x
+        m = action.of(ad_x[i]) @ rho_x
         if not m.is_zero():
             out.append(Failure("action-square", (i,), m.entries))
             break
@@ -140,18 +157,12 @@ def check_nijenhuis_element(c: NijenhuisCandidate) -> CheckReport:
     t = c.base
     g, h = t.action.source, t.action.target
     x = c.element
-    rho_x = t.action.of(x)
-    for i, j in product(range(g.dim), repeat=2):
-        res = g.bracket(g.bracket(x, g.basis_vector(i)), g.bracket(x, g.basis_vector(j)))
-        if not is_zero_vector(res):
-            return failing("nijenhuis-element", [Failure("bracket-square", (i, j), res)])
-    for i in range(g.dim):
-        m = t.action.of(g.bracket(x, g.basis_vector(i))) @ rho_x
-        if not m.is_zero():
-            return failing("nijenhuis-element", [Failure("action-square", (i,), m.entries)])
+    squares = _square_failures(t.action, x)
+    if squares:
+        return failing("nijenhuis-element", squares[:1])
+    dx = tensor_coboundary(t, x)
     for u in range(h.dim):
-        arrow = vec_sub(t.apply(rho_x.col(u)), g.bracket(x, t.column(u)))
-        res = g.bracket(x, arrow)
+        res = g.bracket(x, dx.value((u,)))
         if not is_zero_vector(res):
             return failing("nijenhuis-element", [Failure("generated-direction-commutes", (u,), res)])
     return passing("nijenhuis-element")
@@ -167,12 +178,7 @@ def trivial_deformation(c: NijenhuisCandidate) -> DeformationDirection:
     report = check_nijenhuis_element(c)
     if not report.ok:
         raise NotNijenhuis(f"fails {report.witness.law} at {report.witness.where}")
-    t = c.base
-    g, h = t.action.source, t.action.target
-    rho_x = t.action.of(c.element)
-    cols = [vec_sub(t.apply(rho_x.col(u)), g.bracket(c.element, t.column(u)))
-            for u in range(h.dim)]
-    return DeformationDirection(t, Matrix.from_columns(cols))
+    return DeformationDirection(c.base, multimap_as_matrix(tensor_coboundary(c.base, c.element)))
 
 
 def conjugated_tensor(t: EmbeddingTensor, x: Vector, tval) -> EmbeddingTensor | None:

@@ -30,11 +30,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .algebras import Algebra
+from .algebras import Algebra, abelian_algebra, direct_sum
 from .errors import ArityCapExceeded, DimensionMismatch
-from .linalg import Matrix, Vector, ZERO, is_zero_vector
+from .linalg import Matrix, Vector, ZERO, accumulate, is_zero_vector
 from .reports import CheckReport, Failure, failing, passing
-from .tensors import Action, EmbeddingTensor, require_coherent, require_embedding_tensor
+from .tensors import (
+    Action,
+    EmbeddingTensor,
+    hemisemidirect,
+    require_coherent,
+    require_embedding_tensor,
+)
 
 DEFAULT_ARITY_CAP = 4
 
@@ -94,12 +100,8 @@ class MultiMap:
         """Evaluate with one argument slot holding a vector, the rest basis."""
         out = [ZERO] * self.codomain_dim
         for m, c in enumerate(vec):
-            if c == 0:
-                continue
-            val = self.value(pre + (m,) + post)
-            for k, x in enumerate(val):
-                if x != 0:
-                    out[k] += c * x
+            if c != 0:
+                accumulate(out, c, self.value(pre + (m,) + post))
         return tuple(out)
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
@@ -213,11 +215,8 @@ def _circ(p: MultiMap, q: MultiMap) -> MultiMap:
                 qval = q.value(shuffled[k - 1:] + (idxs[k - 1 + qdeg],))
                 if is_zero_vector(qval):
                     continue
-                val = p.value_with_vector(shuffled[:k - 1], qval, idxs[k + qdeg:])
-                sign = ksign * s
-                for t, x in enumerate(val):
-                    if x != 0:
-                        acc[t] += sign * x
+                accumulate(acc, ksign * s,
+                           p.value_with_vector(shuffled[:k - 1], qval, idxs[k + qdeg:]))
         return tuple(acc)
 
     return MultiMap.from_function(res_arity, n, n, entry)
@@ -300,10 +299,7 @@ def bracket_differential(f: MultiMap, h: Algebra,
                 if is_zero_vector(br):
                     continue
                 reduced = idxs[:i0] + idxs[i0 + 1:]
-                val = f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:])
-                for t, x in enumerate(val):
-                    if x != 0:
-                        acc[t] += sign * x
+                accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
         return tuple(acc)
 
     return MultiMap.from_function(n + 1, f.domain_dim, f.codomain_dim, entry)
@@ -327,12 +323,6 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * g.dim
-
-        def add(sign: int, val: Vector) -> None:
-            for t, x in enumerate(val):
-                if x != 0:
-                    acc[t] += sign * x
-
         for k in range(1, m + 1):
             base = -1 if ((k - 1) * n + 1) % 2 else 1
             for perm, s in shuffles(k - 1, n):
@@ -343,8 +333,8 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
                 slot = action.apply(w, h.basis_vector(idxs[k - 1 + n]))
                 if is_zero_vector(slot):
                     continue
-                add(base * s,
-                    theta.value_with_vector(shuffled[:k - 1], slot, idxs[k + n:]))
+                accumulate(acc, base * s,
+                           theta.value_with_vector(shuffled[:k - 1], slot, idxs[k + n:]))
         base = -1 if (m * n + 1) % 2 else 1
         for perm, s in shuffles(m, n):
             a = theta.value(tuple(idxs[perm[t]] for t in range(m)))
@@ -353,7 +343,7 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
             b = phi.value(tuple(idxs[perm[t]] for t in range(m, total)))
             if is_zero_vector(b):
                 continue
-            add(base * s, g.bracket(a, b))
+            accumulate(acc, base * s, g.bracket(a, b))
         for k in range(1, n + 1):
             base = -1 if (m * (k + n - 1)) % 2 else 1
             for perm, s in shuffles(k - 1, m):
@@ -364,8 +354,8 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
                 slot = action.apply(w, h.basis_vector(idxs[k - 1 + m]))
                 if is_zero_vector(slot):
                     continue
-                add(base * s,
-                    phi.value_with_vector(shuffled[:k - 1], slot, idxs[k + m:]))
+                accumulate(acc, base * s,
+                           phi.value_with_vector(shuffled[:k - 1], slot, idxs[k + m:]))
         return tuple(acc)
 
     return MultiMap.from_function(total, h.dim, g.dim, entry)
@@ -390,30 +380,11 @@ class GradedContext:
 
     @classmethod
     def from_action(cls, action: Action) -> "GradedContext":
-        require_coherent(action)
         g, h = action.source, action.target
-        ng, nh = g.dim, h.dim
-        ntot = ng + nh
-
-        def mu_g_entry(ij: tuple[int, ...]) -> Vector:
-            i, j = ij
-            if i < ng and j < ng:
-                return g.sc[i][j] + (ZERO,) * nh
-            if i < ng and j >= ng:
-                return (ZERO,) * ng + action.rho[i].col(j - ng)
-            if i >= ng and j >= ng:
-                return (ZERO,) * ng + h.sc[i - ng][j - ng]
-            return (ZERO,) * ntot
-
-        def mu_h_entry(ij: tuple[int, ...]) -> Vector:
-            i, j = ij
-            if i >= ng and j >= ng:
-                return (ZERO,) * ng + h.sc[i - ng][j - ng]
-            return (ZERO,) * ntot
-
         return cls(action,
-                   MultiMap.from_function(2, ntot, ntot, mu_g_entry),
-                   MultiMap.from_function(2, ntot, ntot, mu_h_entry))
+                   multimap_from_algebra(hemisemidirect(action)),
+                   multimap_from_algebra(direct_sum(abelian_algebra(g.name, g.dim), h,
+                                                    f"{g.name}+{h.name}")))
 
     def check(self, arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:
         """The three vanishing brackets that make the nested route work."""

@@ -18,7 +18,7 @@ from .algebras import (
     flatten_matrix,
 )
 from .errors import ActionIllDefined, DimensionMismatch, NotCoherentDerivation, NotLeibnizLie
-from .linalg import Matrix, Vector, ZERO, is_zero_vector, vec_add, vec_sub, vector
+from .linalg import Matrix, Vector, bilinear, is_zero_vector, vec_add, vec_sub, vector
 from .reports import CheckReport, Failure, failing, passing
 from .tensors import Action, EmbeddingTensor, algebra_from_matrix_subspace, require_embedding_tensor
 
@@ -43,19 +43,7 @@ class LeibnizLie:
 
     def product(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the triangle product."""
-        n = self.lie.dim
-        out = [ZERO] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(self.triangle[i][j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        return bilinear(self.triangle, x, y, self.lie.dim)
 
     def left_multiplication(self, x: Vector) -> Matrix:
         """The operator y -> x > y."""

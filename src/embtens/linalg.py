@@ -88,12 +88,33 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
+
+
+def accumulate(acc: list[Fraction], c: Fraction | int, v: Vector) -> None:
+    """acc += c * v in place, skipping the zero coordinates of v."""
+    for k, x in enumerate(v):
+        if x != 0:
+            acc[k] += c * x
+
+
+def bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
+    """Bilinear extension of a structure table: sum of x_i y_j table[i][j].
+
+    ``table[i][j]`` holds the coordinates, of length ``dim``, of the
+    image of the basis pair (e_i, e_j).  Algebra, triangle and
+    descendent tables all share this format.
+    """
+    out = [ZERO] * dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if yj != 0:
+                accumulate(out, xi * yj, row[j])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +171,6 @@ class Matrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows([self.col(j) for j in range(self.cols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -223,6 +241,15 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+def combination(mats: tuple[Matrix, ...], x: Vector, n: int) -> Matrix:
+    """The n x n matrix sum of x_i mats[i], skipping zero coefficients."""
+    out = [ZERO] * (n * n)
+    for c, m in zip(x, mats):
+        if c != 0:
+            accumulate(out, c, m.entries)
+    return Matrix(n, n, tuple(out))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

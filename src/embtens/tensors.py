@@ -14,6 +14,8 @@ from itertools import product
 from .algebras import (
     Algebra,
     LEIBNIZ,
+    ScTable,
+    _block_table,
     coherent_derivation_algebra,
     direct_sum,
     flatten_matrix,
@@ -26,10 +28,11 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    accumulate,
+    combination,
     is_zero_vector,
     vec_add,
     vec_sub,
-    zero_vector,
 )
 from .reports import CheckReport, Failure, failing, passing
 
@@ -52,22 +55,14 @@ class Action:
 
     def of(self, x: Vector) -> Matrix:
         """rho(x) for an arbitrary source vector."""
-        out = Matrix.zero(self.target.dim, self.target.dim)
-        for c, m in zip(x, self.rho):
-            if c != 0:
-                out = out + m.scale(c)
-        return out
+        return combination(self.rho, x, self.target.dim)
 
     def apply(self, x: Vector, u: Vector) -> Vector:
         """rho(x)u without materializing the combined matrix."""
         out = [ZERO] * self.target.dim
         for c, m in zip(x, self.rho):
-            if c == 0:
-                continue
-            w = m.apply(u)
-            for k, val in enumerate(w):
-                if val != 0:
-                    out[k] += c * val
+            if c != 0:
+                accumulate(out, c, m.apply(u))
         return tuple(out)
 
 
@@ -131,12 +126,26 @@ def require_coherent(action: Action) -> None:
         raise NotCoherentAction(f"action fails {report.witness.law} at {report.witness.where}")
 
 
+def descendent_table(t: EmbeddingTensor) -> ScTable:
+    """The table of [e_i, e_j]_T = rho(Te_i)e_j + [e_i, e_j] on the target.
+
+    Built for any candidate tensor; nothing here is verified.
+    """
+    h = t.action.target
+    table = []
+    for i in range(h.dim):
+        rho_ti = t.action.of(t.column(i))
+        table.append(tuple(vec_add(rho_ti.col(j), h.sc[i][j]) for j in range(h.dim)))
+    return tuple(table)
+
+
 def net_residual(t: EmbeddingTensor, i: int, j: int) -> Vector:
     """[Te_i, Te_j] - T(rho(Te_i)e_j + [e_i, e_j]) in source coordinates."""
-    g, h = t.action.source, t.action.target
-    ti, tj = t.column(i), t.column(j)
-    inner = vec_add(t.action.apply(ti, h.basis_vector(j)), h.sc[i][j])
-    return vec_sub(g.bracket(ti, tj), t.apply(inner))
+    return _net_residual(t, descendent_table(t), i, j)
+
+
+def _net_residual(t: EmbeddingTensor, table: ScTable, i: int, j: int) -> Vector:
+    return vec_sub(t.action.source.bracket(t.column(i), t.column(j)), t.apply(table[i][j]))
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +160,10 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
     if not action_report.ok:
         return failing("embedding-tensor", list(action_report.failures),
                        notes=("action is not coherent",))
-    h = t.action.target
+    table = descendent_table(t)
     bad = []
-    for i, j in product(range(h.dim), repeat=2):
-        res = net_residual(t, i, j)
+    for i, j in product(range(t.action.target.dim), repeat=2):
+        res = _net_residual(t, table, i, j)
         if not is_zero_vector(res):
             bad.append(Failure("tensor-identity", (i, j), res))
     if bad:
@@ -217,21 +226,8 @@ def hemisemidirect(action: Action, name: str | None = None) -> Algebra:
     """The Leibniz bracket [x+u, y+v] = [x,y] + rho(x)v + [u,v] on source + target."""
     require_coherent(action)
     g, h = action.source, action.target
-    n = g.dim + h.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < g.dim and j < g.dim:
-                row.append(g.sc[i][j] + zero_vector(h.dim))
-            elif i < g.dim and j >= g.dim:
-                row.append(zero_vector(g.dim) + action.rho[i].col(j - g.dim))
-            elif i >= g.dim and j >= g.dim:
-                row.append(zero_vector(g.dim) + h.sc[i - g.dim][j - g.dim])
-            else:
-                row.append(zero_vector(n))
-        table.append(tuple(row))
-    return Algebra(name or f"{g.name}+{h.name}", n, tuple(table), LEIBNIZ)
+    return Algebra(name or f"{g.name}+{h.name}", g.dim + h.dim,
+                   _block_table(g, h, action.rho), LEIBNIZ)
 
 
 def graph_subspace(t: EmbeddingTensor) -> Subspace:
@@ -264,11 +260,7 @@ def descendent(t: EmbeddingTensor, name: str | None = None) -> Algebra:
     """The Leibniz bracket [u,v]_T = rho(Tu)v + [u,v] induced on the target."""
     require_embedding_tensor(t)
     h = t.action.target
-    table = tuple(
-        tuple(vec_add(t.action.apply(t.column(i), h.basis_vector(j)), h.sc[i][j])
-              for j in range(h.dim))
-        for i in range(h.dim))
-    return Algebra(name or f"{h.name}_desc", h.dim, table, LEIBNIZ)
+    return Algebra(name or f"{h.name}_desc", h.dim, descendent_table(t), LEIBNIZ)
 
 
 def algebra_from_matrix_subspace(name: str, sub: Subspace, n: int) -> tuple[Algebra, tuple[Matrix, ...]]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebras import Algebra, FLAVORS, UNCHECKED, check_leibniz, check_lie
+from .cohomology import DEFAULT_MAX_DEGREE
 from .errors import (
     DimensionMismatch,
     FlavorViolation,
@@ -25,8 +26,6 @@ from .graded import DEFAULT_ARITY_CAP, MultiMap
 from .leibniz_lie import LeibnizLie
 from .linalg import Matrix, Vector, parse_scalar, scalar_to_json, zero_vector
 from .tensors import Action, EmbeddingTensor
-
-DEFAULT_MAX_DEGREE = 4
 
 
 @dataclass

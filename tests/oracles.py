@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own linear algebra:
 ranks come from fraction-free integer elimination, ideal closures from
 a plain Gaussian span, shuffles from filtering full permutation groups,
-and the Heisenberg tensor family from its closed polynomial system.
+bilinear maps from a plain triple sum over a structure table, and the
+Heisenberg tensor family from its closed polynomial system.
 """
 from __future__ import annotations
 
@@ -94,6 +95,17 @@ def close_ideal(bracket, dim: int, seeds) -> list[list[Fraction]]:
                 if _span_insert(basis, bracket(row, e)):
                     changed = True
     return basis
+
+
+def bilinear_oracle(table, x, y) -> tuple:
+    """sum over i, j, k of x_i y_j table[i][j][k] e_k, as a plain triple sum."""
+    out_dim = len(table[0][0])
+    out = [Fraction(0)] * out_dim
+    for i in range(len(x)):
+        for j in range(len(y)):
+            for k in range(out_dim):
+                out[k] += Fraction(x[i]) * Fraction(y[j]) * Fraction(table[i][j][k])
+    return tuple(out)
 
 
 def shuffles_by_filter(i: int, k: int):

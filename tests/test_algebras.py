@@ -54,6 +54,25 @@ def test_check_lie_broken_table_reports_witness():
     assert report.witness.where == (0, 1)
 
 
+def test_check_lie_jacobi_witness():
+    # antisymmetric, with [e1,e2] = e3 and [e1,e3] = e1; at (e1,e2,e3)
+    # [e1,[e2,e3]] = 0 but [[e1,e2],e3] + [e2,[e1,e3]] = -e3
+    bad = Algebra("nonjacobi", 3, sc_table([
+        [Z3, (0, 0, 1), (1, 0, 0)],
+        [(0, 0, -1), Z3, Z3],
+        [(-1, 0, 0), Z3, Z3],
+    ]), "unchecked")
+    report = check_lie(bad)
+    assert report.check == "lie" and not report.ok
+    assert report.witness.law == "jacobi"
+    assert report.witness.where == (0, 1, 2)
+    assert tuple(report.witness.residual) == (0, 0, 1)
+    report = check_leibniz(bad)
+    assert report.check == "leibniz" and not report.ok
+    assert report.witness.law == "leibniz"
+    assert report.witness.where == (0, 1, 2)
+
+
 def test_lie_implies_leibniz():
     for a in (heisenberg(), abelian_algebra("a2", 2), sl2_like()):
         assert check_lie(a).ok

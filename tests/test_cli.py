@@ -154,6 +154,24 @@ def test_output_file(tmp_path, heisenberg_workspace_path):
     assert json.loads(target.read_text())["ok"] is True
 
 
+def test_unwritable_output_is_usage_error(tmp_path, heisenberg_workspace_path, capsys):
+    target = tmp_path / "missing" / "x"
+    data = json.loads(Path(heisenberg_workspace_path).read_text())
+    data["tensors"]["broken"] = {"action": "ad3",
+                                 "matrix": [[0, 0, 1], [1, 0, 0], [2, 3, 0]]}
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(data))
+    # a passing check, then a construction that fails with a ToolkitError
+    for argv in (("check", "net", "--tensor", "T1"),
+                 ("build", "descendent", "--tensor", "broken")):
+        code, out = invoke(ws, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+    assert not target.parent.exists()
+
+
 def test_byte_determinism_across_runs(heisenberg_workspace_path):
     commands = [
         ("check", "lie", "--algebra", "h3"),

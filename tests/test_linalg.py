@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from embtens import (
+    Action,
+    Algebra,
+    LeibnizLie,
     Matrix,
     NotASubspace,
     ParseError,
@@ -15,9 +19,10 @@ from embtens import (
     rank,
     rref,
     scalar_to_json,
+    unit_vector,
 )
 from conftest import rand_matrix
-from oracles import bareiss_rank
+from oracles import bareiss_rank, bilinear_oracle
 
 
 def test_rref_identity():
@@ -137,3 +142,34 @@ def test_exactness_of_products():
     for _ in range(50):
         x = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         assert x * (1 / x) == 1
+
+
+SMALL = st.sampled_from([Fraction(c) for c in (0, 0, 0, 1, -1, 2, "1/2", "-3/2", "2/3")])
+
+
+# no shrink phase: shrinking the long flat draw takes minutes
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_bilinear_kernel_matches_triple_sum(n, m, data):
+    """Brackets, triangle products and actions against a plain triple sum."""
+    size = (2 * n + m) * n * n + m ** 3 + 2 * n + m
+    flat = iter(data.draw(st.lists(SMALL, min_size=size, max_size=size)))
+
+    def vec(d):
+        return tuple(next(flat) for _ in range(d))
+
+    def table(rows, cols, d):
+        return tuple(tuple(vec(d) for _ in range(cols)) for _ in range(rows))
+
+    sc, triangle, x, y = table(n, n, n), table(n, n, n), vec(n), vec(n)
+    h = Algebra("h", n, sc)
+    assert h.bracket(x, y) == bilinear_oracle(sc, x, y)
+    assert LeibnizLie(h, triangle).product(x, y) == bilinear_oracle(triangle, x, y)
+    rho_table = table(m, n, n)
+    action = Action(Algebra("g", m, table(m, m, m)), h,
+                    tuple(Matrix.from_columns(row) for row in rho_table))
+    z = vec(m)
+    assert action.apply(z, x) == bilinear_oracle(rho_table, z, x)
+    assert action.of(z) == Matrix.from_columns(
+        [bilinear_oracle(rho_table, z, unit_vector(n, a)) for a in range(n)])
