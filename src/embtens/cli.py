@@ -42,10 +42,6 @@ from .workspace import (
     tensor_to_json,
 )
 
-CHECK_KINDS = ("lie", "leibniz", "action", "net", "leibniz-lie", "nijenhuis",
-               "nijenhuis-operator", "deform", "equivalence")
-BUILD_KINDS = ("hemisemidirect", "descendent", "subadjacent", "induced-triangle",
-               "projection-net", "ell-net", "quotient-lie")
 MC_KINDS = ("net", "deform")
 
 
@@ -73,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--operator", help="matrix rows 'a,b;c,d'")
 
     p = sub.add_parser("check", parents=[common], help="run a verification")
-    p.add_argument("what", choices=CHECK_KINDS)
+    p.add_argument("what", choices=tuple(CHECKS))
     refs(p)
 
     p = sub.add_parser("build", parents=[common],
                        help="run a construction and emit the result")
-    p.add_argument("what", choices=BUILD_KINDS)
+    p.add_argument("what", choices=tuple(BUILDS))
     refs(p)
 
     p = sub.add_parser("mc", parents=[common], help="Maurer-Cartan style checks")
@@ -150,93 +146,45 @@ def _equivalence_over_candidates(d1, d2, spec_text: str, dim: int):
     return CheckReport(first_failure.check, False, first_failure.failures, notes)
 
 
-def _run_check(ws: Workspace, args) -> tuple[int, dict, str]:
-    what = args.what
-    if what == "lie":
-        subject = _need(args, "algebra", "algebra")
-        report = check_lie(ws.algebra(subject))
-    elif what == "leibniz":
-        subject = _need(args, "algebra", "algebra")
-        report = check_leibniz(ws.algebra(subject))
-    elif what == "action":
-        subject = _need(args, "action", "action")
-        report = tensors.check_coherent_action(ws.action(subject))
-    elif what == "net":
-        subject = _need(args, "tensor", "tensor")
-        report = tensors.check_embedding_tensor(ws.tensor(subject))
-    elif what == "leibniz-lie":
-        subject = _need(args, "name", "name")
-        report = check_leibniz_lie(ws.leibniz_lie_structure(subject))
-    elif what == "nijenhuis":
-        subject = _need(args, "tensor", "tensor")
-        t = ws.tensor(subject)
+def _entry_check(flag: str, check):
+    """A check of the workspace entry named by --flag; ``check(ws, name)``."""
+    def run_check(ws: Workspace, args) -> tuple[str, CheckReport]:
+        subject = _need(args, flag, flag)
+        return subject, check(ws, subject)
+    return run_check
+
+
+def _check_nijenhuis(ws: Workspace, args) -> tuple[str, CheckReport]:
+    subject = _need(args, "tensor", "tensor")
+    t = ws.tensor(subject)
+    x = _parse_element(_need(args, "element", "element"), t.action.source.dim, "--element")
+    return subject, defs.check_nijenhuis_element(defs.NijenhuisCandidate(t, x))
+
+
+def _check_nijenhuis_operator(ws: Workspace, args) -> tuple[str, CheckReport]:
+    if args.tensor is not None:
+        t = ws.tensor(args.tensor)
         x = _parse_element(_need(args, "element", "element"), t.action.source.dim, "--element")
-        report = defs.check_nijenhuis_element(defs.NijenhuisCandidate(t, x))
-    elif what == "nijenhuis-operator":
-        if args.tensor is not None:
-            subject = args.tensor
-            t = ws.tensor(subject)
-            x = _parse_element(_need(args, "element", "element"),
-                               t.action.source.dim, "--element")
-            report = defs.check_nijenhuis_operator(tensors.descendent(t), t.action.of(x))
-        else:
-            subject = _need(args, "algebra", "algebra")
-            a = ws.algebra(subject)
-            op = _parse_operator(_need(args, "operator", "operator"), a.dim)
-            report = defs.check_nijenhuis_operator(a, op)
-    elif what == "deform":
-        subject = _need(args, "tensor", "tensor")
-        t = ws.tensor(subject)
-        report = defs.check_linear_deformation(
-            _direction(ws, t, _need(args, "direction", "direction")))
-    elif what == "equivalence":
-        subject = _need(args, "tensor", "tensor")
-        t = ws.tensor(subject)
-        d1 = _direction(ws, t, _need(args, "direction", "direction"))
-        d2 = _direction(ws, t, _need(args, "direction2", "direction2"))
-        report = _equivalence_over_candidates(
-            d1, d2, _need(args, "element", "element"), t.action.source.dim)
-    else:  # pragma: no cover
-        raise _Usage(f"unknown check {what!r}")
-    return _report_result(f"check {what}", subject, report)
+        return args.tensor, defs.check_nijenhuis_operator(tensors.descendent(t), t.action.of(x))
+    subject = _need(args, "algebra", "algebra")
+    a = ws.algebra(subject)
+    op = _parse_operator(_need(args, "operator", "operator"), a.dim)
+    return subject, defs.check_nijenhuis_operator(a, op)
 
 
-def _run_build(ws: Workspace, args) -> tuple[int, dict, str]:
-    what = args.what
-    if what == "hemisemidirect":
-        subject = _need(args, "action", "action")
-        result = algebra_to_json(tensors.hemisemidirect(ws.action(subject)))
-        line = _algebra_line(result)
-    elif what == "descendent":
-        subject = _need(args, "tensor", "tensor")
-        result = algebra_to_json(tensors.descendent(ws.tensor(subject)))
-        line = _algebra_line(result)
-    elif what == "subadjacent":
-        subject = _need(args, "name", "name")
-        result = algebra_to_json(subadjacent(ws.leibniz_lie_structure(subject)))
-        line = _algebra_line(result)
-    elif what == "induced-triangle":
-        subject = _need(args, "tensor", "tensor")
-        result = leibniz_lie_to_json(induced_leibniz_lie(ws.tensor(subject)))
-        line = f"leibniz-lie structure on {result['lie']['name']}"
-    elif what == "projection-net":
-        subject = _need(args, "algebra", "algebra")
-        result = tensor_to_json(tensors.projection_tensor(ws.algebra(subject)))
-        line = _tensor_line(result)
-    elif what == "ell-net":
-        subject = _need(args, "name", "name")
-        result = tensor_to_json(left_multiplication_tensor(ws.leibniz_lie_structure(subject)))
-        line = _tensor_line(result)
-    elif what == "quotient-lie":
-        subject = _need(args, "algebra", "algebra")
-        algebra, projection = quotient_lie(ws.algebra(subject))
-        result = {"algebra": algebra_to_json(algebra),
-                  "projection": matrix_to_json(projection)}
-        line = _algebra_line(result["algebra"]) + " with projection"
-    else:  # pragma: no cover
-        raise _Usage(f"unknown construction {what!r}")
-    payload = {"command": f"build {what}", "subject": subject, "object": result}
-    return 0, payload, f"build {what} {subject}: {line}"
+def _check_deform(ws: Workspace, args) -> tuple[str, CheckReport]:
+    subject = _need(args, "tensor", "tensor")
+    d = _direction(ws, ws.tensor(subject), _need(args, "direction", "direction"))
+    return subject, defs.check_linear_deformation(d)
+
+
+def _check_equivalence(ws: Workspace, args) -> tuple[str, CheckReport]:
+    subject = _need(args, "tensor", "tensor")
+    t = ws.tensor(subject)
+    d1 = _direction(ws, t, _need(args, "direction", "direction"))
+    d2 = _direction(ws, t, _need(args, "direction2", "direction2"))
+    return subject, _equivalence_over_candidates(
+        d1, d2, _need(args, "element", "element"), t.action.source.dim)
 
 
 def _algebra_line(data: dict) -> str:
@@ -247,6 +195,58 @@ def _tensor_line(data: dict) -> str:
     src = data["action"]["source"]
     tgt = data["action"]["target"]
     return f"tensor {tgt['name']} -> {src['name']} ({src['dim']}x{tgt['dim']})"
+
+
+def _quotient_json(ws: Workspace, name: str) -> dict:
+    algebra, projection = quotient_lie(ws.algebra(name))
+    return {"algebra": algebra_to_json(algebra), "projection": matrix_to_json(projection)}
+
+
+# Dispatch tables; their keys are the parser's choices.  Every library
+# function is looked up by name when the command runs, never bound here.
+CHECKS = {
+    "lie": _entry_check("algebra", lambda ws, s: check_lie(ws.algebra(s))),
+    "leibniz": _entry_check("algebra", lambda ws, s: check_leibniz(ws.algebra(s))),
+    "action": _entry_check("action", lambda ws, s: tensors.check_coherent_action(ws.action(s))),
+    "net": _entry_check("tensor", lambda ws, s: tensors.check_embedding_tensor(ws.tensor(s))),
+    "leibniz-lie": _entry_check(
+        "name", lambda ws, s: check_leibniz_lie(ws.leibniz_lie_structure(s))),
+    "nijenhuis": _check_nijenhuis,
+    "nijenhuis-operator": _check_nijenhuis_operator,
+    "deform": _check_deform,
+    "equivalence": _check_equivalence,
+}
+# build kind -> (flag naming the input, JSON of the result, summary line of that JSON)
+BUILDS = {
+    "hemisemidirect": ("action", lambda ws, s: algebra_to_json(
+        tensors.hemisemidirect(ws.action(s))), _algebra_line),
+    "descendent": ("tensor", lambda ws, s: algebra_to_json(
+        tensors.descendent(ws.tensor(s))), _algebra_line),
+    "subadjacent": ("name", lambda ws, s: algebra_to_json(
+        subadjacent(ws.leibniz_lie_structure(s))), _algebra_line),
+    "induced-triangle": ("tensor", lambda ws, s: leibniz_lie_to_json(
+        induced_leibniz_lie(ws.tensor(s))),
+        lambda r: f"leibniz-lie structure on {r['lie']['name']}"),
+    "projection-net": ("algebra", lambda ws, s: tensor_to_json(
+        tensors.projection_tensor(ws.algebra(s))), _tensor_line),
+    "ell-net": ("name", lambda ws, s: tensor_to_json(
+        left_multiplication_tensor(ws.leibniz_lie_structure(s))), _tensor_line),
+    "quotient-lie": ("algebra", _quotient_json,
+                     lambda r: _algebra_line(r["algebra"]) + " with projection"),
+}
+
+
+def _run_check(ws: Workspace, args) -> tuple[int, dict, str]:
+    subject, report = CHECKS[args.what](ws, args)
+    return _report_result(f"check {args.what}", subject, report)
+
+
+def _run_build(ws: Workspace, args) -> tuple[int, dict, str]:
+    flag, build, describe = BUILDS[args.what]
+    subject = _need(args, flag, flag)
+    result = build(ws, subject)
+    payload = {"command": f"build {args.what}", "subject": subject, "object": result}
+    return 0, payload, f"build {args.what} {subject}: {describe(result)}"
 
 
 def _run_mc(ws: Workspace, args) -> tuple[int, dict, str]:

@@ -5,10 +5,20 @@ one, and maps of (k-1) target arguments into the source in degree k.
 Matrices of the coboundary are taken in the monomial bases ordered
 lexicographically by (argument indices, output index), which is exactly
 the flat coefficient order of ``MultiMap``.
+
+The complex is the Loday-Pirashvili complex of the descendent Leibniz
+algebra with coefficients in the induced representation on the source.
+Each differential is assembled by ``lp_differential`` in one pass over
+the output tuples, placing the rho_l, rho_r and structure-constant
+blocks of that representation.  A degree-one cochain, a source vector,
+is read as an arity-0 cochain, so degree one needs no closed form of
+its own.  ``loday_pirashvili_coboundary`` evaluates the same formula
+one entry at a time and is kept as the reference for the matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .algebras import LeibnizRep
 from .errors import ArityCapExceeded, DegreeOutOfRange, DimensionMismatch, NotACocycle
@@ -27,7 +37,7 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .tensors import EmbeddingTensor, descendent_table, require_embedding_tensor
+from .tensors import EmbeddingTensor, require_embedding_tensor
 
 DEFAULT_MAX_DEGREE = 4
 
@@ -88,88 +98,69 @@ def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Ve
     return tuple(acc)
 
 
+def lp_differential(rep: LeibnizRep, arity: int) -> Matrix:
+    """Matrix of the coboundary from arity-``arity`` cochains (arity >= 0).
+
+    One pass over the output tuples (x_0, .., x_arity) places, for each
+    term of the alternating formula, a block into the column of the input
+    tuple it reads: rho_l(x_i) for each dropped argument, rho_r(x_arity)
+    for the last one, and the identity scaled by a structure constant for
+    each bracketed pair.
+    """
+    n, m, sc = rep.algebra.dim, rep.rep_dim, rep.algebra.sc
+    rows, cols = n ** (arity + 1) * m, n ** arity * m
+    out = [ZERO] * (rows * cols)
+
+    def nonzero(mat: Matrix) -> list:
+        return [(r, c, e) for r in range(m) for c in range(m)
+                if (e := mat.entries[r * m + c]) != 0]
+
+    left, right = [nonzero(x) for x in rep.rho_l], [nonzero(x) for x in rep.rho_r]
+    ident = [(r, r, ONE) for r in range(m)]
+    col_of = {idxs: i * m for i, idxs in enumerate(product(range(n), repeat=arity))}
+
+    def place(row: int, col: tuple[int, ...], sign, block: list) -> None:
+        base = row + col_of[col]
+        for r, c, e in block:
+            out[base + r * cols + c] += sign * e
+
+    for i, idxs in enumerate(product(range(n), repeat=arity + 1)):
+        row = i * m * cols
+        for i0 in range(arity):
+            place(row, idxs[:i0] + idxs[i0 + 1:], -1 if i0 % 2 else 1, left[idxs[i0]])
+        place(row, idxs[:arity], -1 if (arity + 1) % 2 else 1, right[idxs[arity]])
+        for i0 in range(arity + 1):
+            sign = -1 if (i0 + 1) % 2 else 1
+            reduced = idxs[:i0] + idxs[i0 + 1:]
+            for j0 in range(i0 + 1, arity + 1):
+                for p, c in enumerate(sc[idxs[i0]][idxs[j0]]):
+                    if c != 0:
+                        place(row, reduced[:j0 - 1] + (p,) + reduced[j0:], sign * c, ident)
+    return Matrix(rows, cols, tuple(out))
+
+
 def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
                       arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
     """The coboundary operator of the tensor complex.
 
-    Degree-one cochains are source vectors and are handled by the closed
-    form (d x)(u) = T rho(x)u - [x, Tu]; higher cochains go through the
-    full alternating formula.  Both agree with the general formula read
-    with empty products, which the test suite pins down.
+    A source vector is read as an arity-0 cochain, so (d x)(u) comes out
+    as T rho(x)u - [x, Tu]; every cochain is mapped by the same matrix
+    that ``TensorComplex`` uses.
     """
     require_embedding_tensor(t)
     g, h = t.action.source, t.action.target
     if isinstance(f, MultiMap):
         if f.domain_dim != h.dim or f.codomain_dim != g.dim:
             raise DimensionMismatch("cochain shape does not match the tensor")
-        k = f.arity
-        if k + 1 > arity_cap:
-            raise ArityCapExceeded(f"result arity {k + 1} above cap {arity_cap}")
-        table = descendent_table(t)
-        return MultiMap.from_function(
-            k + 1, h.dim, g.dim,
-            lambda idxs: _partial_entry(t, table, f.value, f.value_with_vector, k, idxs))
-    x = vector(f)
-    if len(x) != g.dim:
-        raise DimensionMismatch("a degree-one cochain is a source vector")
-
-    def entry(idxs: tuple[int, ...]) -> Vector:
-        u = idxs[0]
-        return vec_sub(t.apply(t.action.apply(x, h.basis_vector(u))),
-                       g.bracket(x, t.column(u)))
-
-    return MultiMap.from_function(1, h.dim, g.dim, entry)
-
-
-def _partial_entry(t: EmbeddingTensor, table, value, value_with_vector,
-                   k: int, idxs: tuple[int, ...]) -> Vector:
-    """One entry of the coboundary of an arity-k cochain (k >= 0).
-
-    ``table`` is the descendent table of ``t``.  With k = 0 every sum is
-    empty except the two middle terms, which is the closed form used for
-    degree-one cochains.
-    """
-    g, h = t.action.source, t.action.target
-    acc = [ZERO] * g.dim
-    for i0 in range(k):
-        val = value(idxs[:i0] + idxs[i0 + 1:])
-        if not is_zero_vector(val):
-            accumulate(acc, -1 if i0 % 2 else 1, g.bracket(t.column(idxs[i0]), val))
-    head = value(idxs[:k])
-    if not is_zero_vector(head):
-        accumulate(acc, -1 if (k + 1) % 2 else 1, g.bracket(head, t.column(idxs[k])))
-        accumulate(acc, -1 if k % 2 else 1,
-                   t.apply(t.action.apply(head, h.basis_vector(idxs[k]))))
-    for i0 in range(k + 1):
-        sign = -1 if (i0 + 1) % 2 else 1
-        for j0 in range(i0 + 1, k + 1):
-            slot = table[idxs[i0]][idxs[j0]]
-            if is_zero_vector(slot):
-                continue
-            reduced = idxs[:i0] + idxs[i0 + 1:]
-            accumulate(acc, sign, value_with_vector(reduced[:j0 - 1], slot, reduced[j0:]))
-    return tuple(acc)
-
-
-def tensor_coboundary_general_degree_one(t: EmbeddingTensor, x: Vector) -> MultiMap:
-    """Degree-one coboundary through the general formula at k = 0.
-
-    Kept separate so the closed form above can be tested against the
-    empty-products reading of the alternating formula.
-    """
-    require_embedding_tensor(t)
-    g, h = t.action.source, t.action.target
-    x = vector(x)
-
-    def value(idxs: tuple[int, ...]) -> Vector:
-        return x
-
-    def value_with_vector(pre, vec, post) -> Vector:
-        raise AssertionError("unreachable at arity zero")
-
-    table = descendent_table(t)
-    return MultiMap.from_function(
-        1, h.dim, g.dim, lambda idxs: _partial_entry(t, table, value, value_with_vector, 0, idxs))
+        k, coeffs = f.arity, f.coeffs
+    else:
+        k, coeffs = 0, vector(f)
+        if len(coeffs) != g.dim:
+            raise DimensionMismatch("a degree-one cochain is a source vector")
+    if k + 1 > arity_cap:
+        raise ArityCapExceeded(f"result arity {k + 1} above cap {arity_cap}")
+    d = lp_differential(induced_representation(t), k)
+    return MultiMap(k + 1, h.dim, g.dim, d.apply(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +187,7 @@ class TensorComplex:
         return self.tensor.action.target.dim
 
     def cochain_dim(self, k: int) -> int:
-        if k <= 0:
-            return 0
-        if k == 1:
-            return self.source_dim
-        return self.source_dim * (self.target_dim ** (k - 1))
+        return 0 if k <= 0 else self.source_dim * self.target_dim ** (k - 1)
 
     def differential(self, k: int) -> Matrix:
         """Matrix of the coboundary from degree k to degree k + 1."""
@@ -211,23 +198,7 @@ class TensorComplex:
         return self._differentials[k]
 
     def _build(self, k: int) -> Matrix:
-        ng, nh = self.source_dim, self.target_dim
-        cols = []
-        if k == 1:
-            for j in range(ng):
-                img = tensor_coboundary(self.tensor, self.tensor.action.source.basis_vector(j),
-                                        arity_cap=self.max_degree)
-                cols.append(img.coeffs)
-        else:
-            arity = k - 1
-            dim = self.cochain_dim(k)
-            for c in range(dim):
-                coeffs = [ZERO] * dim
-                coeffs[c] = ONE
-                basis_map = MultiMap(arity, nh, ng, tuple(coeffs))
-                img = tensor_coboundary(self.tensor, basis_map, arity_cap=self.max_degree)
-                cols.append(img.coeffs)
-        return Matrix.from_columns(cols) if cols else Matrix.zero(self.cochain_dim(k + 1), 0)
+        return lp_differential(induced_representation(self.tensor), k - 1)
 
 
 @dataclass(frozen=True)
@@ -279,8 +250,8 @@ def cochain_vector(t: EmbeddingTensor, f, k: int) -> Vector:
     """Flatten a degree-k cochain to monomial-basis coordinates."""
     g, h = t.action.source, t.action.target
     if k == 1:
-        v = vector(f)
-        if len(v) != g.dim:
+        v = None if isinstance(f, (Matrix, MultiMap)) else vector(f)
+        if v is None or len(v) != g.dim:
             raise DimensionMismatch("a degree-one cochain is a source vector")
         return v
     if isinstance(f, Matrix):

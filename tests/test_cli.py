@@ -97,6 +97,14 @@ def test_class_equals_exit_codes(heisenberg_workspace_path):
     assert code == 0 and "EQUAL" in out
 
 
+def test_class_equals_degree_one_rejects_directions(heisenberg_workspace_path):
+    # a degree-one cochain is a source vector, not a direction matrix
+    code, out = invoke(heisenberg_workspace_path, "class-equals", "--tensor", "T1",
+                       "--degree", "1", "--direction", "T1", "--direction2", "T1")
+    assert code == 1
+    assert out.startswith("class-equals: ERROR ")
+
+
 def test_equivalence_command(heisenberg_workspace_path):
     code, out = invoke(heisenberg_workspace_path, "check", "equivalence",
                        "--tensor", "T1", "--direction", "D1",

@@ -7,6 +7,7 @@ import pytest
 
 from embtens import (
     DegreeOutOfRange,
+    DimensionMismatch,
     Matrix,
     MultiMap,
     NotACocycle,
@@ -22,7 +23,6 @@ from embtens import (
     twisted_differential,
     unit_vector,
 )
-from embtens.cohomology import tensor_coboundary_general_degree_one
 from conftest import rand_fraction
 from oracles import bareiss_rank
 
@@ -71,34 +71,32 @@ def test_lp_coboundary_squares_to_zero(t1, g23_net):
                 rep, loday_pirashvili_coboundary(rep, f)).is_zero()
 
 
-def test_lp_specialization_equals_tensor_coboundary(t1, g23_net):
+def test_lp_specialization_equals_tensor_coboundary(t1, tii, toy_tensor, g23_net):
+    # the assembled matrices against the per-entry formula, up to degree 4
     rng = random.Random(62)
-    for t in (t1, g23_net):
+    for t in (t1, tii, toy_tensor, g23_net):
         rep = induced_representation(t)
-        for _ in range(8):
-            f = rand_cochain(rng, rng.choice([1, 2]), t)
-            assert loday_pirashvili_coboundary(rep, f) == tensor_coboundary(t, f)
+        for arity in (1, 2, 3):
+            for _ in range(4):
+                f = rand_cochain(rng, arity, t)
+                assert loday_pirashvili_coboundary(rep, f) == tensor_coboundary(t, f)
 
 
-def test_degree_one_coboundary_closed_form(t1, h3):
-    # (dx)(u) = T rho(x) u - [x, Tu]
-    for b in range(3):
-        x = unit_vector(3, b)
-        img = tensor_coboundary(t1, x)
-        for u in range(3):
-            expected = tuple(
-                p - q for p, q in zip(
-                    t1.apply(t1.action.apply(x, h3.basis_vector(u))),
-                    h3.bracket(x, t1.column(u))))
-            assert img.value((u,)) == expected
-
-
-def test_degree_one_matches_general_formula(t1, tii):
+def test_degree_one_coboundary_closed_form(t1, tii):
+    # (dx)(u) = T rho(x) u - [x, Tu], on unit vectors and on random x
     rng = random.Random(63)
     for t in (t1, tii):
-        for _ in range(6):
-            x = tuple(rand_fraction(rng) for _ in range(3))
-            assert tensor_coboundary(t, x) == tensor_coboundary_general_degree_one(t, x)
+        g, h = t.action.source, t.action.target
+        xs = [unit_vector(g.dim, b) for b in range(g.dim)]
+        xs += [tuple(rand_fraction(rng) for _ in range(g.dim)) for _ in range(6)]
+        for x in xs:
+            img = tensor_coboundary(t, x)
+            for u in range(h.dim):
+                expected = tuple(
+                    p - q for p, q in zip(
+                        t.apply(t.action.apply(x, h.basis_vector(u))),
+                        g.bracket(x, t.column(u))))
+                assert img.value((u,)) == expected
 
 
 def test_degree_one_kills_central_zero_column(t1):
@@ -186,6 +184,14 @@ def test_class_equals_distinguishes_on_toy(toy_tensor):
     f = Matrix.zero(1, 1)
     g = Matrix.from_rows([[1]])
     assert not class_equals(toy_tensor, f, g, 2)
+
+
+def test_class_equals_degree_one_needs_source_vectors(t1):
+    d = multimap_as_matrix(tensor_coboundary(t1, unit_vector(3, 0)))
+    for f in (d, matrix_as_multimap(d)):
+        with pytest.raises(DimensionMismatch):
+            class_equals(t1, f, f, 1)
+    assert class_equals(t1, unit_vector(3, 1), unit_vector(3, 1), 1)
 
 
 def test_class_equals_rejects_non_cocycle(t1):

@@ -1,11 +1,16 @@
-"""Source hygiene: no package module imports a name it never uses."""
+"""Source hygiene: no package module imports a name it never uses, and
+every top-level definition of the package is used somewhere."""
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "embtens"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "embtens"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,3 +34,50 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("from x import a, b\nimport c.d\nprint(a, c)\n") == ["b (line 1)"]
+
+
+def references(tree: ast.AST) -> Counter:
+    """Names read, imported or spelled as a dotted string in a syntax tree."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def dead_definitions(source: str, corpus: Counter) -> list[str]:
+    """Top-level functions and classes named nowhere outside their own body."""
+    dead = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if corpus[node.name] - references(node)[node.name] <= 0:
+                dead.append(f"{node.name} (line {node.lineno})")
+    return dead
+
+
+@pytest.fixture(scope="module")
+def corpus() -> Counter:
+    total = Counter()
+    for path in CORPUS:
+        total += references(ast.parse(path.read_text(encoding="utf-8")))
+    return total
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_definitions(path, corpus):
+    assert dead_definitions(path.read_text(encoding="utf-8"), corpus) == []
+
+
+def test_detects_a_dead_definition():
+    source = ("def used():\n    return 1\n\n"
+              "def dead(n):\n    return dead(n - 1)\n\n"
+              "class Kept:\n    pass\n")
+    corpus = references(ast.parse(source)) + references(ast.parse("used()\nx = 'pkg.Kept'\n"))
+    assert dead_definitions(source, corpus) == ["dead (line 4)"]
