@@ -99,6 +99,18 @@ def test_degree_one_coboundary_closed_form(t1, tii):
                 assert img.value((u,)) == expected
 
 
+def test_degree_one_matches_general_formula(t1, tii):
+    # the Loday-Pirashvili formula at arity 0: (dx)(u) = -rho_r(u) x
+    rng = random.Random(64)
+    for t in (t1, tii):
+        rep = induced_representation(t)
+        for _ in range(6):
+            x = tuple(rand_fraction(rng) for _ in range(rep.rep_dim))
+            img = tensor_coboundary(t, x)
+            for u in range(rep.algebra.dim):
+                assert img.value((u,)) == rep.rho_r[u].scale(-1).apply(x)
+
+
 def test_degree_one_kills_central_zero_column(t1):
     # the third basis vector acts trivially and is killed by the tensor
     assert tensor_coboundary(t1, unit_vector(3, 2)).is_zero()
