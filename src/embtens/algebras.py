@@ -20,7 +20,6 @@ from .linalg import (
     ZERO,
     bilinear,
     combination,
-    is_zero_vector,
     kernel_basis,
     unit_vector,
     vec_add,
@@ -28,7 +27,7 @@ from .linalg import (
     vector,
     zero_vector,
 )
-from .reports import CheckReport, Failure, failing, passing
+from .reports import CheckReport, first_failure, scan
 
 LIE = "lie"
 LEIBNIZ = "leibniz"
@@ -114,41 +113,34 @@ def _block_table(a: Algebra, b: Algebra, ops: tuple[Matrix, ...] = ()) -> ScTabl
 
 def check_lie(a: Algebra) -> CheckReport:
     """Antisymmetry on basis pairs plus the Jacobi identity on triples."""
-    for i in range(a.dim):
-        for j in range(a.dim):
-            res = vec_add(a.sc[i][j], a.sc[j][i])
-            if not is_zero_vector(res):
-                return failing("lie", [Failure("antisymmetry", (i, j), res)])
-    return _leibniz_scan(a, "lie", "jacobi")
+    antisymmetry = ("antisymmetry", lambda i, j: vec_add(a.sc[i][j], a.sc[j][i]))
+    return first_failure("lie", scan(product(range(a.dim), repeat=2), antisymmetry),
+                         _leibniz_scan(a, "jacobi"))
 
 
 def check_leibniz(a: Algebra) -> CheckReport:
     """The left Leibniz identity on all basis triples; no antisymmetry."""
-    return _leibniz_scan(a, "leibniz", "leibniz")
+    return first_failure("leibniz", _leibniz_scan(a, "leibniz"))
 
 
-def _leibniz_scan(a: Algebra, check: str, law: str) -> CheckReport:
-    """[x,[y,z]] = [[x,y],z] + [y,[x,z]] on basis triples, first witness only.
+def _leibniz_scan(a: Algebra, law: str):
+    """[x,[y,z]] = [[x,y],z] + [y,[x,z]] on basis triples.
 
     Under antisymmetry this is the Jacobi identity.
     """
-    for i, j, k in product(range(a.dim), repeat=3):
+    def residual(i: int, j: int, k: int) -> Vector:
         ei, ej, ek = (a.basis_vector(t) for t in (i, j, k))
-        lhs = a.bracket(ei, a.sc[j][k])
-        rhs = vec_add(a.bracket(a.sc[i][j], ek), a.bracket(ej, a.sc[i][k]))
-        res = vec_sub(lhs, rhs)
-        if not is_zero_vector(res):
-            return failing(check, [Failure(law, (i, j, k), res)])
-    return passing(check)
+        return vec_sub(a.bracket(ei, a.sc[j][k]),
+                       vec_add(a.bracket(a.sc[i][j], ek), a.bracket(ej, a.sc[i][k])))
+
+    return scan(product(range(a.dim), repeat=3), (law, residual))
 
 
 def check_two_step_nilpotent(a: Algebra) -> CheckReport:
     """[[x, y], z] = 0 on all basis triples."""
-    for i, j, k in product(range(a.dim), repeat=3):
-        res = a.bracket(a.sc[i][j], a.basis_vector(k))
-        if not is_zero_vector(res):
-            return failing("two-step-nilpotent", [Failure("double-bracket", (i, j, k), res)])
-    return passing("two-step-nilpotent")
+    return first_failure("two-step-nilpotent", scan(
+        product(range(a.dim), repeat=3),
+        ("double-bracket", lambda i, j, k: a.bracket(a.sc[i][j], a.basis_vector(k)))))
 
 
 @dataclass(frozen=True)
@@ -180,20 +172,15 @@ def _commutator(p: Matrix, q: Matrix) -> Matrix:
 
 def check_leibniz_rep(rep: LeibnizRep) -> CheckReport:
     """The three representation axioms on all basis pairs."""
-    a = rep.algebra
-    for i in range(a.dim):
-        for j in range(a.dim):
-            bij = a.sc[i][j]
-            r1 = rep.rho_l_of(bij) - _commutator(rep.rho_l[i], rep.rho_l[j])
-            if not r1.is_zero():
-                return failing("leibniz-rep", [Failure("rho-left-bracket", (i, j), r1.entries)])
-            r2 = rep.rho_r_of(bij) - _commutator(rep.rho_l[i], rep.rho_r[j])
-            if not r2.is_zero():
-                return failing("leibniz-rep", [Failure("rho-right-bracket", (i, j), r2.entries)])
-            r3 = (rep.rho_r[j] @ rep.rho_l[i]) + (rep.rho_r[j] @ rep.rho_r[i])
-            if not r3.is_zero():
-                return failing("leibniz-rep", [Failure("rho-right-left", (i, j), r3.entries)])
-    return passing("leibniz-rep")
+    a, rho_l, rho_r = rep.algebra, rep.rho_l, rep.rho_r
+    return first_failure("leibniz-rep", scan(
+        product(range(a.dim), repeat=2),
+        ("rho-left-bracket",
+         lambda i, j: (rep.rho_l_of(a.sc[i][j]) - _commutator(rho_l[i], rho_l[j])).entries),
+        ("rho-right-bracket",
+         lambda i, j: (rep.rho_r_of(a.sc[i][j]) - _commutator(rho_l[i], rho_r[j])).entries),
+        ("rho-right-left",
+         lambda i, j: ((rho_r[j] @ rho_l[i]) + (rho_r[j] @ rho_r[i])).entries)))
 
 
 # ---------------------------------------------------------------------------

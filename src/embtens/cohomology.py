@@ -37,7 +37,7 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .tensors import EmbeddingTensor, require_embedding_tensor
+from .tensors import EmbeddingTensor, descendent, require_embedding_tensor
 
 DEFAULT_MAX_DEGREE = 4
 
@@ -49,8 +49,6 @@ def induced_representation(t: EmbeddingTensor) -> LeibnizRep:
     [x, Tv] - T(rho(x)v).
     """
     require_embedding_tensor(t)
-    from .tensors import descendent
-
     g, h = t.action.source, t.action.target
     rho_l = tuple(g.adjoint(t.column(u)) for u in range(h.dim))
     rho_r = []
@@ -174,9 +172,10 @@ class TensorComplex:
     tensor: EmbeddingTensor
     max_degree: int = DEFAULT_MAX_DEGREE
     _differentials: dict[int, Matrix] = field(default_factory=dict, repr=False)
+    _rep: LeibnizRep = field(init=False, repr=False)
 
     def __post_init__(self):
-        require_embedding_tensor(self.tensor)
+        self._rep = induced_representation(self.tensor)
 
     @property
     def source_dim(self) -> int:
@@ -194,11 +193,8 @@ class TensorComplex:
         if k < 1 or k > self.max_degree:
             raise DegreeOutOfRange(f"degree {k} outside 1..{self.max_degree}")
         if k not in self._differentials:
-            self._differentials[k] = self._build(k)
+            self._differentials[k] = lp_differential(self._rep, k - 1)
         return self._differentials[k]
-
-    def _build(self, k: int) -> Matrix:
-        return lp_differential(induced_representation(self.tensor), k - 1)
 
 
 @dataclass(frozen=True)

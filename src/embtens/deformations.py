@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .algebras import Algebra
 from .cohomology import tensor_coboundary
 from .errors import DimensionMismatch, NotNijenhuis
 from .graded import multimap_as_matrix
-from .linalg import Matrix, Vector, is_zero_vector, vec_add, vec_sub, vector
-from .reports import CheckReport, Failure, failing, passing
+from .linalg import Matrix, Vector, vec_add, vec_sub, vector
+from .reports import CheckReport, Failure, first_failure, scan, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
@@ -62,27 +62,23 @@ def check_linear_deformation(d: DeformationDirection) -> CheckReport:
     t, fr = d.base, d.direction
     g, h = t.action.source, t.action.target
     table = descendent_table(t)
-    bad = []
-    for u, v in product(range(h.dim), repeat=2):
-        tu, tv = t.column(u), t.column(v)
-        fu, fv = fr.col(u), fr.col(v)
-        ev = h.basis_vector(v)
-        lhs = vec_add(g.bracket(tu, fv), g.bracket(fu, tv))
-        rhs = vec_add(t.apply(t.action.apply(fu, ev)), fr.apply(table[u][v]))
-        res = vec_sub(lhs, rhs)
-        if not is_zero_vector(res):
-            bad.append(Failure("cocycle-equation", (u, v), res))
-        res = vec_sub(g.bracket(fu, fv), fr.apply(t.action.apply(fu, ev)))
-        if not is_zero_vector(res):
-            bad.append(Failure("tensor-equation", (u, v), res))
-    coefficient_ok = not bad
+
+    def cocycle(u: int, v: int) -> Vector:
+        tu, tv, fu, fv = t.column(u), t.column(v), fr.col(u), fr.col(v)
+        return vec_sub(vec_add(g.bracket(tu, fv), g.bracket(fu, tv)), vec_add(
+            t.apply(t.action.apply(fu, h.basis_vector(v))), fr.apply(table[u][v])))
+
+    def tensor_equation(u: int, v: int) -> Vector:
+        fu = fr.col(u)
+        return vec_sub(g.bracket(fu, fr.col(v)), fr.apply(t.action.apply(fu, h.basis_vector(v))))
+
+    bad = tuple(scan(product(range(h.dim), repeat=2), ("cocycle-equation", cocycle),
+                     ("tensor-equation", tensor_equation)))
     probe_ok = check_embedding_tensor(d.at(1)).ok and check_embedding_tensor(d.at(2)).ok
-    if coefficient_ok != probe_ok:
+    if (not bad) != probe_ok:
         raise AssertionError("coefficient and probe routes disagree; checker is broken")
-    notes = (f"probe route at t in {{1, 2}}: {'pass' if probe_ok else 'fail'}",)
-    if bad:
-        return failing("linear-deformation", bad, notes=notes)
-    return passing("linear-deformation", notes=notes)
+    return verdict("linear-deformation", bad,
+                   notes=(f"probe route at t in {{1, 2}}: {'pass' if probe_ok else 'fail'}",))
 
 
 def _equivalence_failures(base: EmbeddingTensor, fr1: Matrix, fr2: Matrix,
@@ -95,18 +91,12 @@ def _equivalence_failures(base: EmbeddingTensor, fr1: Matrix, fr2: Matrix,
     g, h = base.action.source, base.action.target
     rho_x = base.action.of(x)
     dx = tensor_coboundary(base, x)
-    out = []
-    for u in range(h.dim):
-        res = vec_sub(vec_sub(fr2.col(u), fr1.col(u)), dx.value((u,)))
-        if not is_zero_vector(res):
-            out.append(Failure("difference-is-generated", (u,), res))
-            break
-    for u in range(h.dim):
-        res = vec_sub(fr1.apply(rho_x.col(u)), g.bracket(x, fr2.col(u)))
-        if not is_zero_vector(res):
-            out.append(Failure("twist-compatibility", (u,), res))
-            break
-    return out + _square_failures(base.action, x)
+    laws = (("difference-is-generated",
+             lambda u: vec_sub(vec_sub(fr2.col(u), fr1.col(u)), dx.value((u,)))),
+            ("twist-compatibility",
+             lambda u: vec_sub(fr1.apply(rho_x.col(u)), g.bracket(x, fr2.col(u)))))
+    return [f for law in laws for f in islice(scan(product(range(h.dim), repeat=1), law), 1)] \
+        + _square_failures(base.action, x)
 
 
 def _square_failures(action: Action, x: Vector) -> list[Failure]:
@@ -115,19 +105,11 @@ def _square_failures(action: Action, x: Vector) -> list[Failure]:
     rho([x, e_i]) rho(x) = 0 ("action-square")."""
     g = action.source
     ad_x = [g.bracket(x, g.basis_vector(i)) for i in range(g.dim)]
-    out = []
-    for i, j in product(range(g.dim), repeat=2):
-        res = g.bracket(ad_x[i], ad_x[j])
-        if not is_zero_vector(res):
-            out.append(Failure("bracket-square", (i, j), res))
-            break
     rho_x = action.of(x)
-    for i in range(g.dim):
-        m = action.of(ad_x[i]) @ rho_x
-        if not m.is_zero():
-            out.append(Failure("action-square", (i,), m.entries))
-            break
-    return out
+    return [*islice(scan(product(range(g.dim), repeat=2),
+                         ("bracket-square", lambda i, j: g.bracket(ad_x[i], ad_x[j]))), 1),
+            *islice(scan(product(range(g.dim), repeat=1),
+                         ("action-square", lambda i: (action.of(ad_x[i]) @ rho_x).entries)), 1)]
 
 
 def check_equivalence(d1: DeformationDirection, d2: DeformationDirection,
@@ -144,28 +126,24 @@ def check_equivalence(d1: DeformationDirection, d2: DeformationDirection,
     x = vector(x)
     forward = _equivalence_failures(d1.base, d1.direction, d2.direction, x)
     if not forward:
-        return passing("equivalence", notes=("orientation: second to first",))
-    backward = _equivalence_failures(d1.base, d2.direction, d1.direction, x)
-    if not backward:
-        return passing("equivalence", notes=("orientation: first to second",))
-    return failing("equivalence", forward, notes=("neither orientation holds",))
+        return verdict("equivalence", (), notes=("orientation: second to first",))
+    if not _equivalence_failures(d1.base, d2.direction, d1.direction, x):
+        return verdict("equivalence", (), notes=("orientation: first to second",))
+    return verdict("equivalence", forward, notes=("neither orientation holds",))
 
 
 def check_nijenhuis_element(c: NijenhuisCandidate) -> CheckReport:
     """The three closure conditions a trivializing element satisfies."""
     require_embedding_tensor(c.base)
-    t = c.base
+    t, x = c.base, c.element
     g, h = t.action.source, t.action.target
-    x = c.element
     squares = _square_failures(t.action, x)
     if squares:
-        return failing("nijenhuis-element", squares[:1])
+        return verdict("nijenhuis-element", squares[:1])
     dx = tensor_coboundary(t, x)
-    for u in range(h.dim):
-        res = g.bracket(x, dx.value((u,)))
-        if not is_zero_vector(res):
-            return failing("nijenhuis-element", [Failure("generated-direction-commutes", (u,), res)])
-    return passing("nijenhuis-element")
+    return first_failure("nijenhuis-element", scan(
+        product(range(h.dim), repeat=1),
+        ("generated-direction-commutes", lambda u: g.bracket(x, dx.value((u,))))))
 
 
 def trivial_deformation(c: NijenhuisCandidate) -> DeformationDirection:
@@ -196,12 +174,13 @@ def check_nijenhuis_operator(a: Algebra, n: Matrix) -> CheckReport:
     """[Nu, Nv] = N([Nu, v] + [u, Nv] - N[u, v]) on all basis pairs."""
     if n.rows != a.dim or n.cols != a.dim:
         raise DimensionMismatch("operator must be square of the algebra dimension")
-    for i, j in product(range(a.dim), repeat=2):
+
+    def residual(i: int, j: int) -> Vector:
         ni, nj = n.col(i), n.col(j)
         ei, ej = a.basis_vector(i), a.basis_vector(j)
         inner = vec_sub(vec_add(a.bracket(ni, ej), a.bracket(ei, nj)),
                         n.apply(a.sc[i][j]))
-        res = vec_sub(a.bracket(ni, nj), n.apply(inner))
-        if not is_zero_vector(res):
-            return failing("nijenhuis-operator", [Failure("operator-identity", (i, j), res)])
-    return passing("nijenhuis-operator")
+        return vec_sub(a.bracket(ni, nj), n.apply(inner))
+
+    return first_failure("nijenhuis-operator", scan(product(range(a.dim), repeat=2),
+                                                    ("operator-identity", residual)))

@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .algebras import Algebra, abelian_algebra, direct_sum
 from .errors import ArityCapExceeded, DimensionMismatch
 from .linalg import Matrix, Vector, ZERO, accumulate, is_zero_vector
-from .reports import CheckReport, Failure, failing, passing
+from .reports import CheckReport, first_failure, scan, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
@@ -124,13 +124,6 @@ class MultiMap:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def nonzero_entries(self):
-        """Yield (index tuple, value vector) over nonzero positions."""
-        for idxs in product(range(self.domain_dim), repeat=self.arity):
-            v = self.value(idxs)
-            if not is_zero_vector(v):
-                yield idxs, v
 
     def to_nested(self):
         from .linalg import scalar_to_json
@@ -247,11 +240,13 @@ def mc_check_leibniz(omega: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> Che
     """
     if omega.arity != 2:
         raise DimensionMismatch("a candidate product has arity 2")
-    sq = balavoine(omega, omega, arity_cap=arity_cap)
-    bad = [Failure("bracket-square", idxs, v) for idxs, v in sq.nonzero_entries()]
-    if bad:
-        return failing("maurer-cartan-leibniz", bad)
-    return passing("maurer-cartan-leibniz")
+    return verdict("maurer-cartan-leibniz",
+                   _entries(balavoine(omega, omega, arity_cap=arity_cap), "bracket-square"))
+
+
+def _entries(f: MultiMap, law: str):
+    """Scan every value of f, in flat coefficient order, as the residual of law."""
+    return scan(product(range(f.domain_dim), repeat=f.arity), (law, lambda *idxs: f.value(idxs)))
 
 
 def multimap_from_algebra(a: Algebra) -> MultiMap:
@@ -391,11 +386,8 @@ class GradedContext:
         pairs = (("mu-g-square", self.mu_g, self.mu_g),
                  ("mu-h-square", self.mu_h, self.mu_h),
                  ("mu-g-mu-h", self.mu_g, self.mu_h))
-        for law, a, b in pairs:
-            br = balavoine(a, b, arity_cap=arity_cap)
-            for idxs, v in br.nonzero_entries():
-                return failing("graded-context", [Failure(law, idxs, v)])
-        return passing("graded-context")
+        return first_failure("graded-context", chain.from_iterable(
+            _entries(balavoine(a, b, arity_cap=arity_cap), law) for law, a, b in pairs))
 
 
 def embed_cochain(f: MultiMap, action: Action) -> MultiMap:
@@ -455,10 +447,7 @@ def mc_check_tensor(t: EmbeddingTensor, arity_cap: int = DEFAULT_ARITY_CAP) -> C
     """Whether d T + [T,T]/2 vanishes; agrees with the direct tensor check."""
     require_coherent(t.action)
     residual = _mc_residual(tensor_as_multimap(t), t.action, arity_cap)
-    bad = [Failure("maurer-cartan", idxs, v) for idxs, v in residual.nonzero_entries()]
-    if bad:
-        return failing("maurer-cartan-tensor", bad)
-    return passing("maurer-cartan-tensor")
+    return verdict("maurer-cartan-tensor", _entries(residual, "maurer-cartan"))
 
 
 def twisted_differential(t: EmbeddingTensor, f: MultiMap,
@@ -477,7 +466,4 @@ def mc_check_deformation(t: EmbeddingTensor, t_prime: Matrix,
     half = Fraction(1, 2)
     residual = twisted_differential(t, tp, arity_cap=arity_cap) + \
         derived_bracket(tp, tp, t.action, arity_cap=arity_cap).scale(half)
-    bad = [Failure("maurer-cartan", idxs, v) for idxs, v in residual.nonzero_entries()]
-    if bad:
-        return failing("maurer-cartan-deformation", bad)
-    return passing("maurer-cartan-deformation")
+    return verdict("maurer-cartan-deformation", _entries(residual, "maurer-cartan"))

@@ -7,7 +7,7 @@ at the bottom of this module work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .algebras import (
     Algebra,
@@ -19,7 +19,7 @@ from .algebras import (
 )
 from .errors import ActionIllDefined, DimensionMismatch, NotCoherentDerivation, NotLeibnizLie
 from .linalg import Matrix, Vector, bilinear, is_zero_vector, vec_add, vec_sub, vector
-from .reports import CheckReport, Failure, failing, passing
+from .reports import CheckReport, first_failure, scan, verdict
 from .tensors import Action, EmbeddingTensor, algebra_from_matrix_subspace, require_embedding_tensor
 
 Triangle = tuple[tuple[Vector, ...], ...]
@@ -60,23 +60,19 @@ def make_leibniz_lie(lie: Algebra, triangle) -> LeibnizLie:
 def check_leibniz_lie(l: LeibnizLie) -> CheckReport:
     """Both compatibility axiom families on all basis triples."""
     h = l.lie
-    n = h.dim
-    for i, j, k in product(range(n), repeat=3):
+
+    def identity(i: int, j: int, k: int) -> Vector:
         ei, ej, ek = (h.basis_vector(t) for t in (i, j, k))
         lhs = l.product(ei, l.product(ej, ek))
-        rhs = vec_add(
-            vec_add(l.product(l.product(ei, ej), ek), l.product(ej, l.product(ei, ek))),
-            l.product(h.sc[i][j], ek))
-        res = vec_sub(lhs, rhs)
-        if not is_zero_vector(res):
-            return failing("leibniz-lie", [Failure("product-identity", (i, j, k), res)])
-        res = l.product(ei, h.sc[j][k])
-        if not is_zero_vector(res):
-            return failing("leibniz-lie", [Failure("product-kills-brackets", (i, j, k), res)])
-        res = h.bracket(l.triangle[i][j], ek)
-        if not is_zero_vector(res):
-            return failing("leibniz-lie", [Failure("products-are-central", (i, j, k), res)])
-    return passing("leibniz-lie")
+        rhs = vec_add(vec_add(l.product(l.product(ei, ej), ek), l.product(ej, l.product(ei, ek))),
+                      l.product(h.sc[i][j], ek))
+        return vec_sub(lhs, rhs)
+
+    return first_failure("leibniz-lie", scan(
+        product(range(h.dim), repeat=3),
+        ("product-identity", identity),
+        ("product-kills-brackets", lambda i, j, k: l.product(h.basis_vector(i), h.sc[j][k])),
+        ("products-are-central", lambda i, j, k: h.bracket(l.triangle[i][j], h.basis_vector(k)))))
 
 
 def require_leibniz_lie(l: LeibnizLie) -> None:
@@ -169,25 +165,11 @@ def check_leibniz_lie_homomorphism(src: LeibnizLie, dst: LeibnizLie, phi: Matrix
     """
     if phi.rows != dst.lie.dim or phi.cols != src.lie.dim:
         raise DimensionMismatch("phi has the wrong shape")
-    n = src.lie.dim
-    triangle_fail = None
-    bracket_fail = None
-    for i, j in product(range(n), repeat=2):
-        if triangle_fail is None:
-            res = vec_sub(phi.apply(src.triangle[i][j]),
-                          dst.product(phi.col(i), phi.col(j)))
-            if not is_zero_vector(res):
-                triangle_fail = Failure("triangle-product", (i, j), res)
-        if bracket_fail is None:
-            res = vec_sub(phi.apply(src.lie.sc[i][j]),
-                          dst.lie.bracket(phi.col(i), phi.col(j)))
-            if not is_zero_vector(res):
-                bracket_fail = Failure("lie-bracket", (i, j), res)
-    notes = (
-        "triangle-product " + ("preserved" if triangle_fail is None else "broken"),
-        "lie-bracket " + ("preserved" if bracket_fail is None else "broken"),
-    )
-    fails = [f for f in (triangle_fail, bracket_fail) if f is not None]
-    if fails:
-        return failing("leibniz-lie-homomorphism", fails, notes=notes)
-    return passing("leibniz-lie-homomorphism", notes=notes)
+    laws = (("triangle-product", lambda i, j: vec_sub(phi.apply(src.triangle[i][j]),
+                                                       dst.product(phi.col(i), phi.col(j)))),
+            ("lie-bracket", lambda i, j: vec_sub(phi.apply(src.lie.sc[i][j]),
+                                                 dst.lie.bracket(phi.col(i), phi.col(j)))))
+    fails = [f for law in laws for f in islice(scan(product(range(src.lie.dim), repeat=2), law), 1)]
+    broken = {f.law for f in fails}
+    return verdict("leibniz-lie-homomorphism", fails, notes=tuple(
+        f"{law} {'broken' if law in broken else 'preserved'}" for law, _ in laws))

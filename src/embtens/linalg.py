@@ -271,8 +271,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             work[pr] = [inv * x for x in work[pr]]
         for r in range(m.rows):
             if r != pr and work[r][pc] != 0:
-                c = work[r][pc]
-                work[r] = [a - c * b for a, b in zip(work[r], work[pr])]
+                accumulate(work[r], -work[r][pc], work[pr])
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
@@ -336,9 +335,8 @@ class Subspace:
             raise DimensionMismatch("vector/ambient dimension mismatch")
         res = list(v)
         for row, p in zip(self.basis, self.pivots):
-            c = res[p]
-            if c != 0:
-                res = [a - c * b for a, b in zip(res, row)]
+            if res[p] != 0:
+                accumulate(res, -res[p], row)
         return tuple(res)
 
     def contains(self, v: Vector) -> bool:

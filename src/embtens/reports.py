@@ -1,16 +1,26 @@
-"""Uniform pass/fail reports produced by all checkers.
+"""Uniform pass/fail reports produced by all checkers, and the one scan
+that finds their witnesses.
 
-Axiom checkers stop at the first failing basis tuple (scanned in
-lexicographic order, so the witness is reproducible); residual-style
-checkers such as the embedding-tensor check record every nonzero
-residual.
+Every law is a residual evaluated on basis tuples in lexicographic order,
+law by law within a tuple; ``scan`` yields a ``Failure`` for each nonzero
+residual, so the witness is reproducible.  Checkers use one of three
+witness policies on that scan:
+
+* first overall: axiom checkers stop at the first failure of their scans
+  taken in turn (``first_failure``);
+* every residual: residual-style checkers such as the embedding-tensor
+  check record every nonzero residual (``verdict`` on the whole scan);
+* first per law: the equivalence, square and Leibniz-Lie homomorphism
+  conditions keep the first failure of each law (``islice(scan, 1)`` per
+  law, then ``verdict``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
-from .linalg import scalar_to_json
+from .linalg import is_zero_vector, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -48,9 +58,22 @@ class CheckReport:
         }
 
 
-def passing(check: str, notes: tuple[str, ...] = ()) -> CheckReport:
-    return CheckReport(check=check, ok=True, notes=notes)
+def scan(tuples, *laws):
+    """Lazily yield a Failure for each nonzero residual, tuple by tuple and
+    law by law; each law is a pair (name, residual), called as residual(*where)."""
+    for where in tuples:
+        for law, residual in laws:
+            res = residual(*where)
+            if not is_zero_vector(res):
+                yield Failure(law, where, res)
 
 
-def failing(check: str, failures: list[Failure], notes: tuple[str, ...] = ()) -> CheckReport:
-    return CheckReport(check=check, ok=False, failures=tuple(failures), notes=notes)
+def verdict(check: str, failures, notes: tuple[str, ...] = ()) -> CheckReport:
+    """Passing when there are no failures, failing with all of them otherwise."""
+    failures = tuple(failures)
+    return CheckReport(check=check, ok=not failures, failures=failures, notes=notes)
+
+
+def first_failure(check: str, *scans) -> CheckReport:
+    """The verdict on the first failure of the scans, taken in turn."""
+    return verdict(check, islice(chain(*scans), 1))

@@ -16,6 +16,7 @@ from .algebras import (
     LEIBNIZ,
     ScTable,
     _block_table,
+    _commutator,
     coherent_derivation_algebra,
     direct_sum,
     flatten_matrix,
@@ -30,11 +31,10 @@ from .linalg import (
     ZERO,
     accumulate,
     combination,
-    is_zero_vector,
     vec_add,
     vec_sub,
 )
-from .reports import CheckReport, Failure, failing, passing
+from .reports import CheckReport, first_failure, scan, verdict
 
 
 @dataclass(frozen=True)
@@ -96,28 +96,21 @@ class EmbeddingTensor:
 @lru_cache(maxsize=None)
 def check_coherent_action(action: Action) -> CheckReport:
     """Derivation property, homomorphism property, and coherence, on basis tuples."""
-    g, h = action.source, action.target
-    for i in range(g.dim):
-        d = action.rho[i]
-        for a, b in product(range(h.dim), repeat=2):
-            ea, eb = h.basis_vector(a), h.basis_vector(b)
-            lhs = d.apply(h.sc[a][b])
-            rhs = vec_add(h.bracket(d.apply(ea), eb), h.bracket(ea, d.apply(eb)))
-            res = vec_sub(lhs, rhs)
-            if not is_zero_vector(res):
-                return failing("coherent-action", [Failure("derivation", (i, a, b), res)])
-    for i, j in product(range(g.dim), repeat=2):
-        lhs = action.of(g.sc[i][j])
-        rhs = (action.rho[i] @ action.rho[j]) - (action.rho[j] @ action.rho[i])
-        res = lhs - rhs
-        if not res.is_zero():
-            return failing("coherent-action", [Failure("homomorphism", (i, j), res.entries)])
-    for i in range(g.dim):
-        for a, b in product(range(h.dim), repeat=2):
-            res = h.bracket(action.rho[i].col(a), h.basis_vector(b))
-            if not is_zero_vector(res):
-                return failing("coherent-action", [Failure("coherence", (i, a, b), res)])
-    return passing("coherent-action")
+    g, h, rho = action.source, action.target, action.rho
+    triples = (range(g.dim), range(h.dim), range(h.dim))
+
+    def derivation(i: int, a: int, b: int) -> Vector:
+        ea, eb = h.basis_vector(a), h.basis_vector(b)
+        return vec_sub(rho[i].apply(h.sc[a][b]),
+                       vec_add(h.bracket(rho[i].apply(ea), eb), h.bracket(ea, rho[i].apply(eb))))
+
+    return first_failure(
+        "coherent-action",
+        scan(product(*triples), ("derivation", derivation)),
+        scan(product(range(g.dim), repeat=2), ("homomorphism", lambda i, j: (
+            action.of(g.sc[i][j]) - _commutator(rho[i], rho[j])).entries)),
+        scan(product(*triples), ("coherence", lambda i, a, b: h.bracket(
+            rho[i].col(a), h.basis_vector(b)))))
 
 
 def require_coherent(action: Action) -> None:
@@ -158,17 +151,12 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
     """
     action_report = check_coherent_action(t.action)
     if not action_report.ok:
-        return failing("embedding-tensor", list(action_report.failures),
+        return verdict("embedding-tensor", action_report.failures,
                        notes=("action is not coherent",))
     table = descendent_table(t)
-    bad = []
-    for i, j in product(range(t.action.target.dim), repeat=2):
-        res = _net_residual(t, table, i, j)
-        if not is_zero_vector(res):
-            bad.append(Failure("tensor-identity", (i, j), res))
-    if bad:
-        return failing("embedding-tensor", bad)
-    return passing("embedding-tensor")
+    return verdict("embedding-tensor", scan(
+        product(range(t.action.target.dim), repeat=2),
+        ("tensor-identity", lambda i, j: _net_residual(t, table, i, j))))
 
 
 def require_embedding_tensor(t: EmbeddingTensor) -> None:
@@ -193,29 +181,16 @@ def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,
         raise DimensionMismatch("phi_g has the wrong shape")
     if phi_h.rows != h.dim or phi_h.cols != h.dim:
         raise DimensionMismatch("phi_h has the wrong shape")
-    for i, j in product(range(g.dim), repeat=2):
-        res = vec_sub(phi_g.apply(g.sc[i][j]),
-                      g.bracket(phi_g.col(i), phi_g.col(j)))
-        if not is_zero_vector(res):
-            return failing("tensor-homomorphism", [Failure("phi-source-endomorphism", (i, j), res)])
-    for i, j in product(range(h.dim), repeat=2):
-        res = vec_sub(phi_h.apply(h.sc[i][j]),
-                      h.bracket(phi_h.col(i), phi_h.col(j)))
-        if not is_zero_vector(res):
-            return failing("tensor-homomorphism", [Failure("phi-target-endomorphism", (i, j), res)])
-    lhs = t.matrix @ phi_h
-    rhs = phi_g @ t_prime.matrix
-    diff = lhs - rhs
-    if not diff.is_zero():
-        return failing("tensor-homomorphism", [Failure("intertwining", (), diff.entries)])
-    for i in range(g.dim):
-        for u in range(h.dim):
-            left = phi_h.apply(t.action.rho[i].col(u))
-            right = t.action.apply(phi_g.col(i), phi_h.col(u))
-            res = vec_sub(left, right)
-            if not is_zero_vector(res):
-                return failing("tensor-homomorphism", [Failure("action-compatibility", (i, u), res)])
-    return passing("tensor-homomorphism")
+    endomorphisms = (("phi-source-endomorphism", phi_g, g), ("phi-target-endomorphism", phi_h, h))
+    return first_failure(
+        "tensor-homomorphism",
+        (f for law, phi, alg in endomorphisms for f in scan(
+            product(range(alg.dim), repeat=2),
+            (law, lambda i, j, phi=phi, alg=alg: vec_sub(
+                phi.apply(alg.sc[i][j]), alg.bracket(phi.col(i), phi.col(j)))))),
+        scan([()], ("intertwining", lambda: (t.matrix @ phi_h - phi_g @ t_prime.matrix).entries)),
+        scan(product(range(g.dim), range(h.dim)), ("action-compatibility", lambda i, u: vec_sub(
+            phi_h.apply(t.action.rho[i].col(u)), t.action.apply(phi_g.col(i), phi_h.col(u))))))
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +216,12 @@ def graph_subalgebra_check(t: EmbeddingTensor) -> CheckReport:
     require_coherent(t.action)
     big = hemisemidirect(t.action)
     graph = graph_subspace(t)
-    h = t.action.target
-    g = t.action.source
-    bad = []
-    for i, j in product(range(h.dim), repeat=2):
-        vi = t.column(i) + h.basis_vector(i)
-        vj = t.column(j) + h.basis_vector(j)
-        w = big.bracket(vi, vj)
-        res = graph.reduce(w)
-        if not is_zero_vector(res):
-            bad.append(Failure("graph-closure", (i, j), res))
-    if bad:
-        return failing("graph-subalgebra", bad, notes=(f"graph dim {graph.dim} in {g.dim + h.dim}",))
-    return passing("graph-subalgebra")
+    g, h = t.action.source, t.action.target
+    lifts = [t.column(u) + h.basis_vector(u) for u in range(h.dim)]
+    bad = tuple(scan(product(range(h.dim), repeat=2), ("graph-closure", lambda i, j: graph.reduce(
+        big.bracket(lifts[i], lifts[j])))))
+    return verdict("graph-subalgebra", bad,
+                   notes=(f"graph dim {graph.dim} in {g.dim + h.dim}",) if bad else ())
 
 
 def descendent(t: EmbeddingTensor, name: str | None = None) -> Algebra:

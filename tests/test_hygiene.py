@@ -1,5 +1,6 @@
-"""Source hygiene: no package module imports a name it never uses, and
-every top-level definition of the package is used somewhere."""
+"""Source hygiene: no package module imports a name it never uses, every
+top-level definition of the package is used somewhere, and only
+``reports`` builds a ``Failure``."""
 import ast
 import re
 from collections import Counter
@@ -81,3 +82,29 @@ def test_detects_a_dead_definition():
               "class Kept:\n    pass\n")
     corpus = references(ast.parse(source)) + references(ast.parse("used()\nx = 'pkg.Kept'\n"))
     assert dead_definitions(source, corpus) == ["dead (line 4)"]
+
+
+def failure_calls(source: str) -> list[int]:
+    """Lines where a syntax tree calls ``Failure(...)``, bare or qualified."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Failure":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "reports.py"],
+                         ids=lambda p: p.name)
+def test_failures_are_built_in_reports(path):
+    """Witnesses come from ``reports.scan``; no checker builds its own."""
+    assert failure_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_failure_built_outside_reports():
+    source = ("from x import Failure, reports\n"
+              "def f(res) -> Failure:\n    return Failure('law', (0,), res)\n"
+              "g = reports.Failure('law', ())\n")
+    assert failure_calls(source) == [3, 4]
