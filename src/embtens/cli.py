@@ -301,6 +301,11 @@ def _report_result(command: str, subject: str, report: CheckReport) -> tuple[int
     return (0 if report.ok else 1), payload, "\n".join(lines)
 
 
+# command -> its runner; the keys are the parser's subcommands
+COMMANDS = {"check": _run_check, "build": _run_build, "mc": _run_mc,
+            "cohomology": _run_cohomology, "class-equals": _run_class_equals}
+
+
 def run(argv) -> tuple[int, str]:
     """Execute one command line; returns (exit code, rendered output)."""
     parser = build_parser()
@@ -312,16 +317,7 @@ def run(argv) -> tuple[int, str]:
         if args.workspace is None:
             raise _Usage("--workspace PATH is required")
         ws = load_workspace(args.workspace)
-        if args.command == "check":
-            code, payload, text = _run_check(ws, args)
-        elif args.command == "build":
-            code, payload, text = _run_build(ws, args)
-        elif args.command == "mc":
-            code, payload, text = _run_mc(ws, args)
-        elif args.command == "cohomology":
-            code, payload, text = _run_cohomology(ws, args)
-        else:
-            code, payload, text = _run_class_equals(ws, args)
+        code, payload, text = COMMANDS[args.command](ws, args)
     except (_Usage, WorkspaceError, UnresolvedReference, DegreeOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""

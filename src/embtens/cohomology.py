@@ -1,19 +1,18 @@
 """Cohomology of a verified embedding tensor.
 
-The cochain spaces are 0 in degree zero, the source algebra in degree
-one, and maps of (k-1) target arguments into the source in degree k.
+A degree-k cochain, k >= 1, is a ``MultiMap`` of arity k - 1 from target
+arguments into the source (a source vector is arity 0); degree zero is 0.
 Matrices of the coboundary are taken in the monomial bases ordered
 lexicographically by (argument indices, output index), which is exactly
 the flat coefficient order of ``MultiMap``.
 
 The complex is the Loday-Pirashvili complex of the descendent Leibniz
 algebra with coefficients in the induced representation on the source.
-Each differential is assembled by ``lp_differential`` in one pass over
-the output tuples, placing the rho_l, rho_r and structure-constant
-blocks of that representation.  A degree-one cochain, a source vector,
-is read as an arity-0 cochain, so degree one needs no closed form of
-its own.  ``loday_pirashvili_coboundary`` evaluates the same formula
-one entry at a time and is kept as the reference for the matrices.
+``lp_differential`` assembles each d_k, k >= 1, in one pass over the
+output tuples from the rho_l, rho_r and structure-constant blocks of that
+representation; d_0 is zero.  ``tensor_coboundary`` maps one cochain by
+the same formula entry by entry (``loday_pirashvili_coboundary``), so the
+two routes are each other's test oracle.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from itertools import product
 
 from .algebras import LeibnizRep
 from .errors import ArityCapExceeded, DegreeOutOfRange, DimensionMismatch, NotACocycle
-from .graded import DEFAULT_ARITY_CAP, MultiMap, matrix_as_multimap
+from .graded import DEFAULT_ARITY_CAP, MultiMap, _bracket_insertions, matrix_as_multimap
 from .linalg import (
     Matrix,
     ONE,
@@ -76,7 +75,6 @@ def loday_pirashvili_coboundary(rep: LeibnizRep, f: MultiMap,
 
 
 def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Vector:
-    a = rep.algebra
     acc = [ZERO] * rep.rep_dim
     for i0 in range(k):
         val = f.value(idxs[:i0] + idxs[i0 + 1:])
@@ -85,14 +83,7 @@ def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Ve
     val = f.value(idxs[:k])
     if not is_zero_vector(val):
         accumulate(acc, -1 if (k + 1) % 2 else 1, rep.rho_r[idxs[k]].apply(val))
-    for i0 in range(k + 1):
-        sign = -1 if (i0 + 1) % 2 else 1
-        for j0 in range(i0 + 1, k + 1):
-            br = a.sc[idxs[i0]][idxs[j0]]
-            if is_zero_vector(br):
-                continue
-            reduced = idxs[:i0] + idxs[i0 + 1:]
-            accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
+    _bracket_insertions(acc, f, rep.algebra.sc, idxs, -1)
     return tuple(acc)
 
 
@@ -137,28 +128,27 @@ def lp_differential(rep: LeibnizRep, arity: int) -> Matrix:
     return Matrix(rows, cols, tuple(out))
 
 
+def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
+    """A cochain of t as a map: a vector is arity 0, a Matrix arity 1."""
+    g, h = t.action.source, t.action.target
+    if isinstance(f, Matrix):
+        f = matrix_as_multimap(f)
+    elif not isinstance(f, MultiMap):
+        v = vector(f)
+        f = MultiMap(0, h.dim, len(v), v)
+    if f.domain_dim != h.dim or f.codomain_dim != g.dim:
+        raise DimensionMismatch("cochain shape does not match the tensor")
+    return f
+
+
 def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
                       arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
-    """The coboundary operator of the tensor complex.
+    """The coboundary operator of the tensor complex, entry by entry.
 
     A source vector is read as an arity-0 cochain, so (d x)(u) comes out
-    as T rho(x)u - [x, Tu]; every cochain is mapped by the same matrix
-    that ``TensorComplex`` uses.
+    as T rho(x)u - [x, Tu].
     """
-    require_embedding_tensor(t)
-    g, h = t.action.source, t.action.target
-    if isinstance(f, MultiMap):
-        if f.domain_dim != h.dim or f.codomain_dim != g.dim:
-            raise DimensionMismatch("cochain shape does not match the tensor")
-        k, coeffs = f.arity, f.coeffs
-    else:
-        k, coeffs = 0, vector(f)
-        if len(coeffs) != g.dim:
-            raise DimensionMismatch("a degree-one cochain is a source vector")
-    if k + 1 > arity_cap:
-        raise ArityCapExceeded(f"result arity {k + 1} above cap {arity_cap}")
-    d = lp_differential(induced_representation(t), k)
-    return MultiMap(k + 1, h.dim, g.dim, d.apply(coeffs))
+    return loday_pirashvili_coboundary(induced_representation(t), _as_cochain(t, f), arity_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +180,11 @@ class TensorComplex:
 
     def differential(self, k: int) -> Matrix:
         """Matrix of the coboundary from degree k to degree k + 1."""
-        if k < 1 or k > self.max_degree:
-            raise DegreeOutOfRange(f"degree {k} outside 1..{self.max_degree}")
+        if k < 0 or k > self.max_degree:
+            raise DegreeOutOfRange(f"degree {k} outside 0..{self.max_degree}")
         if k not in self._differentials:
-            self._differentials[k] = lp_differential(self._rep, k - 1)
+            self._differentials[k] = (lp_differential(self._rep, k - 1) if k
+                                      else Matrix.zero(self.cochain_dim(1), 0))
         return self._differentials[k]
 
 
@@ -228,10 +219,7 @@ def cohomology(t: EmbeddingTensor, k: int,
         raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
     cx = TensorComplex(t, max_degree)
     cocycles = kernel_basis(cx.differential(k))
-    if k == 1:
-        boundaries = Subspace.zero(cx.cochain_dim(1))
-    else:
-        boundaries = column_space(cx.differential(k - 1))
+    boundaries = column_space(cx.differential(k - 1))
     return CohomologyReport(
         degree=k,
         dim_z=cocycles.dim,
@@ -242,23 +230,6 @@ def cohomology(t: EmbeddingTensor, k: int,
     )
 
 
-def cochain_vector(t: EmbeddingTensor, f, k: int) -> Vector:
-    """Flatten a degree-k cochain to monomial-basis coordinates."""
-    g, h = t.action.source, t.action.target
-    if k == 1:
-        v = None if isinstance(f, (Matrix, MultiMap)) else vector(f)
-        if v is None or len(v) != g.dim:
-            raise DimensionMismatch("a degree-one cochain is a source vector")
-        return v
-    if isinstance(f, Matrix):
-        f = matrix_as_multimap(f)
-    if not isinstance(f, MultiMap):
-        raise DimensionMismatch(f"cannot read a degree-{k} cochain from {type(f).__name__}")
-    if f.arity != k - 1 or f.domain_dim != h.dim or f.codomain_dim != g.dim:
-        raise DimensionMismatch("cochain shape does not match the requested degree")
-    return f.coeffs
-
-
 def class_equals(t: EmbeddingTensor, f, g, k: int,
                  max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
     """Whether two degree-k cocycles differ by a coboundary."""
@@ -266,11 +237,17 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
         raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
     cx = TensorComplex(t, max_degree)
     diff = cx.differential(k)
-    vf, vg = cochain_vector(t, f, k), cochain_vector(t, g, k)
+
+    def coeffs(x) -> Vector:
+        c = _as_cochain(t, x)
+        if c.arity != k - 1:
+            raise DimensionMismatch(f"a degree-{k} cochain has arity {k - 1}, not {c.arity} "
+                                    "(a source vector has arity 0)")
+        return c.coeffs
+
+    vf, vg = coeffs(f), coeffs(g)
     for name, v in (("first", vf), ("second", vg)):
         if not is_zero_vector(diff.apply(v)):
             raise NotACocycle(f"the {name} cochain is not a cocycle in degree {k}")
-    if k == 1:
-        return vf == vg
     image = column_space(cx.differential(k - 1))
     return image.contains(vec_sub(vf, vg))

@@ -9,7 +9,7 @@ from .cohomology import tensor_coboundary
 from .errors import DimensionMismatch, NotNijenhuis
 from .graded import multimap_as_matrix
 from .linalg import Matrix, Vector, vec_add, vec_sub, vector
-from .reports import CheckReport, Failure, first_failure, scan, verdict
+from .reports import CheckReport, Failure, first_failure, require, scan, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
@@ -153,9 +153,7 @@ def trivial_deformation(c: NijenhuisCandidate) -> DeformationDirection:
     deformation is trivial: it is equivalent to the zero direction via
     the element itself.
     """
-    report = check_nijenhuis_element(c)
-    if not report.ok:
-        raise NotNijenhuis(f"fails {report.witness.law} at {report.witness.where}")
+    require(check_nijenhuis_element(c), NotNijenhuis)
     return DeformationDirection(c.base, multimap_as_matrix(tensor_coboundary(c.base, c.element)))
 
 

@@ -54,7 +54,8 @@ class MultiMap:
     """A dense multilinear map, all tensor factors drawn from one space.
 
     ``coeffs`` is flat with index ((i_1 n + i_2) n + ...) m + j for the
-    e_j-coordinate of f(e_{i_1}, .., e_{i_p}).
+    e_j-coordinate of f(e_{i_1}, .., e_{i_p}); at arity 0 the index is j
+    and the map is the one vector f() of the codomain.
     """
 
     arity: int
@@ -63,8 +64,8 @@ class MultiMap:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise DimensionMismatch("arity must be at least 1")
+        if self.arity < 0:
+            raise DimensionMismatch("arity must be nonnegative")
         expected = (self.domain_dim ** self.arity) * self.codomain_dim
         if len(self.coeffs) != expected:
             raise DimensionMismatch(
@@ -194,25 +195,31 @@ def shuffles(i: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 # the composition bracket
 # ---------------------------------------------------------------------------
 
+def _insertions(acc: list, outer: MultiMap, block: int, inner, idxs: tuple[int, ...],
+                const: int) -> None:
+    """Add const times the o_k sums above, over every slot k of outer, to acc,
+    with inner(block arguments, next index) in the place of Q(..)."""
+    for k in range(1, outer.arity + 1):
+        ksign = -const if ((k - 1) * block) % 2 else const
+        for perm, s in shuffles(k - 1, block):
+            shuffled = tuple(idxs[perm[t]] for t in range(k - 1 + block))
+            val = inner(shuffled[k - 1:], idxs[k - 1 + block])
+            if is_zero_vector(val):
+                continue
+            accumulate(acc, ksign * s,
+                       outer.value_with_vector(shuffled[:k - 1], val, idxs[k + block:]))
+
+
 def _circ(p: MultiMap, q: MultiMap) -> MultiMap:
     n = p.domain_dim
     qdeg = q.arity - 1
-    res_arity = p.arity + qdeg
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * n
-        for k in range(1, p.arity + 1):
-            ksign = -1 if ((k - 1) * qdeg) % 2 else 1
-            for perm, s in shuffles(k - 1, qdeg):
-                shuffled = tuple(idxs[perm[t]] for t in range(k - 1 + qdeg))
-                qval = q.value(shuffled[k - 1:] + (idxs[k - 1 + qdeg],))
-                if is_zero_vector(qval):
-                    continue
-                accumulate(acc, ksign * s,
-                           p.value_with_vector(shuffled[:k - 1], qval, idxs[k + qdeg:]))
+        _insertions(acc, p, qdeg, lambda args, last: q.value(args + (last,)), idxs, 1)
         return tuple(acc)
 
-    return MultiMap.from_function(res_arity, n, n, entry)
+    return MultiMap.from_function(p.arity + qdeg, n, n, entry)
 
 
 def balavoine(p: MultiMap, q: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
@@ -221,6 +228,8 @@ def balavoine(p: MultiMap, q: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> M
         raise DimensionMismatch("the bracket needs maps of a space into itself")
     if p.domain_dim != q.domain_dim:
         raise DimensionMismatch("the two maps live on different spaces")
+    if p.arity < 1 or q.arity < 1:
+        raise DimensionMismatch("the bracket needs maps of arity at least 1")
     pdeg, qdeg = p.arity - 1, q.arity - 1
     res_arity = pdeg + qdeg + 1
     if res_arity > arity_cap:
@@ -272,6 +281,17 @@ def _check_cochain(f: MultiMap, action: Action) -> None:
             f"{action.source.dim}-dim one")
 
 
+def _bracket_insertions(acc: list, f: MultiMap, sc, idxs: tuple[int, ...], const: int) -> None:
+    """Add const * sum_{i<j} (-1)^i f(x_0.. x^_i ..x_{j-1}, [x_i,x_j], x_{j+1}..) to acc."""
+    for i0 in range(len(idxs)):
+        sign = -const if i0 % 2 else const
+        reduced = idxs[:i0] + idxs[i0 + 1:]
+        for j0 in range(i0 + 1, len(idxs)):
+            br = sc[idxs[i0]][idxs[j0]]
+            if not is_zero_vector(br):
+                accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
+
+
 def bracket_differential(f: MultiMap, h: Algebra,
                          arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
     """The degree-one differential inserting the bracket of h pairwise.
@@ -287,14 +307,7 @@ def bracket_differential(f: MultiMap, h: Algebra,
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * f.codomain_dim
-        for i0 in range(n + 1):
-            sign = -1 if (n + i0) % 2 else 1
-            for j0 in range(i0 + 1, n + 1):
-                br = h.sc[idxs[i0]][idxs[j0]]
-                if is_zero_vector(br):
-                    continue
-                reduced = idxs[:i0] + idxs[i0 + 1:]
-                accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
+        _bracket_insertions(acc, f, h.sc, idxs, -1 if n % 2 else 1)
         return tuple(acc)
 
     return MultiMap.from_function(n + 1, f.domain_dim, f.codomain_dim, entry)
@@ -316,20 +329,12 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
     if total > arity_cap:
         raise ArityCapExceeded(f"result arity {total} above cap {arity_cap}")
 
+    def acting(f: MultiMap):  # the action of f(block) on the next basis vector
+        return lambda args, last: action.apply(f.value(args), h.basis_vector(last))
+
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * g.dim
-        for k in range(1, m + 1):
-            base = -1 if ((k - 1) * n + 1) % 2 else 1
-            for perm, s in shuffles(k - 1, n):
-                shuffled = tuple(idxs[perm[t]] for t in range(k - 1 + n))
-                w = phi.value(shuffled[k - 1:])
-                if is_zero_vector(w):
-                    continue
-                slot = action.apply(w, h.basis_vector(idxs[k - 1 + n]))
-                if is_zero_vector(slot):
-                    continue
-                accumulate(acc, base * s,
-                           theta.value_with_vector(shuffled[:k - 1], slot, idxs[k + n:]))
+        _insertions(acc, theta, n, acting(phi), idxs, -1)
         base = -1 if (m * n + 1) % 2 else 1
         for perm, s in shuffles(m, n):
             a = theta.value(tuple(idxs[perm[t]] for t in range(m)))
@@ -339,18 +344,7 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
             if is_zero_vector(b):
                 continue
             accumulate(acc, base * s, g.bracket(a, b))
-        for k in range(1, n + 1):
-            base = -1 if (m * (k + n - 1)) % 2 else 1
-            for perm, s in shuffles(k - 1, m):
-                shuffled = tuple(idxs[perm[t]] for t in range(k - 1 + m))
-                w = theta.value(shuffled[k - 1:])
-                if is_zero_vector(w):
-                    continue
-                slot = action.apply(w, h.basis_vector(idxs[k - 1 + m]))
-                if is_zero_vector(slot):
-                    continue
-                accumulate(acc, base * s,
-                           phi.value_with_vector(shuffled[:k - 1], slot, idxs[k + m:]))
+        _insertions(acc, phi, m, acting(theta), idxs, -1 if (m * n) % 2 else 1)
         return tuple(acc)
 
     return MultiMap.from_function(total, h.dim, g.dim, entry)

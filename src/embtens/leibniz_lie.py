@@ -19,7 +19,7 @@ from .algebras import (
 )
 from .errors import ActionIllDefined, DimensionMismatch, NotCoherentDerivation, NotLeibnizLie
 from .linalg import Matrix, Vector, bilinear, is_zero_vector, vec_add, vec_sub, vector
-from .reports import CheckReport, first_failure, scan, verdict
+from .reports import CheckReport, first_failure, require, scan, verdict
 from .tensors import Action, EmbeddingTensor, algebra_from_matrix_subspace, require_embedding_tensor
 
 Triangle = tuple[tuple[Vector, ...], ...]
@@ -76,9 +76,7 @@ def check_leibniz_lie(l: LeibnizLie) -> CheckReport:
 
 
 def require_leibniz_lie(l: LeibnizLie) -> None:
-    report = check_leibniz_lie(l)
-    if not report.ok:
-        raise NotLeibnizLie(f"fails {report.witness.law} at {report.witness.where}")
+    require(check_leibniz_lie(l), NotLeibnizLie)
 
 
 def _sum_table(l: LeibnizLie) -> tuple[tuple[Vector, ...], ...]:

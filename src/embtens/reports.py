@@ -13,6 +13,8 @@ witness policies on that scan:
 * first per law: the equivalence, square and Leibniz-Lie homomorphism
   conditions keep the first failure of each law (``islice(scan, 1)`` per
   law, then ``verdict``).
+
+``require`` turns a failing report into an error that names its witness.
 """
 from __future__ import annotations
 
@@ -77,3 +79,10 @@ def verdict(check: str, failures, notes: tuple[str, ...] = ()) -> CheckReport:
 def first_failure(check: str, *scans) -> CheckReport:
     """The verdict on the first failure of the scans, taken in turn."""
     return verdict(check, islice(chain(*scans), 1))
+
+
+def require(report: CheckReport, error: type[Exception], subject: str = "", at: str = "") -> None:
+    """Raise error("<subject>fails <law> at <at><where>") on a failing report."""
+    if not report.ok:
+        w = report.witness
+        raise error(f"{subject}fails {w.law} at {at}{w.where}")

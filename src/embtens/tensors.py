@@ -34,7 +34,7 @@ from .linalg import (
     vec_add,
     vec_sub,
 )
-from .reports import CheckReport, first_failure, scan, verdict
+from .reports import CheckReport, first_failure, require, scan, verdict
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,7 @@ def check_coherent_action(action: Action) -> CheckReport:
 
 
 def require_coherent(action: Action) -> None:
-    report = check_coherent_action(action)
-    if not report.ok:
-        raise NotCoherentAction(f"action fails {report.witness.law} at {report.witness.where}")
+    require(check_coherent_action(action), NotCoherentAction, "action ")
 
 
 def descendent_table(t: EmbeddingTensor) -> ScTable:
@@ -160,10 +158,7 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
 
 
 def require_embedding_tensor(t: EmbeddingTensor) -> None:
-    report = check_embedding_tensor(t)
-    if not report.ok:
-        raise NotAnEmbeddingTensor(
-            f"tensor fails {report.witness.law} at {report.witness.where}")
+    require(check_embedding_tensor(t), NotAnEmbeddingTensor, "tensor ")
 
 
 def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,

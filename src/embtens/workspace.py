@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .algebras import Algebra, FLAVORS, UNCHECKED, check_leibniz, check_lie
+from .algebras import Algebra, FLAVORS, LEIBNIZ, LIE, UNCHECKED, check_leibniz, check_lie
 from .cohomology import DEFAULT_MAX_DEGREE
 from .errors import (
     DimensionMismatch,
@@ -25,6 +25,7 @@ from .errors import (
 from .graded import DEFAULT_ARITY_CAP, MultiMap
 from .leibniz_lie import LeibnizLie
 from .linalg import Matrix, Vector, parse_scalar, scalar_to_json, zero_vector
+from .reports import require
 from .tensors import Action, EmbeddingTensor
 
 
@@ -141,20 +142,11 @@ def algebra_from_json(data, name: str, path: str) -> Algebra:
 
 
 def _verify_flavor(algebra: Algebra, path: str) -> None:
-    if algebra.flavor == "lie":
-        report = check_lie(algebra)
-        if not report.ok:
-            w = report.witness
-            raise FlavorViolation(
-                f"{path}: algebra {algebra.name!r} declared lie but fails "
-                f"{w.law} at basis tuple {w.where}")
-    elif algebra.flavor == "leibniz":
-        report = check_leibniz(algebra)
-        if not report.ok:
-            w = report.witness
-            raise FlavorViolation(
-                f"{path}: algebra {algebra.name!r} declared leibniz but fails "
-                f"{w.law} at basis tuple {w.where}")
+    check = {LIE: check_lie, LEIBNIZ: check_leibniz}.get(algebra.flavor)
+    if check is not None:
+        require(check(algebra), FlavorViolation,
+                f"{path}: algebra {algebra.name!r} declared {algebra.flavor} but ",
+                "basis tuple ")
 
 
 def algebra_to_json(a: Algebra) -> dict:

@@ -1,17 +1,24 @@
 """The tensor complex: induced representation, coboundaries, dimensions."""
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from embtens import (
+    LIE,
+    Algebra,
+    ArityCapExceeded,
     DegreeOutOfRange,
     DimensionMismatch,
+    EmbeddingTensor,
     Matrix,
     MultiMap,
     NotACocycle,
+    NotAnEmbeddingTensor,
     TensorComplex,
+    adjoint_action,
     check_leibniz_rep,
     class_equals,
     cohomology,
@@ -19,6 +26,7 @@ from embtens import (
     loday_pirashvili_coboundary,
     matrix_as_multimap,
     multimap_as_matrix,
+    sc_table,
     tensor_coboundary,
     twisted_differential,
     unit_vector,
@@ -72,14 +80,37 @@ def test_lp_coboundary_squares_to_zero(t1, g23_net):
 
 
 def test_lp_specialization_equals_tensor_coboundary(t1, tii, toy_tensor, g23_net):
-    # the assembled matrices against the per-entry formula, up to degree 4
+    # the per-entry formula against the assembled matrices, up to degree 4
     rng = random.Random(62)
     for t in (t1, tii, toy_tensor, g23_net):
-        rep = induced_representation(t)
-        for arity in (1, 2, 3):
+        cx = TensorComplex(t, 4)
+        for arity in (0, 1, 2, 3):
             for _ in range(4):
                 f = rand_cochain(rng, arity, t)
-                assert loday_pirashvili_coboundary(rep, f) == tensor_coboundary(t, f)
+                img = tensor_coboundary(t, f)
+                assert img.arity == arity + 1
+                assert img.coeffs == cx.differential(arity + 1).apply(f.coeffs)
+
+
+def heisenberg5() -> Algebra:
+    table = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for i in range(2):
+        table[i][i + 2][4], table[i + 2][i][4] = 1, -1
+    return Algebra("h5", 5, sc_table(table), LIE)
+
+
+def test_coboundary_of_one_cochain_builds_no_matrix():
+    # the differential on arity-3 cochains of h5 is a dense 3125 x 625 matrix
+    t = EmbeddingTensor(adjoint_action(heisenberg5()), Matrix.zero(5, 5))
+    f = rand_cochain(random.Random(65), 3, t)
+    tracemalloc.start()
+    try:
+        img = tensor_coboundary(t, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.arity == 4 and not img.is_zero()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_degree_one_coboundary_closed_form(t1, tii):
@@ -111,6 +142,19 @@ def test_degree_one_matches_general_formula(t1, tii):
                 assert img.value((u,)) == rep.rho_r[u].scale(-1).apply(x)
 
 
+def test_coboundary_checks_tensor_then_shape_then_arity_cap(t1):
+    not_a_tensor = t1.with_matrix(Matrix.identity(3))
+    wrong_shape = MultiMap.zero(4, 2, 3)
+    with pytest.raises(NotAnEmbeddingTensor):
+        tensor_coboundary(not_a_tensor, wrong_shape)
+    with pytest.raises(DimensionMismatch):
+        tensor_coboundary(t1, wrong_shape)
+    with pytest.raises(DimensionMismatch):
+        tensor_coboundary(t1, (1, 0))
+    with pytest.raises(ArityCapExceeded):
+        tensor_coboundary(t1, MultiMap.zero(4, 3, 3))
+
+
 def test_degree_one_kills_central_zero_column(t1):
     # the third basis vector acts trivially and is killed by the tensor
     assert tensor_coboundary(t1, unit_vector(3, 2)).is_zero()
@@ -122,15 +166,19 @@ def test_zero_tensor_degree_one_vanishes(tzero):
 
 
 def test_sign_relation_between_coboundary_and_twisted_differential(t1, tii, g23_net):
+    # d f = (-1)^{arity - 1} d_T f; at arity 0 (a source vector) d x = -d_T x
     rng = random.Random(64)
     for t in (t1, tii, g23_net):
-        for k in (1, 2, 3):
-            th = rand_cochain(rng, k, t)
+        for arity in (0, 1, 2, 3):
+            th = rand_cochain(rng, arity, t)
             lhs = tensor_coboundary(t, th)
             rhs = twisted_differential(t, th)
-            if (k - 1) % 2:
+            if (arity - 1) % 2:
                 rhs = -rhs
             assert lhs == rhs
+        x = tuple(rand_fraction(rng) for _ in range(t.action.source.dim))
+        assert tensor_coboundary(t, x) == -twisted_differential(
+            t, MultiMap(0, t.action.target.dim, len(x), x))
 
 
 def test_complex_differentials_compose_to_zero(t1, tii, toy_tensor, g23_net):
@@ -181,6 +229,16 @@ def test_degree_out_of_range(t1):
         cohomology(t1, 7)
 
 
+def test_complex_starts_with_the_zero_map_out_of_degree_zero(t1, g23_net):
+    for t in (t1, g23_net):
+        cx = TensorComplex(t, 4)
+        d0 = cx.differential(0)
+        assert (d0.rows, d0.cols, d0.entries) == (cx.cochain_dim(1), 0, ())
+        for k in (-1, 5):
+            with pytest.raises(DegreeOutOfRange):
+                cx.differential(k)
+
+
 def test_class_equals_reflexive(t1):
     d = multimap_as_matrix(tensor_coboundary(t1, unit_vector(3, 0)))
     assert class_equals(t1, d, d, 2)
@@ -204,6 +262,8 @@ def test_class_equals_degree_one_needs_source_vectors(t1):
         with pytest.raises(DimensionMismatch):
             class_equals(t1, f, f, 1)
     assert class_equals(t1, unit_vector(3, 1), unit_vector(3, 1), 1)
+    # nothing is a coboundary in degree one
+    assert not class_equals(t1, unit_vector(3, 1), unit_vector(3, 2), 1)
 
 
 def test_class_equals_rejects_non_cocycle(t1):

@@ -7,6 +7,7 @@ import pytest
 
 from embtens import (
     ArityCapExceeded,
+    DimensionMismatch,
     EmbeddingTensor,
     GradedContext,
     Matrix,
@@ -152,6 +153,21 @@ def test_arity_cap_enforced():
     with pytest.raises(ArityCapExceeded):
         balavoine(p, p)
     assert balavoine(p, p, arity_cap=5).arity == 5
+
+
+def test_arity_zero_map_is_one_vector():
+    f = MultiMap(0, 3, 2, (Fraction(1), Fraction(-2)))
+    assert f.value(()) == f.coeffs == MultiMap.from_function(0, 3, 2, lambda idxs: f.coeffs).coeffs
+    with pytest.raises(DimensionMismatch):
+        MultiMap(-1, 3, 2, ())
+
+
+def test_bracket_rejects_arity_zero_maps():
+    rng = random.Random(47)
+    x, p = rand_multimap(rng, 0, 2), rand_multimap(rng, 2, 2)
+    for a, b in ((x, x), (x, p), (p, x)):
+        with pytest.raises(DimensionMismatch):
+            balavoine(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,15 @@ from embtens import (
     Algebra,
     DeformationDirection,
     EmbeddingTensor,
+    FlavorViolation,
     GradedContext,
     LeibnizRep,
     Matrix,
     NijenhuisCandidate,
+    NotAnEmbeddingTensor,
+    NotCoherentAction,
+    NotLeibnizLie,
+    NotNijenhuis,
     abelian_algebra,
     adjoint_action,
     check_coherent_action,
@@ -48,9 +53,13 @@ from embtens import (
     multimap_as_matrix,
     sc_table,
     tensor_coboundary,
+    trivial_deformation,
     zero_direction,
 )
 from embtens.graded import multimap_from_algebra
+from embtens.leibniz_lie import require_leibniz_lie
+from embtens.tensors import require_coherent, require_embedding_tensor
+from embtens.workspace import algebra_from_json
 from conftest import g2h3_action, heisenberg, heisenberg_triangle, rand_fraction
 
 RECORDED = Path(__file__).parent / "data" / "checker_reports.json"
@@ -337,6 +346,36 @@ def test_cases_fail_every_law_and_pass_every_check(actual):
             passed.add(report["check"])
     assert seen == LAWS
     assert passed == set(LAWS)
+
+
+def require_cases():
+    """(thunk, error type, message) for each place a failing report is raised."""
+    h3 = heisenberg()
+    incoherent = Action(abelian_algebra("g1", 1), h3, (diagonal(1, 0, 1),))
+    yield (lambda: require_coherent(incoherent), NotCoherentAction,
+           "action fails coherence at (0, 0, 1)")
+    yield (lambda: require_embedding_tensor(EmbeddingTensor(adjoint_action(h3), Matrix.identity(3))),
+           NotAnEmbeddingTensor, "tensor fails tensor-identity at (0, 1)")
+    yield (lambda: require_embedding_tensor(EmbeddingTensor(incoherent, Matrix.zero(1, 3))),
+           NotAnEmbeddingTensor, "tensor fails coherence at (0, 0, 1)")
+    yield (lambda: require_leibniz_lie(make_leibniz_lie(h3, [[(1, 0, 0)] * 3] * 3)),
+           NotLeibnizLie, "fails product-identity at (0, 0, 0)")
+    yield (lambda: trivial_deformation(NijenhuisCandidate(b2_plane_tensor(), (1, 0))),
+           NotNijenhuis, "fails action-square at (1,)")
+    yield (lambda: algebra_from_json({"dim": 2, "flavor": "lie", "sc": [[[1, 0], [0, 0]]]},
+                                     "bad", "algebras.bad"), FlavorViolation,
+           "algebras.bad: algebra 'bad' declared lie but fails antisymmetry at basis tuple (0, 0)")
+    yield (lambda: algebra_from_json({"dim": 2, "flavor": "leibniz",
+                                      "sc": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]},
+                                     "bad", "algebras.bad"), FlavorViolation,
+           "algebras.bad: algebra 'bad' declared leibniz but fails leibniz at basis tuple (0, 1, 0)")
+
+
+def test_required_checks_raise_with_their_witness():
+    for thunk, error, message in require_cases():
+        with pytest.raises(error) as info:
+            thunk()
+        assert str(info.value) == message
 
 
 if __name__ == "__main__":
