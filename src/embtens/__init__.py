@@ -54,6 +54,7 @@ from .errors import (
     NotLeibnizLie,
     NotNijenhuis,
     ParseError,
+    RoutesDisagree,
     ToolkitError,
     UnresolvedReference,
     WorkspaceError,

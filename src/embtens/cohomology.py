@@ -13,6 +13,11 @@ output tuples from the rho_l, rho_r and structure-constant blocks of that
 representation; d_0 is zero.  ``tensor_coboundary`` maps one cochain by
 the same formula entry by entry (``loday_pirashvili_coboundary``), so the
 two routes are each other's test oracle.
+
+``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, and
+``cohomology`` and ``class_equals`` eliminate those rows directly.
+``TensorComplex.differential(k)`` densifies d_k into a ``Matrix`` on
+demand; nothing in this module calls it.
 """
 from __future__ import annotations
 
@@ -24,15 +29,15 @@ from .errors import ArityCapExceeded, DegreeOutOfRange, DimensionMismatch, NotAC
 from .graded import DEFAULT_ARITY_CAP, MultiMap, _bracket_insertions, matrix_as_multimap
 from .linalg import (
     Matrix,
-    ONE,
+    SparseRow,
     Subspace,
     Vector,
     ZERO,
     accumulate,
-    column_space,
     is_zero_vector,
-    kernel_basis,
     quotient_dim,
+    sparse_image,
+    sparse_kernel,
     vec_sub,
     vector,
 )
@@ -87,45 +92,49 @@ def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Ve
     return tuple(acc)
 
 
-def lp_differential(rep: LeibnizRep, arity: int) -> Matrix:
-    """Matrix of the coboundary from arity-``arity`` cochains (arity >= 0).
+def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
+    """Sparse rows of the coboundary from arity-``arity`` cochains (arity >= 0).
 
     One pass over the output tuples (x_0, .., x_arity) places, for each
-    term of the alternating formula, a block into the column of the input
-    tuple it reads: rho_l(x_i) for each dropped argument, rho_r(x_arity)
-    for the last one, and the identity scaled by a structure constant for
-    each bracketed pair.
+    term of the alternating formula, a block into the columns of the
+    input tuple it reads: rho_l(x_i) for each dropped argument,
+    rho_r(x_arity) for the last one, and the identity scaled by a
+    structure constant for each bracketed pair.  Row i*m + r holds
+    coordinate r of output tuple i as a ``{column: entry}`` dict.
     """
     n, m, sc = rep.algebra.dim, rep.rep_dim, rep.algebra.sc
-    rows, cols = n ** (arity + 1) * m, n ** arity * m
-    out = [ZERO] * (rows * cols)
 
-    def nonzero(mat: Matrix) -> list:
-        return [(r, c, e) for r in range(m) for c in range(m)
-                if (e := mat.entries[r * m + c]) != 0]
+    def signed(mat: Matrix) -> dict:
+        block = [(r, c, e) for r in range(m) for c in range(m)
+                 if (e := mat.entries[r * m + c]) != 0]
+        return {1: block, -1: [(r, c, -e) for r, c, e in block]}
 
-    left, right = [nonzero(x) for x in rep.rho_l], [nonzero(x) for x in rep.rho_r]
-    ident = [(r, r, ONE) for r in range(m)]
+    left, right = [signed(x) for x in rep.rho_l], [signed(x) for x in rep.rho_r]
     col_of = {idxs: i * m for i, idxs in enumerate(product(range(n), repeat=arity))}
+    out: list[SparseRow] = []
 
-    def place(row: int, col: tuple[int, ...], sign, block: list) -> None:
-        base = row + col_of[col]
+    def place(rows: list[SparseRow], col: tuple[int, ...], block) -> None:
+        base = col_of[col]
         for r, c, e in block:
-            out[base + r * cols + c] += sign * e
+            row, j = rows[r], base + c
+            row[j] = row[j] + e if j in row else e
 
-    for i, idxs in enumerate(product(range(n), repeat=arity + 1)):
-        row = i * m * cols
+    for idxs in product(range(n), repeat=arity + 1):
+        rows: list[SparseRow] = [{} for _ in range(m)]
         for i0 in range(arity):
-            place(row, idxs[:i0] + idxs[i0 + 1:], -1 if i0 % 2 else 1, left[idxs[i0]])
-        place(row, idxs[:arity], -1 if (arity + 1) % 2 else 1, right[idxs[arity]])
+            place(rows, idxs[:i0] + idxs[i0 + 1:], left[idxs[i0]][-1 if i0 % 2 else 1])
+        place(rows, idxs[:arity], right[idxs[arity]][-1 if (arity + 1) % 2 else 1])
         for i0 in range(arity + 1):
             sign = -1 if (i0 + 1) % 2 else 1
             reduced = idxs[:i0] + idxs[i0 + 1:]
             for j0 in range(i0 + 1, arity + 1):
                 for p, c in enumerate(sc[idxs[i0]][idxs[j0]]):
                     if c != 0:
-                        place(row, reduced[:j0 - 1] + (p,) + reduced[j0:], sign * c, ident)
-    return Matrix(rows, cols, tuple(out))
+                        e = sign * c
+                        place(rows, reduced[:j0 - 1] + (p,) + reduced[j0:],
+                              [(r, r, e) for r in range(m)])
+        out.extend({c: x for c, x in row.items() if x} for row in rows)
+    return out
 
 
 def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
@@ -161,7 +170,7 @@ class TensorComplex:
 
     tensor: EmbeddingTensor
     max_degree: int = DEFAULT_MAX_DEGREE
-    _differentials: dict[int, Matrix] = field(default_factory=dict, repr=False)
+    _rows: dict[int, list[SparseRow]] = field(default_factory=dict, repr=False)
     _rep: LeibnizRep = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -178,14 +187,19 @@ class TensorComplex:
     def cochain_dim(self, k: int) -> int:
         return 0 if k <= 0 else self.source_dim * self.target_dim ** (k - 1)
 
-    def differential(self, k: int) -> Matrix:
-        """Matrix of the coboundary from degree k to degree k + 1."""
+    def rows(self, k: int) -> list[SparseRow]:
+        """Sparse ``{column: entry}`` rows of d_k, from degree k to degree k + 1."""
         if k < 0 or k > self.max_degree:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.max_degree}")
-        if k not in self._differentials:
-            self._differentials[k] = (lp_differential(self._rep, k - 1) if k
-                                      else Matrix.zero(self.cochain_dim(1), 0))
-        return self._differentials[k]
+        if k not in self._rows:
+            self._rows[k] = (lp_differential(self._rep, k - 1) if k
+                             else [{} for _ in range(self.cochain_dim(1))])
+        return self._rows[k]
+
+    def differential(self, k: int) -> Matrix:
+        """Matrix of the coboundary from degree k to degree k + 1, densified."""
+        rows = self.rows(k)
+        return Matrix.from_sparse_rows(len(rows), self.cochain_dim(k), rows)
 
 
 @dataclass(frozen=True)
@@ -218,8 +232,8 @@ def cohomology(t: EmbeddingTensor, k: int,
     if k < 1 or k > max_degree:
         raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
     cx = TensorComplex(t, max_degree)
-    cocycles = kernel_basis(cx.differential(k))
-    boundaries = column_space(cx.differential(k - 1))
+    cocycles = sparse_kernel(cx.rows(k), cx.cochain_dim(k))
+    boundaries = sparse_image(cx.rows(k - 1), cx.cochain_dim(k - 1))
     return CohomologyReport(
         degree=k,
         dim_z=cocycles.dim,
@@ -236,7 +250,6 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
     if k < 1 or k > max_degree:
         raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
     cx = TensorComplex(t, max_degree)
-    diff = cx.differential(k)
 
     def coeffs(x) -> Vector:
         c = _as_cochain(t, x)
@@ -247,7 +260,7 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
 
     vf, vg = coeffs(f), coeffs(g)
     for name, v in (("first", vf), ("second", vg)):
-        if not is_zero_vector(diff.apply(v)):
+        if any(sum(x * v[c] for c, x in row.items()) for row in cx.rows(k)):
             raise NotACocycle(f"the {name} cochain is not a cocycle in degree {k}")
-    image = column_space(cx.differential(k - 1))
+    image = sparse_image(cx.rows(k - 1), cx.cochain_dim(k - 1))
     return image.contains(vec_sub(vf, vg))

@@ -6,7 +6,7 @@ from itertools import islice, product
 
 from .algebras import Algebra
 from .cohomology import tensor_coboundary
-from .errors import DimensionMismatch, NotNijenhuis
+from .errors import DimensionMismatch, NotNijenhuis, RoutesDisagree
 from .graded import multimap_as_matrix
 from .linalg import Matrix, Vector, vec_add, vec_sub, vector
 from .reports import CheckReport, Failure, first_failure, require, scan, verdict
@@ -76,7 +76,7 @@ def check_linear_deformation(d: DeformationDirection) -> CheckReport:
                      ("tensor-equation", tensor_equation)))
     probe_ok = check_embedding_tensor(d.at(1)).ok and check_embedding_tensor(d.at(2)).ok
     if (not bad) != probe_ok:
-        raise AssertionError("coefficient and probe routes disagree; checker is broken")
+        raise RoutesDisagree("coefficient and probe routes disagree; checker is broken")
     return verdict("linear-deformation", bad,
                    notes=(f"probe route at t in {{1, 2}}: {'pass' if probe_ok else 'fail'}",))
 

@@ -49,6 +49,11 @@ class DegreeOutOfRange(ToolkitError):
     """Requested cohomology degree is outside the configured range."""
 
 
+class RoutesDisagree(ToolkitError):
+    """Two independent routes of one check gave different verdicts; the
+    checker itself is broken."""
+
+
 class WorkspaceError(ToolkitError):
     """Base class for workspace loading problems."""
 

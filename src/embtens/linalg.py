@@ -3,19 +3,26 @@
 Scalars are `fractions.Fraction` throughout; no floats ever enter.
 Vectors are plain tuples of Fractions, matrices are immutable row-major
 dataclasses, and subspaces are stored in reduced row echelon form, so
-subspace equality is literal equality of canonical bases.  Pivot
-selection is always the first nonzero column, which fixes every basis
-tie-break in the package.
+subspace equality is literal equality of canonical bases.
+
+All elimination goes through one sparse RREF, ``_sparse_rref``, on
+``{column: entry}`` rows: ``rref``, ``kernel_basis``, ``column_space``
+and ``Subspace.from_spanning`` convert their dense input, and
+``sparse_kernel`` and ``sparse_image`` take sparse rows directly.  The
+RREF of a row space is unique, so the bases do not depend on the order
+of elimination; they are handed out as dense canonical tuples.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DimensionMismatch, NotASubspace, ParseError
 
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -153,6 +160,16 @@ class Matrix:
         return cls.from_rows([[c[i] for c in cols] for i in range(nrows)])
 
     @classmethod
+    def from_sparse_rows(cls, rows: int, cols: int, sparse) -> "Matrix":
+        """The matrix whose leading rows are the ``{column: entry}`` dicts of
+        ``sparse``; the rows after them are zero."""
+        out = [ZERO] * (rows * cols)
+        for i, row in enumerate(sparse):
+            for c, x in row.items():
+                out[i * cols + c] = x
+        return cls(rows, cols, tuple(out))
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, (ZERO,) * (rows * cols))
 
@@ -252,31 +269,63 @@ def combination(mats: tuple[Matrix, ...], x: Vector, n: int) -> Matrix:
     return Matrix(n, n, tuple(out))
 
 
+def _sparse_rows(m: Matrix) -> list[SparseRow]:
+    cols, e = m.cols, m.entries
+    return [{j: x for j in range(cols) if (x := e[i * cols + j])} for i in range(m.rows)]
+
+
+def _dense(row: SparseRow, n: int) -> Vector:
+    out = [ZERO] * n
+    for c, x in row.items():
+        out[c] = x
+    return tuple(out)
+
+
+def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c)
+        if y is None:
+            row[c] = -f * x
+        elif y := y - f * x:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _sparse_rref(rows) -> tuple[list[SparseRow], tuple[int, ...]]:
+    """Reduced row echelon form of the span of sparse rows, and its pivots.
+
+    Each incoming row is reduced against the pivot rows found so far,
+    pivots on the first nonzero column of what is left, is normalised
+    there, and clears that column from every earlier pivot row.  The
+    pivot rows stay zero at every other pivot column throughout, so the
+    rows returned, sorted by pivot, are the unique RREF of the span.
+    The input rows are not changed.
+    """
+    by_pivot: dict[int, SparseRow] = {}
+    for incoming in rows:
+        row = {c: x for c, x in incoming.items() if x}
+        for p in [c for c in row if c in by_pivot]:
+            _subtract(row, row[p], by_pivot[p])
+        if not row:
+            continue
+        p = min(row)
+        inv = ONE / row[p]
+        if inv != 1:
+            row = {c: inv * x for c, x in row.items()}
+        for other in by_pivot.values():
+            if p in other:
+                _subtract(other, other[p], row)
+        by_pivot[p] = row
+    pivots = tuple(sorted(by_pivot))
+    return [by_pivot[p] for p in pivots], pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns, exactly."""
-    work = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        sel = None
-        for r in range(pr, m.rows):
-            if work[r][pc] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        inv = ONE / work[pr][pc]
-        if inv != 1:
-            work[pr] = [inv * x for x in work[pr]]
-        for r in range(m.rows):
-            if r != pr and work[r][pc] != 0:
-                accumulate(work[r], -work[r][pc], work[pr])
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    return Matrix.from_rows(work) if m.rows else m, tuple(pivots)
+    rows, pivots = _sparse_rref(_sparse_rows(m))
+    return Matrix.from_sparse_rows(m.rows, m.cols, rows), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -301,11 +350,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"spanning vector of length {len(v)} in ambient dim {ambient_dim}")
-        if not vecs:
-            return cls(ambient_dim, ())
-        red, pivots = rref(Matrix.from_rows(vecs))
-        rows = tuple(red.row(i) for i in range(len(pivots)))
-        return cls(ambient_dim, rows)
+        return _span(ambient_dim, ({j: x for j, x in enumerate(v) if x} for v in vecs))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -319,15 +364,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        out = []
-        for row in self.basis:
-            for j, x in enumerate(row):
-                if x != 0:
-                    out.append(j)
-                    break
-        return tuple(out)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after eliminating against the echelon basis."""
@@ -358,23 +397,39 @@ class Subspace:
         return [[scalar_to_json(x) for x in row] for row in self.basis]
 
 
+def _span(ambient_dim: int, rows) -> Subspace:
+    """The subspace spanned by sparse rows, with its dense canonical basis."""
+    basis, _ = _sparse_rref(rows)
+    return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for row in basis))
+
+
+def sparse_kernel(rows: list[SparseRow], ncols: int) -> Subspace:
+    """Canonical basis of {v : row . v = 0 for every row}, v in Q^ncols."""
+    reduced, pivots = _sparse_rref(rows)
+    vecs = {f: {f: ONE} for f in sorted(set(range(ncols)) - set(pivots))}
+    for p, row in zip(pivots, reduced):
+        for c, x in row.items():
+            if c != p:
+                vecs[c][p] = -x
+    return _span(ncols, vecs.values())
+
+
+def sparse_image(rows: list[SparseRow], ncols: int) -> Subspace:
+    """Column space of the len(rows) x ncols matrix with these sparse rows."""
+    cols: list[SparseRow] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][i] = x
+    return _span(len(rows), cols)
+
+
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the right kernel {v : m v = 0}."""
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    vecs = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.entry(r, f)
-        vecs.append(tuple(v))
-    return Subspace.from_spanning(m.cols, vecs)
+    return sparse_kernel(_sparse_rows(m), m.cols)
 
 
 def column_space(m: Matrix) -> Subspace:
-    return Subspace.from_spanning(m.rows, [m.col(j) for j in range(m.cols)])
+    return sparse_image(_sparse_rows(m), m.cols)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:

@@ -238,7 +238,7 @@ def multimap_from_json(data, path: str = "multimap") -> MultiMap:
     for key in ("arity", "domainDim", "codomainDim", "coeffs"):
         if key not in data:
             raise ParseError(f"{path}.{key}: required")
-    arity = _positive_int(data["arity"], f"{path}.arity")
+    arity = _int_at_least(0, data["arity"], f"{path}.arity")
     n, m = data["domainDim"], data["codomainDim"]
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 0:
         raise ParseError(f"{path}: bad dimensions")
@@ -269,8 +269,8 @@ def workspace_from_dict(data) -> Workspace:
     if not isinstance(settings, dict):
         raise ParseError("settings: expected an object")
     ws.settings = Settings(
-        max_degree=_positive_int(settings.get("maxDegree", DEFAULT_MAX_DEGREE), "settings.maxDegree"),
-        arity_cap=_positive_int(settings.get("arityCap", DEFAULT_ARITY_CAP), "settings.arityCap"),
+        max_degree=_int_at_least(1, settings.get("maxDegree", DEFAULT_MAX_DEGREE), "settings.maxDegree"),
+        arity_cap=_int_at_least(1, settings.get("arityCap", DEFAULT_ARITY_CAP), "settings.arityCap"),
     )
     for section, loader, store in (
             ("algebras", None, ws.algebras),
@@ -292,9 +292,10 @@ def workspace_from_dict(data) -> Workspace:
     return ws
 
 
-def _positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParseError(f"{path}: a positive integer is required")
+def _int_at_least(least: int, value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise ParseError(f"{path}: a {kind} integer is required")
     return value
 
 

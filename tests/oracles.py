@@ -1,7 +1,8 @@
 """Independent oracles the test suite uses to cross-check the package.
 
 Everything here deliberately avoids the package's own linear algebra:
-ranks come from fraction-free integer elimination, ideal closures from
+ranks come from fraction-free integer elimination, echelon forms from
+dense column-by-column Gauss-Jordan elimination, ideal closures from
 a plain Gaussian span, shuffles from filtering full permutation groups,
 bilinear maps from a plain triple sum over a structure table, and the
 Heisenberg tensor family from its closed polynomial system.
@@ -44,6 +45,34 @@ def bareiss_rank(rows) -> int:
         prev = m[r][c]
         r += 1
     return r
+
+
+def dense_rref(rows, ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form by dense Gauss-Jordan elimination.
+
+    Columns are taken left to right and each pivot is the first row at or
+    below the current one with a nonzero entry there.  Returns every row,
+    the zero rows last, and the pivot columns.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(ncols):
+        if pr == len(work):
+            break
+        sel = next((r for r in range(pr, len(work)) if work[r][pc] != 0), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        inv = 1 / work[pr][pc]
+        work[pr] = [inv * x for x in work[pr]]
+        for r in range(len(work)):
+            if r != pr and work[r][pc] != 0:
+                c = work[r][pc]
+                work[r] = [a - c * b for a, b in zip(work[r], work[pr])]
+        pivots.append(pc)
+        pr += 1
+    return work, tuple(pivots)
 
 
 def _span_insert(basis: list[list[Fraction]], vec) -> bool:

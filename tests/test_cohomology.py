@@ -188,6 +188,37 @@ def test_complex_differentials_compose_to_zero(t1, tii, toy_tensor, g23_net):
             assert (cx.differential(k + 1) @ cx.differential(k)).is_zero()
 
 
+def test_sparse_rows_compose_to_zero_and_densify(t1, tii, tzero, tab):
+    for t in (t1, tii, tzero, tab):
+        cx = TensorComplex(t, max_degree=4)
+        for k in range(5):
+            rows, d = cx.rows(k), cx.differential(k)
+            assert (d.rows, d.cols) == (len(rows), cx.cochain_dim(k))
+            assert all(x != 0 for row in rows for x in row.values())
+            assert d.entries == tuple(row.get(j, 0) for row in rows for j in range(d.cols))
+        for k in range(4):
+            lower = cx.rows(k)
+            for row in cx.rows(k + 1):
+                composed = {}
+                for c, x in row.items():
+                    for j, y in lower[c].items():
+                        composed[j] = composed.get(j, 0) + x * y
+                assert not any(composed.values())
+
+
+def test_top_rung_cohomology_stays_sparse():
+    # h5's d4 is 3125 x 625 with 2,440 nonzeros; densified it alone is ~15 MB of slots
+    t = EmbeddingTensor(adjoint_action(heisenberg5()), Matrix.zero(5, 5))
+    tracemalloc.start()
+    try:
+        report = cohomology(t, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.dim_z, report.dim_b, report.dim_h) == (350, 45, 305)
+    assert peak < 8 * 1024 * 1024
+
+
 def test_cohomology_of_zero_tensor_in_degree_one(tzero):
     report = cohomology(tzero, 1)
     assert (report.dim_z, report.dim_b, report.dim_h) == (3, 0, 3)

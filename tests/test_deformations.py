@@ -10,6 +10,8 @@ from embtens import (
     Matrix,
     NijenhuisCandidate,
     NotNijenhuis,
+    RoutesDisagree,
+    ToolkitError,
     check_embedding_tensor,
     check_equivalence,
     check_linear_deformation,
@@ -53,6 +55,18 @@ def test_dual_route_agreement_randomized(t1, tab, g23_net):
             report = check_linear_deformation(d)
             probe = all(check_embedding_tensor(d.at(t)).ok for t in (1, 2))
             assert report.ok == probe
+
+
+def test_disagreeing_routes_raise_a_typed_error(t1, monkeypatch):
+    # a probe route that rejects every tensor contradicts the passing coefficient route
+    import embtens.deformations as deformations
+
+    failing = check_linear_deformation(
+        DeformationDirection(t1, Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])))
+    monkeypatch.setattr(deformations, "check_embedding_tensor", lambda t: failing)
+    with pytest.raises(RoutesDisagree, match="coefficient and probe routes disagree") as info:
+        check_linear_deformation(zero_direction(t1))
+    assert isinstance(info.value, ToolkitError)
 
 
 def test_family_parameter_is_not_a_linear_direction(tab, ad3):

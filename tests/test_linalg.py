@@ -21,8 +21,9 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
+from embtens.linalg import column_space
 from conftest import rand_matrix
-from oracles import bareiss_rank, bilinear_oracle
+from oracles import bareiss_rank, bilinear_oracle, dense_rref
 
 
 def test_rref_identity():
@@ -173,3 +174,51 @@ def test_bilinear_kernel_matches_triple_sum(n, m, data):
     assert action.apply(z, x) == bilinear_oracle(rho_table, z, x)
     assert action.of(z) == Matrix.from_columns(
         [bilinear_oracle(rho_table, z, unit_vector(n, a)) for a in range(n)])
+
+
+def echelon_basis(rows, ncols: int) -> tuple:
+    """The nonzero rows of the dense oracle's RREF, as a canonical basis."""
+    red, pivots = dense_rref(rows, ncols)
+    return tuple(tuple(row) for row in red[:len(pivots)])
+
+
+def assert_matches_dense_oracle(rows, ncols: int) -> None:
+    m = Matrix(len(rows), ncols, tuple(Fraction(x) for row in rows for x in row))
+    red, pivots = dense_rref(rows, ncols)
+    assert rref(m) == (Matrix(m.rows, ncols, tuple(x for row in red for x in row)), pivots)
+    assert len(pivots) == bareiss_rank(rows)
+    span = Subspace.from_spanning(ncols, rows)
+    assert span.basis == echelon_basis(rows, ncols)
+    assert span.pivots == pivots
+    free = [f for f in range(ncols) if f not in pivots]
+    kernel = [[1 if c == f else 0 for c in range(ncols)] for f in free]
+    for vec, f in zip(kernel, free):
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][f]
+    ker = kernel_basis(m)
+    assert ker.basis == echelon_basis(kernel, ncols)
+    assert ker.dim == ncols - bareiss_rank(rows)
+    columns = [[row[j] for row in rows] for j in range(ncols)]
+    assert column_space(m).basis == echelon_basis(columns, len(rows))
+
+
+SPARSE = st.sampled_from([Fraction(c) for c in (0,) * 8 + (1, -1, 2, "1/2", "-3/2", "2/3")])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(0, 5), st.integers(1, 6), st.data())
+def test_sparse_elimination_matches_dense_oracle(nrows, ncols, data):
+    """rref, kernels, column spaces and spans against dense Gauss-Jordan.
+
+    Each draw is also checked with its first row repeated, with a copy
+    of its first column appended (a column that cannot hold a pivot), as
+    the zero matrix of its shape, and with no rows at all.
+    """
+    flat = data.draw(st.lists(SPARSE, min_size=nrows * ncols, max_size=nrows * ncols))
+    rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    assert_matches_dense_oracle(rows, ncols)
+    assert_matches_dense_oracle(rows + rows[:1], ncols)
+    assert_matches_dense_oracle([row + row[:1] for row in rows], ncols + 1)
+    assert_matches_dense_oracle([[Fraction(0)] * ncols for _ in rows], ncols)
+    assert_matches_dense_oracle([], ncols)

@@ -130,6 +130,23 @@ def test_multimap_json_round_trip():
     assert multimap_from_json(data) == f
 
 
+def test_multimap_json_round_trips_byte_identically_from_arity_zero():
+    import json
+
+    from embtens import MultiMap
+    from embtens.workspace import multimap_from_json, multimap_to_json
+
+    for arity in range(4):
+        f = MultiMap.from_function(arity, 2, 3, lambda idxs: (
+            Fraction(sum(idxs) + 1, 2), Fraction(-len(idxs)), Fraction(0)))
+        text = json.dumps(multimap_to_json(f))
+        back = multimap_from_json(json.loads(text))
+        assert back == f
+        assert json.dumps(multimap_to_json(back)) == text
+    with pytest.raises(ParseError, match="arity: a nonnegative integer"):
+        multimap_from_json({"arity": -1, "domainDim": 2, "codomainDim": 1, "coeffs": [1]})
+
+
 def test_multimap_json_rejects_ragged_tables():
     from embtens.workspace import multimap_from_json
 
