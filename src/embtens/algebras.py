@@ -9,12 +9,12 @@ violation, so diagnostics are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
+    Scalar,
     Subspace,
     Vector,
     ZERO,
@@ -253,7 +253,7 @@ def matrix_from_flat(n: int, v: Vector) -> Matrix:
     return Matrix(n, n, tuple(v))
 
 
-def _derivation_rows(a: Algebra) -> list[list[Fraction]]:
+def _derivation_rows(a: Algebra) -> list[list[Scalar]]:
     """Equations D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on the dim^2 unknowns.
 
     Unknown (r, c) is entry D[r][c] at flat index r*dim + c, i.e. D maps
@@ -278,7 +278,7 @@ def _derivation_rows(a: Algebra) -> list[list[Fraction]]:
     return rows
 
 
-def _coherence_rows(a: Algebra) -> list[list[Fraction]]:
+def _coherence_rows(a: Algebra) -> list[list[Scalar]]:
     """Extra equations [De_i, e_j] = 0 for all basis pairs."""
     n = a.dim
     rows = []

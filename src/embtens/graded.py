@@ -26,13 +26,12 @@ against the n^p blow-up; the cap is a runtime argument everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from .algebras import Algebra, abelian_algebra, direct_sum
 from .errors import ArityCapExceeded, DimensionMismatch
-from .linalg import Matrix, Vector, ZERO, accumulate, is_zero_vector
+from .linalg import Matrix, Scalar, Vector, ZERO, accumulate, frac, is_zero_vector
 from .reports import CheckReport, first_failure, scan, verdict
 from .tensors import (
     Action,
@@ -61,7 +60,7 @@ class MultiMap:
     arity: int
     domain_dim: int
     codomain_dim: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
         if self.arity < 0:
@@ -73,7 +72,7 @@ class MultiMap:
 
     @classmethod
     def from_function(cls, arity: int, domain_dim: int, codomain_dim: int, fn) -> "MultiMap":
-        coeffs: list[Fraction] = []
+        coeffs: list[Scalar] = []
         for idxs in product(range(domain_dim), repeat=arity):
             v = fn(idxs)
             if len(v) != codomain_dim:
@@ -119,7 +118,7 @@ class MultiMap:
         return self.scale(-1)
 
     def scale(self, c) -> "MultiMap":
-        c = Fraction(c)
+        c = frac(c)
         return MultiMap(self.arity, self.domain_dim, self.codomain_dim,
                         tuple(c * a for a in self.coeffs))
 
@@ -432,7 +431,7 @@ def derived_bracket_nested(theta: MultiMap, phi: MultiMap, ctx: GradedContext,
 # ---------------------------------------------------------------------------
 
 def _mc_residual(t_map: MultiMap, action: Action, arity_cap: int) -> MultiMap:
-    half = Fraction(1, 2)
+    half = frac(1, 2)
     return bracket_differential(t_map, action.target, arity_cap=arity_cap) + \
         derived_bracket(t_map, t_map, action, arity_cap=arity_cap).scale(half)
 
@@ -457,7 +456,7 @@ def mc_check_deformation(t: EmbeddingTensor, t_prime: Matrix,
     """Whether d_T T' + [T',T']/2 vanishes; agrees with checking T + T'."""
     require_embedding_tensor(t)
     tp = matrix_as_multimap(t_prime)
-    half = Fraction(1, 2)
+    half = frac(1, 2)
     residual = twisted_differential(t, tp, arity_cap=arity_cap) + \
         derived_bracket(tp, tp, t.action, arity_cap=arity_cap).scale(half)
     return verdict("maurer-cartan-deformation", _entries(residual, "maurer-cartan"))

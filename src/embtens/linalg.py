@@ -1,7 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` throughout; no floats ever enter.
-Vectors are plain tuples of Fractions, matrices are immutable row-major
+Scalars are exact rationals: a Python ``int`` when the value is whole
+and a ``fractions.Fraction`` otherwise, so integral data runs on
+machine-speed ints.  ``frac`` is the one normaliser that makes them, and
+``frac(p, q)`` is the one exact quotient; no floats ever enter, and the
+package has no ``/`` operator.  An ``int`` and the ``Fraction`` of the
+same value compare and hash equal, so mixing them changes no result.
+Vectors are plain tuples of scalars, matrices are immutable row-major
 dataclasses, and subspaces are stored in reduced row echelon form, so
 subspace equality is literal equality of canonical bases.
 
@@ -21,30 +26,37 @@ from functools import cached_property
 
 from .errors import DimensionMismatch, NotASubspace, ParseError
 
-Vector = tuple[Fraction, ...]
-SparseRow = dict[int, Fraction]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
+SparseRow = dict[int, Scalar]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
 
-def frac(value: int | str | Fraction, den: int | None = None) -> Fraction:
-    """Coerce to an exact rational; floats are deliberately rejected."""
-    if den is not None:
-        return Fraction(value, den)
+def frac(value: int | str | Fraction, den: Scalar | None = None) -> Scalar:
+    """The exact rational value / den (den defaults to 1), as an ``int`` when
+    it is whole and a ``Fraction`` otherwise; floats are deliberately
+    rejected."""
+    if den is None and type(value) is int:
+        return value
     if isinstance(value, float):
         raise ParseError(f"refusing inexact scalar {value!r}; use 'p/q' strings")
-    return Fraction(value)
+    if den is not None:
+        value = Fraction(value, den)
+    elif not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_scalar(value: int | str) -> Fraction:
+def parse_scalar(value: int | str) -> Scalar:
     """Parse the JSON form of a rational: a bare integer or a 'p/q' string.
 
     Decimal and float forms are rejected, even exact ones, to keep the
@@ -53,18 +65,18 @@ def parse_scalar(value: int | str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"not a rational scalar: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return frac(value)
     if isinstance(value, str):
         if not _SCALAR_RE.match(value.strip()):
             raise ParseError(f"not a rational scalar: {value!r}")
         try:
-            return Fraction(value.strip())
+            return frac(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational scalar: {value!r}") from exc
     raise ParseError(f"not a rational scalar: {value!r}")
 
 
-def scalar_to_json(x: Fraction) -> int | str:
+def scalar_to_json(x: Scalar) -> int | str:
     """Emit a rational in its JSON form; the denominator is omitted when 1."""
     if x.denominator == 1:
         return int(x.numerator)
@@ -76,7 +88,7 @@ def scalar_to_json(x: Fraction) -> int | str:
 # ---------------------------------------------------------------------------
 
 def vector(values) -> Vector:
-    return tuple(frac(v) if not isinstance(v, Fraction) else v for v in values)
+    return tuple(map(frac, values))
 
 
 def zero_vector(n: int) -> Vector:
@@ -99,7 +111,7 @@ def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
-def accumulate(acc: list[Fraction], c: Fraction | int, v: Vector) -> None:
+def accumulate(acc: list[Scalar], c: Scalar, v: Vector) -> None:
     """acc += c * v in place, skipping the zero coordinates of v."""
     for k, x in enumerate(v):
         if x != 0:
@@ -134,7 +146,7 @@ class Matrix:
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Scalar, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -177,7 +189,7 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> Vector:
@@ -186,7 +198,7 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -281,7 +293,7 @@ def _dense(row: SparseRow, n: int) -> Vector:
     return tuple(out)
 
 
-def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
+def _subtract(row: SparseRow, f: Scalar, other: SparseRow) -> None:
     """row -= f * other in place, dropping the entries that cancel."""
     for c, x in other.items():
         y = row.get(c)
@@ -311,7 +323,7 @@ def _sparse_rref(rows) -> tuple[list[SparseRow], tuple[int, ...]]:
         if not row:
             continue
         p = min(row)
-        inv = ONE / row[p]
+        inv = frac(ONE, row[p])
         if inv != 1:
             row = {c: inv * x for c, x in row.items()}
         for other in by_pivot.values():

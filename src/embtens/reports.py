@@ -19,10 +19,9 @@ witness policies on that scan:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
 
-from .linalg import is_zero_vector, scalar_to_json
+from .linalg import Vector, is_zero_vector, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class Failure:
 
     law: str
     where: tuple[int, ...]
-    residual: tuple[Fraction, ...] | None = None
+    residual: Vector | None = None
 
     def to_json(self) -> dict:
         data: dict = {"law": self.law, "where": list(self.where)}

@@ -19,6 +19,7 @@ from embtens import (
     NotAnEmbeddingTensor,
     TensorComplex,
     adjoint_action,
+    check_embedding_tensor,
     check_leibniz_rep,
     class_equals,
     cohomology,
@@ -204,6 +205,21 @@ def test_sparse_rows_compose_to_zero_and_densify(t1, tii, tzero, tab):
                     for j, y in lower[c].items():
                         composed[j] = composed.get(j, 0) + x * y
                 assert not any(composed.values())
+
+
+def test_integral_data_stays_int(t1, ad3):
+    """Integral inputs keep every scalar a Python int: differential rows and
+    checker residuals never turn into whole Fractions."""
+    h5_zero = EmbeddingTensor(adjoint_action(heisenberg5()), Matrix.zero(5, 5))
+    for t in (t1, h5_zero):
+        cx = TensorComplex(t, max_degree=3)
+        for k in range(4):
+            assert all(type(x) is int for row in cx.rows(k) for x in row.values())
+    report = check_embedding_tensor(EmbeddingTensor(ad3, Matrix.from_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]])))
+    assert [(f.where, f.residual) for f in report.failures] == \
+        [((0, 1), (0, 0, 1)), ((1, 0), (0, 0, -1))]
+    assert all(type(x) is int for f in report.failures for x in f.residual)
 
 
 def test_top_rung_cohomology_stays_sparse():

@@ -1,6 +1,6 @@
 """Source hygiene: no package module imports a name it never uses, every
-top-level definition of the package is used somewhere, and only
-``reports`` builds a ``Failure``."""
+top-level definition of the package is used somewhere, only ``reports``
+builds a ``Failure``, and no module divides with ``/``."""
 import ast
 import re
 from collections import Counter
@@ -108,3 +108,20 @@ def test_detects_a_failure_built_outside_reports():
               "def f(res) -> Failure:\n    return Failure('law', (0,), res)\n"
               "g = reports.Failure('law', ())\n")
     assert failure_calls(source) == [3, 4]
+
+
+def true_divisions(source: str) -> list[int]:
+    """Lines where a syntax tree divides with ``/`` or ``/=``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_true_division(path):
+    """``int / int`` is a float; the one exact quotient is ``linalg.frac(p, q)``."""
+    assert true_divisions(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_true_division():
+    source = "a = 1 / 2\nb = 7 // 2\nc = a\nc /= b\nd = f'{a/b}'\n"
+    assert true_divisions(source) == [1, 4, 5]

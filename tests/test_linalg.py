@@ -1,4 +1,5 @@
 """Exact linear algebra: echelon forms, kernels, subspaces, scalars."""
+import json
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from embtens import (
     unit_vector,
 )
 from embtens.linalg import column_space
+from embtens.workspace import matrix_to_json
 from conftest import rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
 
@@ -222,3 +224,33 @@ def test_sparse_elimination_matches_dense_oracle(nrows, ncols, data):
     assert_matches_dense_oracle([row + row[:1] for row in rows], ncols + 1)
     assert_matches_dense_oracle([[Fraction(0)] * ncols for _ in rows], ncols)
     assert_matches_dense_oracle([], ncols)
+
+
+def scalars_of(results) -> list:
+    """Every scalar of an rref result, kernel, column space and span."""
+    (red, _), *spaces = results
+    return list(red.entries) + [x for s in spaces for row in s.basis for x in row]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(0, 5), st.integers(1, 6), st.data())
+def test_scalar_input_type_makes_no_difference(nrows, ncols, data):
+    """One integral matrix given with int entries, Fraction entries and
+    'p/q' strings (whole, e.g. '6/3') eliminates to equal results with equal
+    JSON, and no float or bool ever comes out."""
+    n = nrows * ncols
+    flat = data.draw(st.lists(st.sampled_from((0,) * 8 + (1, -1, 2, -3)), min_size=n, max_size=n))
+    dens = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    forms = (flat, [Fraction(x) for x in flat],
+             [parse_scalar(f"{x * q}/{q}") for x, q in zip(flat, dens)])
+    outputs = []
+    for entries in forms:
+        m = Matrix(nrows, ncols, tuple(entries))
+        rows = [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+        results = (rref(m), kernel_basis(m), column_space(m), Subspace.from_spanning(ncols, rows))
+        assert not any(isinstance(x, (float, bool)) for x in scalars_of(results))
+        (red, pivots), *spaces = results
+        text = json.dumps([matrix_to_json(red), list(pivots)] + [s.to_json() for s in spaces])
+        outputs.append((results, text))
+    assert outputs[0] == outputs[1] == outputs[2]
