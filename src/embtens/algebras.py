@@ -8,12 +8,12 @@ violation, so diagnostics are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
+    Record,
     Scalar,
     Subspace,
     Vector,
@@ -42,8 +42,7 @@ def sc_table(rows) -> ScTable:
     return tuple(tuple(vector(v) for v in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """A bilinear algebra given by structure constants on a fixed basis."""
 
     name: str
@@ -143,8 +142,7 @@ def check_two_step_nilpotent(a: Algebra) -> CheckReport:
         ("double-bracket", lambda i, j, k: a.bracket(a.sc[i][j], a.basis_vector(k)))))
 
 
-@dataclass(frozen=True)
-class LeibnizRep:
+class LeibnizRep(Record):
     """A left/right representation pair of a Leibniz algebra."""
 
     algebra: Algebra

@@ -21,7 +21,6 @@ demand; nothing in this module calls it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .algebras import LeibnizRep
@@ -29,6 +28,7 @@ from .errors import ArityCapExceeded, DegreeOutOfRange, DimensionMismatch, NotAC
 from .graded import DEFAULT_ARITY_CAP, MultiMap, _bracket_insertions, matrix_as_multimap
 from .linalg import (
     Matrix,
+    Record,
     SparseRow,
     Subspace,
     Vector,
@@ -164,17 +164,14 @@ def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
 # the complex and its cohomology
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TensorComplex:
     """The cochain complex of a verified tensor up to a degree bound."""
 
-    tensor: EmbeddingTensor
-    max_degree: int = DEFAULT_MAX_DEGREE
-    _rows: dict[int, list[SparseRow]] = field(default_factory=dict, repr=False)
-    _rep: LeibnizRep = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._rep = induced_representation(self.tensor)
+    def __init__(self, tensor: EmbeddingTensor, max_degree: int = DEFAULT_MAX_DEGREE):
+        self.tensor = tensor
+        self.max_degree = max_degree
+        self._rows: dict[int, list[SparseRow]] = {}
+        self._rep = induced_representation(tensor)
 
     @property
     def source_dim(self) -> int:
@@ -202,8 +199,7 @@ class TensorComplex:
         return Matrix.from_sparse_rows(len(rows), self.cochain_dim(k), rows)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
     degree: int
     dim_z: int
     dim_b: int

@@ -1,14 +1,13 @@
 """Linear deformations of a verified tensor and their Nijenhuis theory."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 
 from .algebras import Algebra
 from .cohomology import tensor_coboundary
 from .errors import DimensionMismatch, NotNijenhuis, RoutesDisagree
 from .graded import multimap_as_matrix
-from .linalg import Matrix, Vector, vec_add, vec_sub, vector
+from .linalg import Matrix, Record, Vector, vec_add, vec_sub, vector
 from .reports import CheckReport, Failure, first_failure, require, scan, verdict
 from .tensors import (
     Action,
@@ -19,8 +18,7 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True)
-class DeformationDirection:
+class DeformationDirection(Record):
     """A candidate direction along which a verified tensor is deformed."""
 
     base: EmbeddingTensor
@@ -36,8 +34,7 @@ class DeformationDirection:
         return self.base.with_matrix(self.base.matrix + self.direction.scale(t))
 
 
-@dataclass(frozen=True)
-class NijenhuisCandidate:
+class NijenhuisCandidate(Record):
     base: EmbeddingTensor
     element: Vector
 

@@ -25,13 +25,12 @@ against the n^p blow-up; the cap is a runtime argument everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 
 from .algebras import Algebra, abelian_algebra, direct_sum
 from .errors import ArityCapExceeded, DimensionMismatch
-from .linalg import Matrix, Scalar, Vector, ZERO, accumulate, frac, is_zero_vector
+from .linalg import Matrix, Record, Scalar, Vector, ZERO, accumulate, frac, is_zero_vector
 from .reports import CheckReport, first_failure, scan, verdict
 from .tensors import (
     Action,
@@ -48,8 +47,7 @@ DEFAULT_ARITY_CAP = 4
 # dense multilinear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiMap:
+class MultiMap(Record):
     """A dense multilinear map, all tensor factors drawn from one space.
 
     ``coeffs`` is flat with index ((i_1 n + i_2) n + ...) m + j for the
@@ -353,8 +351,7 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
 # the direct-sum route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GradedContext:
+class GradedContext(Record):
     """The two product tables of the direct sum g + h used by the nested route.
 
     ``mu_g`` is the hemisemidirect bracket [x,y] + rho(x)v + [u,v] and

@@ -6,7 +6,6 @@ at the bottom of this module work.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 
 from .algebras import (
@@ -18,15 +17,14 @@ from .algebras import (
     flatten_matrix,
 )
 from .errors import ActionIllDefined, DimensionMismatch, NotCoherentDerivation, NotLeibnizLie
-from .linalg import Matrix, Vector, bilinear, is_zero_vector, vec_add, vec_sub, vector
+from .linalg import Matrix, Record, Vector, bilinear, is_zero_vector, vec_add, vec_sub, vector
 from .reports import CheckReport, first_failure, require, scan, verdict
 from .tensors import Action, EmbeddingTensor, algebra_from_matrix_subspace, require_embedding_tensor
 
 Triangle = tuple[tuple[Vector, ...], ...]
 
 
-@dataclass(frozen=True)
-class LeibnizLie:
+class LeibnizLie(Record):
     """A Lie algebra with an extra binary product, entry (i,j) = e_i > e_j."""
 
     lie: Algebra

@@ -7,8 +7,9 @@ machine-speed ints.  ``frac`` is the one normaliser that makes them, and
 package has no ``/`` operator.  An ``int`` and the ``Fraction`` of the
 same value compare and hash equal, so mixing them changes no result.
 Vectors are plain tuples of scalars, matrices are immutable row-major
-dataclasses, and subspaces are stored in reduced row echelon form, so
-subspace equality is literal equality of canonical bases.
+``Record``s, and subspaces are stored in reduced row echelon form, so
+subspace equality is literal equality of canonical bases.  ``Record`` is
+the base of every immutable value type in the package.
 
 All elimination goes through one sparse RREF, ``_sparse_rref``, on
 ``{column: entry}`` rows: ``rref``, ``kernel_basis``, ``column_space``
@@ -20,7 +21,6 @@ of elimination; they are handed out as dense canonical tuples.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -137,11 +137,82 @@ def bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass's own annotations are its fields, in order, and a
+    class-level value is that field's default.  Fields are passed by
+    position or keyword, ``__post_init__`` runs once they are set, and
+    attributes can be neither assigned nor deleted.  Two records are
+    equal when they are of the same class with equal fields, a record
+    hashes as its field tuple, and the repr is ``Name(field=value, ...)``.
+    No code is generated, so defining a record costs no more than a class;
+    each instance keeps its field tuple as ``_values`` for ``==`` and hash.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._complete(args, kwargs)
+        attrs = self.__dict__
+        attrs.update(zip(fields, args))
+        attrs["_values"] = args
+        self.__post_init__()
+
+    def _complete(self, args: tuple, kwargs: dict) -> tuple:
+        """Every field value in order, from the arguments and the defaults."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)} positional")
+        values = list(args)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in self._defaults:
+                values.append(self._defaults[f])
+            else:
+                raise TypeError(f"{name} missing field {f!r}")
+        if kwargs:
+            raise TypeError(f"{name} got unexpected or repeated fields {sorted(kwargs)}")
+        return tuple(values)
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable rows x cols matrix with row-major rational entries."""
 
     rows: int
@@ -325,7 +396,7 @@ def _sparse_rref(rows) -> tuple[list[SparseRow], tuple[int, ...]]:
         p = min(row)
         inv = frac(ONE, row[p])
         if inv != 1:
-            row = {c: inv * x for c, x in row.items()}
+            row = {c: frac(inv * x) for c, x in row.items()}
         for other in by_pivot.values():
             if p in other:
                 _subtract(other, other[p], row)
@@ -348,8 +419,7 @@ def rank(m: Matrix) -> int:
 # subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of Q^n held by its reduced row echelon basis."""
 
     ambient_dim: int

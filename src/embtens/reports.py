@@ -18,14 +18,12 @@ witness policies on that scan:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice
 
-from .linalg import Vector, is_zero_vector, scalar_to_json
+from .linalg import Record, Vector, is_zero_vector, scalar_to_json
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     """One violated law, with the basis tuple where it failed."""
 
     law: str
@@ -39,8 +37,7 @@ class Failure:
         return data
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     check: str
     ok: bool
     failures: tuple[Failure, ...] = ()

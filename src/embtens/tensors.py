@@ -7,7 +7,6 @@ here are assumed antisymmetric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -26,6 +25,7 @@ from .algebras import (
 from .errors import DimensionMismatch, NotAnEmbeddingTensor, NotCoherentAction
 from .linalg import (
     Matrix,
+    Record,
     Subspace,
     Vector,
     ZERO,
@@ -37,8 +37,7 @@ from .linalg import (
 from .reports import CheckReport, first_failure, require, scan, verdict
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """A linear map from the source Lie algebra into gl(target), given per basis vector."""
 
     source: Algebra
@@ -71,8 +70,7 @@ def adjoint_action(a: Algebra) -> Action:
     return Action(a, a, tuple(a.adjoint(a.basis_vector(i)) for i in range(a.dim)))
 
 
-@dataclass(frozen=True)
-class EmbeddingTensor:
+class EmbeddingTensor(Record):
     """A candidate embedding tensor T: target -> source over a coherent action."""
 
     action: Action

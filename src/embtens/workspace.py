@@ -11,7 +11,6 @@ fails its axiom check is a load error, never a silent downgrade.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebras import Algebra, FLAVORS, LEIBNIZ, LIE, UNCHECKED, check_leibniz, check_lie
@@ -24,24 +23,25 @@ from .errors import (
 )
 from .graded import DEFAULT_ARITY_CAP, MultiMap
 from .leibniz_lie import LeibnizLie
-from .linalg import Matrix, Vector, parse_scalar, scalar_to_json, zero_vector
+from .linalg import Matrix, Record, Vector, parse_scalar, scalar_to_json, zero_vector
 from .reports import require
 from .tensors import Action, EmbeddingTensor
 
 
-@dataclass
-class Settings:
+class Settings(Record):
     max_degree: int = DEFAULT_MAX_DEGREE
     arity_cap: int = DEFAULT_ARITY_CAP
 
 
-@dataclass
 class Workspace:
-    algebras: dict[str, Algebra] = field(default_factory=dict)
-    actions: dict[str, Action] = field(default_factory=dict)
-    tensors: dict[str, EmbeddingTensor] = field(default_factory=dict)
-    leibniz_lie: dict[str, LeibnizLie] = field(default_factory=dict)
-    settings: Settings = field(default_factory=Settings)
+    """The named entries of one workspace file, and its settings."""
+
+    def __init__(self):
+        self.algebras: dict[str, Algebra] = {}
+        self.actions: dict[str, Action] = {}
+        self.tensors: dict[str, EmbeddingTensor] = {}
+        self.leibniz_lie: dict[str, LeibnizLie] = {}
+        self.settings = Settings()
 
     def algebra(self, name: str) -> Algebra:
         return _lookup(self.algebras, name, "algebra")

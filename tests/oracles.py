@@ -16,12 +16,12 @@ from math import lcm
 
 def bareiss_rank(rows) -> int:
     """Rank by fraction-free (Bareiss) elimination over the integers."""
-    cleared = []
+    m = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        cleared.append([int(f * mult) for f in fracs])
-    m = [row[:] for row in cleared if any(row)]
+        mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        cleared = [int(x * mult) for x in row]
+        if any(cleared):
+            m.append(cleared)
     if not m:
         return 0
     n_rows, n_cols = len(m), len(m[0])

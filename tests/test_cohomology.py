@@ -24,9 +24,11 @@ from embtens import (
     class_equals,
     cohomology,
     induced_representation,
+    kernel_basis,
     loday_pirashvili_coboundary,
     matrix_as_multimap,
     multimap_as_matrix,
+    rref,
     sc_table,
     tensor_coboundary,
     twisted_differential,
@@ -208,8 +210,15 @@ def test_sparse_rows_compose_to_zero_and_densify(t1, tii, tzero, tab):
 
 
 def test_integral_data_stays_int(t1, ad3):
-    """Integral inputs keep every scalar a Python int: differential rows and
-    checker residuals never turn into whole Fractions."""
+    """Integral inputs keep every scalar a Python int: differential rows,
+    checker residuals and entries scaled by a non-unit pivot never turn into
+    whole Fractions."""
+    reduced, pivots = rref(Matrix.from_rows([[2, 4], [0, 0]]))
+    assert (reduced.entries, pivots) == ((1, 2, 0, 0), (0,))
+    assert all(type(x) is int for x in reduced.entries)
+    kernel = kernel_basis(Matrix.from_rows([[2, 4, 6]]))
+    assert kernel.basis == ((1, 0, Fraction(-1, 3)), (0, 1, Fraction(-2, 3)))
+    assert all(type(x) is int for row in kernel.basis for x in row if x.denominator == 1)
     h5_zero = EmbeddingTensor(adjoint_action(heisenberg5()), Matrix.zero(5, 5))
     for t in (t1, h5_zero):
         cx = TensorComplex(t, max_degree=3)

@@ -1,8 +1,12 @@
 """Source hygiene: no package module imports a name it never uses, every
 top-level definition of the package is used somewhere, only ``reports``
-builds a ``Failure``, and no module divides with ``/``."""
+builds a ``Failure``, no module divides with ``/``, and importing the CLI
+loads neither ``dataclasses`` nor ``inspect``."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -125,3 +129,37 @@ def test_no_true_division(path):
 def test_detects_a_true_division():
     source = "a = 1 / 2\nb = 7 // 2\nc = a\nc /= b\nd = f'{a/b}'\n"
     assert true_divisions(source) == [1, 4, 5]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a syntax tree imports (relative ones as '')."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("" if node.level else node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    """Value types derive from ``linalg.Record``; ``dataclasses`` costs every
+    CLI process its import and the code it generates per class."""
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_detects_a_dataclasses_import():
+    source = "import dataclasses.x\nfrom dataclasses import field\nfrom .linalg import Record\n"
+    assert imported_modules(source) == {"dataclasses", ""}
+
+
+def test_cli_import_stays_light():
+    """A fresh interpreter, without site hooks, that imports the CLI loads
+    neither ``dataclasses`` nor ``inspect`` (which pulls in ``ast``, ``dis``
+    and ``tokenize``)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = "import sys, embtens.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,13 +7,20 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from embtens import (
+    UNCHECKED,
     Action,
     Algebra,
+    CheckReport,
+    DimensionMismatch,
+    EmbeddingTensor,
+    Failure,
     LeibnizLie,
     Matrix,
     NotASubspace,
     ParseError,
     Subspace,
+    adjoint_action,
+    check_embedding_tensor,
     kernel_basis,
     parse_scalar,
     quotient_dim,
@@ -22,9 +29,9 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
-from embtens.linalg import column_space
+from embtens.linalg import Record, column_space
 from embtens.workspace import matrix_to_json
-from conftest import rand_matrix
+from conftest import heisenberg, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
 
 
@@ -254,3 +261,85 @@ def test_scalar_input_type_makes_no_difference(nrows, ncols, data):
         text = json.dumps([matrix_to_json(red), list(pivots)] + [s.to_json() for s in spaces])
         outputs.append((results, text))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+class Pair(Record):
+    left: int
+    right: int = 0
+
+
+class Twin(Record):
+    left: int
+    right: int = 0
+
+
+def test_record_takes_fields_by_position_keyword_and_default():
+    assert Pair(1, 2) == Pair(1, right=2) == Pair(right=2, left=1)
+    assert Pair(1).right == 0
+    assert Algebra("a", 0, ()).flavor == UNCHECKED
+    report = CheckReport("law", True)
+    assert (report.failures, report.notes) == ((), ())
+    assert Failure("law", (0, 1)).residual is None
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                               # missing field
+    ((1, 2, 3), {}),                        # one positional too many
+    ((1,), {"middle": 2}),                  # unknown field
+    ((1,), {"left": 2}),                    # a field given twice
+])
+def test_record_refuses_missing_or_unknown_fields(args, kwargs):
+    with pytest.raises(TypeError):
+        Pair(*args, **kwargs)
+
+
+def test_record_post_init_checks_shapes():
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 2, (1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        Matrix(rows=1, cols=2, entries=(1,))
+
+
+def test_record_equality_and_hash_follow_the_fields():
+    a, b = Matrix(1, 2, (1, Fraction(1, 2))), Matrix(1, 2, (1, Fraction(1, 2)))
+    assert a is not b and a == b and hash(a) == hash(b) == hash((1, 2, (1, Fraction(1, 2))))
+    assert a != Matrix(2, 1, (1, Fraction(1, 2)))
+    assert Pair(1, 2) != Twin(1, 2) and Twin(1, 2) != Pair(1, 2)
+    assert Pair(1, 2) != (1, 2)
+    assert len({Pair(1, 2), Pair(1, 2), Twin(1, 2)}) == 2
+
+
+def test_record_is_frozen():
+    m = Matrix.identity(1)
+    with pytest.raises(AttributeError):
+        m.rows = 2
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    with pytest.raises(AttributeError):
+        del m.rows
+    assert m == Matrix(1, 1, (1,))
+
+
+def test_record_repr_names_every_field():
+    assert repr(Matrix(1, 1, (1,))) == "Matrix(rows=1, cols=1, entries=(1,))"
+    assert repr(Failure("law", (0,))) == "Failure(law='law', where=(0,), residual=None)"
+    assert repr(Pair(1)) == "Pair(left=1, right=0)"
+
+
+def test_record_keeps_cached_properties():
+    s = Subspace.from_spanning(3, [(0, 1, 2), (0, 0, 3)])
+    assert s.pivots is s.pivots == (1, 2)
+    assert s == Subspace(3, s.basis)
+
+
+def test_equal_tensors_share_one_cached_check():
+    def tensor():
+        return EmbeddingTensor(adjoint_action(heisenberg()),
+                               Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+
+    first, second = tensor(), tensor()
+    assert first is not second and first == second and hash(first) == hash(second)
+    report = check_embedding_tensor(first)
+    hits = check_embedding_tensor.cache_info().hits
+    assert check_embedding_tensor(second) is report
+    assert check_embedding_tensor.cache_info().hits == hits + 1
