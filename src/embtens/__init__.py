@@ -26,7 +26,6 @@ from .cohomology import (
     class_equals,
     cohomology,
     induced_representation,
-    loday_pirashvili_coboundary,
     tensor_coboundary,
 )
 from .deformations import (

@@ -73,9 +73,6 @@ class Algebra(Record):
         return Matrix.from_columns(
             [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)])
 
-    def renamed(self, name: str) -> "Algebra":
-        return Algebra(name, self.dim, self.sc, self.flavor)
-
 
 def abelian_algebra(name: str, dim: int) -> Algebra:
     zero = zero_vector(dim)

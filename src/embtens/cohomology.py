@@ -11,8 +11,9 @@ algebra with coefficients in the induced representation on the source.
 ``lp_differential`` assembles each d_k, k >= 1, in one pass over the
 output tuples from the rho_l, rho_r and structure-constant blocks of that
 representation; d_0 is zero.  ``tensor_coboundary`` maps one cochain by
-the same formula entry by entry (``loday_pirashvili_coboundary``), so the
-two routes are each other's test oracle.
+the twisted differential d_T of the controlling DGLA instead, with the
+sign d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the
+DGLA are each other's test oracle.
 
 ``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, and
 ``cohomology`` and ``class_equals`` eliminate those rows directly.
@@ -24,17 +25,14 @@ from __future__ import annotations
 from itertools import product
 
 from .algebras import LeibnizRep
-from .errors import ArityCapExceeded, DegreeOutOfRange, DimensionMismatch, NotACocycle
-from .graded import DEFAULT_ARITY_CAP, MultiMap, _bracket_insertions, matrix_as_multimap
+from .errors import DegreeOutOfRange, DimensionMismatch, NotACocycle
+from .graded import DEFAULT_ARITY_CAP, MultiMap, matrix_as_multimap, twisted_differential
 from .linalg import (
     Matrix,
     Record,
     SparseRow,
     Subspace,
     Vector,
-    ZERO,
-    accumulate,
-    is_zero_vector,
     quotient_dim,
     sparse_image,
     sparse_kernel,
@@ -64,32 +62,6 @@ def induced_representation(t: EmbeddingTensor) -> LeibnizRep:
                 for i in range(g.dim)]
         rho_r.append(Matrix.from_columns(cols))
     return LeibnizRep(descendent(t), g.dim, rho_l, tuple(rho_r))
-
-
-def loday_pirashvili_coboundary(rep: LeibnizRep, f: MultiMap,
-                                arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
-    """The coboundary of a cochain with coefficients in a representation."""
-    a = rep.algebra
-    if f.domain_dim != a.dim or f.codomain_dim != rep.rep_dim:
-        raise DimensionMismatch("cochain shape does not match the representation")
-    k = f.arity
-    if k + 1 > arity_cap:
-        raise ArityCapExceeded(f"result arity {k + 1} above cap {arity_cap}")
-    return MultiMap.from_function(k + 1, a.dim, rep.rep_dim,
-                                  lambda idxs: _lp_entry(rep, f, k, idxs))
-
-
-def _lp_entry(rep: LeibnizRep, f: MultiMap, k: int, idxs: tuple[int, ...]) -> Vector:
-    acc = [ZERO] * rep.rep_dim
-    for i0 in range(k):
-        val = f.value(idxs[:i0] + idxs[i0 + 1:])
-        if not is_zero_vector(val):
-            accumulate(acc, -1 if i0 % 2 else 1, rep.rho_l[idxs[i0]].apply(val))
-    val = f.value(idxs[:k])
-    if not is_zero_vector(val):
-        accumulate(acc, -1 if (k + 1) % 2 else 1, rep.rho_r[idxs[k]].apply(val))
-    _bracket_insertions(acc, f, rep.algebra.sc, idxs, -1)
-    return tuple(acc)
 
 
 def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
@@ -152,12 +124,16 @@ def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
 
 def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
                       arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
-    """The coboundary operator of the tensor complex, entry by entry.
+    """The coboundary operator of the tensor complex on one cochain.
 
-    A source vector is read as an arity-0 cochain, so (d x)(u) comes out
-    as T rho(x)u - [x, Tu].
+    It is the twisted differential of the controlling DGLA up to sign:
+    d f = (-1)^(p-1) d_T f on a cochain of arity p.  A source vector is
+    read as an arity-0 cochain, so (d x)(u) comes out as T rho(x)u - [x, Tu].
     """
-    return loday_pirashvili_coboundary(induced_representation(t), _as_cochain(t, f), arity_cap)
+    require_embedding_tensor(t)
+    f = _as_cochain(t, f)
+    d_t = twisted_differential(t, f, arity_cap)
+    return d_t if f.arity % 2 else -d_t
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,13 @@ from itertools import islice, product
 from .algebras import Algebra
 from .cohomology import tensor_coboundary
 from .errors import DimensionMismatch, NotNijenhuis, RoutesDisagree
-from .graded import multimap_as_matrix
+from .graded import deformation_terms, multimap_as_matrix
 from .linalg import Matrix, Record, Vector, vec_add, vec_sub, vector
 from .reports import CheckReport, Failure, first_failure, require, scan, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
     check_embedding_tensor,
-    descendent_table,
     require_embedding_tensor,
 )
 
@@ -50,27 +49,17 @@ def zero_direction(t: EmbeddingTensor) -> DeformationDirection:
 def check_linear_deformation(d: DeformationDirection) -> CheckReport:
     """Whether T + t * direction stays a tensor for every t.
 
-    Extracting coefficients of t and t^2 gives two bilinear equations;
+    The coefficients of t and t^2 in the residual are d_T T' and
+    [T',T']/2 in the controlling DGLA, scanned as two bilinear equations;
     since the full residual is quadratic in t, probing t = 1 and t = 2
     on top of the verified base is an equivalent route.  Both routes are
     computed and must agree.
     """
     require_embedding_tensor(d.base)
-    t, fr = d.base, d.direction
-    g, h = t.action.source, t.action.target
-    table = descendent_table(t)
-
-    def cocycle(u: int, v: int) -> Vector:
-        tu, tv, fu, fv = t.column(u), t.column(v), fr.col(u), fr.col(v)
-        return vec_sub(vec_add(g.bracket(tu, fv), g.bracket(fu, tv)), vec_add(
-            t.apply(t.action.apply(fu, h.basis_vector(v))), fr.apply(table[u][v])))
-
-    def tensor_equation(u: int, v: int) -> Vector:
-        fu = fr.col(u)
-        return vec_sub(g.bracket(fu, fr.col(v)), fr.apply(t.action.apply(fu, h.basis_vector(v))))
-
-    bad = tuple(scan(product(range(h.dim), repeat=2), ("cocycle-equation", cocycle),
-                     ("tensor-equation", tensor_equation)))
+    linear, quadratic = deformation_terms(d.base, d.direction)
+    bad = tuple(scan(product(range(d.base.action.target.dim), repeat=2),
+                     ("cocycle-equation", lambda u, v: linear.value((u, v))),
+                     ("tensor-equation", lambda u, v: quadratic.value((u, v)))))
     probe_ok = check_embedding_tensor(d.at(1)).ok and check_embedding_tensor(d.at(2)).ok
     if (not bad) != probe_ok:
         raise RoutesDisagree("coefficient and probe routes disagree; checker is broken")

@@ -278,17 +278,6 @@ def _check_cochain(f: MultiMap, action: Action) -> None:
             f"{action.source.dim}-dim one")
 
 
-def _bracket_insertions(acc: list, f: MultiMap, sc, idxs: tuple[int, ...], const: int) -> None:
-    """Add const * sum_{i<j} (-1)^i f(x_0.. x^_i ..x_{j-1}, [x_i,x_j], x_{j+1}..) to acc."""
-    for i0 in range(len(idxs)):
-        sign = -const if i0 % 2 else const
-        reduced = idxs[:i0] + idxs[i0 + 1:]
-        for j0 in range(i0 + 1, len(idxs)):
-            br = sc[idxs[i0]][idxs[j0]]
-            if not is_zero_vector(br):
-                accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
-
-
 def bracket_differential(f: MultiMap, h: Algebra,
                          arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
     """The degree-one differential inserting the bracket of h pairwise.
@@ -304,7 +293,13 @@ def bracket_differential(f: MultiMap, h: Algebra,
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * f.codomain_dim
-        _bracket_insertions(acc, f, h.sc, idxs, -1 if n % 2 else 1)
+        for i0 in range(n + 1):
+            sign = -1 if (n + i0) % 2 else 1
+            reduced = idxs[:i0] + idxs[i0 + 1:]
+            for j0 in range(i0 + 1, n + 1):
+                br = h.sc[idxs[i0]][idxs[j0]]
+                if not is_zero_vector(br):
+                    accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
         return tuple(acc)
 
     return MultiMap.from_function(n + 1, f.domain_dim, f.codomain_dim, entry)
@@ -448,12 +443,19 @@ def twisted_differential(t: EmbeddingTensor, f: MultiMap,
         derived_bracket(tensor_as_multimap(t), f, t.action, arity_cap=arity_cap)
 
 
+def deformation_terms(t: EmbeddingTensor, t_prime: Matrix,
+                      arity_cap: int = DEFAULT_ARITY_CAP) -> tuple[MultiMap, MultiMap]:
+    """The s- and s^2-coefficients d_T T' and [T',T']/2 of the residual of T + sT'.
+
+    The constant term is the residual of the verified tensor T, so it is zero.
+    """
+    tp = matrix_as_multimap(t_prime)
+    return (twisted_differential(t, tp, arity_cap=arity_cap),
+            derived_bracket(tp, tp, t.action, arity_cap=arity_cap).scale(frac(1, 2)))
+
+
 def mc_check_deformation(t: EmbeddingTensor, t_prime: Matrix,
                          arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:
     """Whether d_T T' + [T',T']/2 vanishes; agrees with checking T + T'."""
-    require_embedding_tensor(t)
-    tp = matrix_as_multimap(t_prime)
-    half = frac(1, 2)
-    residual = twisted_differential(t, tp, arity_cap=arity_cap) + \
-        derived_bracket(tp, tp, t.action, arity_cap=arity_cap).scale(half)
-    return verdict("maurer-cartan-deformation", _entries(residual, "maurer-cartan"))
+    linear, quadratic = deformation_terms(t, t_prime, arity_cap)
+    return verdict("maurer-cartan-deformation", _entries(linear + quadratic, "maurer-cartan"))

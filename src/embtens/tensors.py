@@ -128,12 +128,9 @@ def descendent_table(t: EmbeddingTensor) -> ScTable:
     return tuple(table)
 
 
-def net_residual(t: EmbeddingTensor, i: int, j: int) -> Vector:
-    """[Te_i, Te_j] - T(rho(Te_i)e_j + [e_i, e_j]) in source coordinates."""
-    return _net_residual(t, descendent_table(t), i, j)
-
-
-def _net_residual(t: EmbeddingTensor, table: ScTable, i: int, j: int) -> Vector:
+def net_residual(t: EmbeddingTensor, table: ScTable, i: int, j: int) -> Vector:
+    """[Te_i, Te_j] - T(rho(Te_i)e_j + [e_i, e_j]) in source coordinates,
+    read from the ``descendent_table`` of t."""
     return vec_sub(t.action.source.bracket(t.column(i), t.column(j)), t.apply(table[i][j]))
 
 
@@ -152,7 +149,7 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
     table = descendent_table(t)
     return verdict("embedding-tensor", scan(
         product(range(t.action.target.dim), repeat=2),
-        ("tensor-identity", lambda i, j: _net_residual(t, table, i, j))))
+        ("tensor-identity", lambda i, j: net_residual(t, table, i, j))))
 
 
 def require_embedding_tensor(t: EmbeddingTensor) -> None:

@@ -126,9 +126,17 @@ def table_to_json(table) -> list:
 # the four object kinds
 # ---------------------------------------------------------------------------
 
-def algebra_from_json(data, name: str, path: str) -> Algebra:
+def _object(data, path: str, *required: str) -> None:
+    """Reject anything but a JSON object holding every required key."""
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected an object")
+    for key in required:
+        if key not in data:
+            raise ParseError(f"{path}.{key}: required")
+
+
+def algebra_from_json(data, name: str, path: str) -> Algebra:
+    _object(data, path)
     if "dim" not in data or not isinstance(data["dim"], int) or data["dim"] < 0:
         raise ParseError(f"{path}.dim: a nonnegative integer is required")
     dim = data["dim"]
@@ -162,11 +170,7 @@ def _resolve_algebra(ref, ws: Workspace, path: str) -> Algebra:
 
 
 def action_from_json(data, ws: Workspace, path: str) -> Action:
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    for key in ("source", "target", "rho"):
-        if key not in data:
-            raise ParseError(f"{path}.{key}: required")
+    _object(data, path, "source", "target", "rho")
     source = _resolve_algebra(data["source"], ws, f"{path}.source")
     target = _resolve_algebra(data["target"], ws, f"{path}.target")
     rho_data = data["rho"]
@@ -194,11 +198,7 @@ def _resolve_action(ref, ws: Workspace, path: str) -> Action:
 
 
 def tensor_from_json(data, ws: Workspace, path: str) -> EmbeddingTensor:
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    for key in ("action", "matrix"):
-        if key not in data:
-            raise ParseError(f"{path}.{key}: required")
+    _object(data, path, "action", "matrix")
     action = _resolve_action(data["action"], ws, f"{path}.action")
     matrix = matrix_from_json(data["matrix"], action.source.dim, action.target.dim,
                               f"{path}.matrix")
@@ -210,10 +210,7 @@ def tensor_to_json(t: EmbeddingTensor) -> dict:
 
 
 def leibniz_lie_from_json(data, ws: Workspace, path: str) -> LeibnizLie:
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    if "lie" not in data:
-        raise ParseError(f"{path}.lie: required")
+    _object(data, path, "lie")
     lie = _resolve_algebra(data["lie"], ws, f"{path}.lie")
     triangle = _table(data.get("triangle"), lie.dim, f"{path}.triangle")
     return LeibnizLie(lie, triangle)
@@ -233,11 +230,7 @@ def multimap_to_json(f: MultiMap) -> dict:
 
 
 def multimap_from_json(data, path: str = "multimap") -> MultiMap:
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected an object")
-    for key in ("arity", "domainDim", "codomainDim", "coeffs"):
-        if key not in data:
-            raise ParseError(f"{path}.{key}: required")
+    _object(data, path, "arity", "domainDim", "codomainDim", "coeffs")
     arity = _int_at_least(0, data["arity"], f"{path}.arity")
     n, m = data["domainDim"], data["codomainDim"]
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 0:
@@ -266,8 +259,7 @@ def workspace_from_dict(data) -> Workspace:
         raise ParseError("workspace: expected a JSON object at top level")
     ws = Workspace()
     settings = data.get("settings", {})
-    if not isinstance(settings, dict):
-        raise ParseError("settings: expected an object")
+    _object(settings, "settings")
     ws.settings = Settings(
         max_degree=_int_at_least(1, settings.get("maxDegree", DEFAULT_MAX_DEGREE), "settings.maxDegree"),
         arity_cap=_int_at_least(1, settings.get("arityCap", DEFAULT_ARITY_CAP), "settings.arityCap"),

@@ -4,13 +4,16 @@ Everything here deliberately avoids the package's own linear algebra:
 ranks come from fraction-free integer elimination, echelon forms from
 dense column-by-column Gauss-Jordan elimination, ideal closures from
 a plain Gaussian span, shuffles from filtering full permutation groups,
-bilinear maps from a plain triple sum over a structure table, and the
-Heisenberg tensor family from its closed polynomial system.
+bilinear maps from a plain triple sum over a structure table, the
+Heisenberg tensor family from its closed polynomial system, and the
+Loday-Pirashvili coboundary and the two coefficient equations of a
+linear deformation entry by entry from matrix entries and structure
+constants.  Nothing here imports the package.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 
 
@@ -173,3 +176,86 @@ def heisenberg_net_system(rows) -> bool:
         r13 * r22 - r12 * r23 - r13 * r33,
     ]
     return all(e == 0 for e in eqs)
+
+
+def _mat_vec(mat, x) -> list[Fraction]:
+    """mat x from the row-major entries of a package matrix, as a plain sum."""
+    return [sum((Fraction(mat.entries[r * mat.cols + c]) * x[c] for c in range(mat.cols)),
+                Fraction(0)) for r in range(mat.rows)]
+
+
+def _mat_col(mat, j: int) -> list[Fraction]:
+    return [Fraction(mat.entries[r * mat.cols + j]) for r in range(mat.rows)]
+
+
+def loday_pirashvili_coboundary(rep, f):
+    """The coboundary of a cochain f with coefficients in a Leibniz
+    representation, entry by entry:
+
+        (df)(x_0..x_k) = sum_{i<k} (-1)^i rho_l(x_i) f(x_0.. x^_i ..x_k)
+                         + (-1)^(k+1) rho_r(x_k) f(x_0..x_{k-1})
+                         - sum_{i<j} (-1)^i f(x_0.. x^_i ..x_{j-1}, [x_i,x_j], x_{j+1}..x_k)
+
+    for f of arity k.  The result is a map of f's own class.
+    """
+    n, m, k = rep.algebra.dim, rep.rep_dim, f.arity
+    coeffs = []
+    for idxs in product(range(n), repeat=k + 1):
+        coeffs.extend(_lp_entry(rep, f, idxs))
+    return type(f)(k + 1, n, m, tuple(coeffs))
+
+
+def _lp_entry(rep, f, idxs: tuple[int, ...]) -> list[Fraction]:
+    n, m, k, sc = rep.algebra.dim, rep.rep_dim, f.arity, rep.algebra.sc
+
+    def value(args):
+        off = 0
+        for i in args:
+            off = off * n + i
+        return [Fraction(x) for x in f.coeffs[off * m:(off + 1) * m]]
+
+    acc = [Fraction(0)] * m
+    for i in range(k):
+        for r, c in enumerate(_mat_vec(rep.rho_l[idxs[i]], value(idxs[:i] + idxs[i + 1:]))):
+            acc[r] += (-1) ** i * c
+    for r, c in enumerate(_mat_vec(rep.rho_r[idxs[k]], value(idxs[:k]))):
+        acc[r] += (-1) ** (k + 1) * c
+    for i in range(k + 1):
+        reduced = idxs[:i] + idxs[i + 1:]
+        for j in range(i + 1, k + 1):
+            for p, c in enumerate(sc[idxs[i]][idxs[j]]):
+                for r, x in enumerate(value(reduced[:j - 1] + (p,) + reduced[j:])):
+                    acc[r] -= (-1) ** i * Fraction(c) * x
+    return acc
+
+
+def linear_deformation_equations(t, direction) -> tuple[dict, dict]:
+    """The coefficients of s and s^2 in the tensor identity of T + s T' on
+    each ordered basis pair (u, v) of the target:
+
+        [Tu, T'v] + [T'u, Tv] - T(rho(T'u)v) - T'(rho(Tu)v + [u, v]),
+        [T'u, T'v] - T'(rho(T'u)v),
+
+    as two dicts keyed by (u, v).
+    """
+    g, h, rho = t.action.source, t.action.target, t.action.rho
+
+    def act(x, v):  # rho(x) e_v
+        cols = [_mat_col(op, v) for op in rho]
+        return [sum((x[i] * cols[i][r] for i in range(g.dim)), Fraction(0)) for r in range(h.dim)]
+
+    def sub(a, b):
+        return tuple(p - q for p, q in zip(a, b))
+
+    def add(a, b):
+        return [p + q for p, q in zip(a, b)]
+
+    linear, quadratic = {}, {}
+    for u, v in product(range(h.dim), repeat=2):
+        tu, tv = _mat_col(t.matrix, u), _mat_col(t.matrix, v)
+        fu, fv = _mat_col(direction, u), _mat_col(direction, v)
+        linear[u, v] = sub(
+            add(bilinear_oracle(g.sc, tu, fv), bilinear_oracle(g.sc, fu, tv)),
+            add(_mat_vec(t.matrix, act(fu, v)), _mat_vec(direction, add(act(tu, v), h.sc[u][v]))))
+        quadratic[u, v] = sub(bilinear_oracle(g.sc, fu, fv), _mat_vec(direction, act(fu, v)))
+    return linear, quadratic

@@ -25,6 +25,8 @@ from embtens import (
     zero_direction,
 )
 from conftest import rand_matrix
+from embtens.graded import deformation_terms
+from oracles import linear_deformation_equations
 
 
 def test_zero_direction_is_a_deformation(t1):
@@ -55,6 +57,19 @@ def test_dual_route_agreement_randomized(t1, tab, g23_net):
             report = check_linear_deformation(d)
             probe = all(check_embedding_tensor(d.at(t)).ok for t in (1, 2))
             assert report.ok == probe
+
+
+def test_deformation_terms_match_hand_equations_randomized(t1, tab, g23_net):
+    # d_T T' and [T',T']/2 against the hand-written s- and s^2-coefficients
+    rng = random.Random(72)
+    for base in (t1, tab, g23_net):
+        rows, cols = base.matrix.rows, base.matrix.cols
+        for _ in range(12):
+            fr = rand_matrix(rng, rows, cols)
+            linear, quadratic = deformation_terms(base, fr)
+            lin, quad = linear_deformation_equations(base, fr)
+            assert {uv: linear.value(uv) for uv in lin} == lin
+            assert {uv: quadratic.value(uv) for uv in quad} == quad
 
 
 def test_disagreeing_routes_raise_a_typed_error(t1, monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, every
-top-level definition of the package is used somewhere, only ``reports``
-builds a ``Failure``, no module divides with ``/``, and importing the CLI
-loads neither ``dataclasses`` nor ``inspect``."""
+top-level definition of the package and every non-dunder method of a
+top-level class is used somewhere, only ``reports`` builds a ``Failure``,
+no module divides with ``/``, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``."""
 import ast
 import os
 import re
@@ -58,12 +59,20 @@ def references(tree: ast.AST) -> Counter:
 
 
 def dead_definitions(source: str, corpus: Counter) -> list[str]:
-    """Top-level functions and classes named nowhere outside their own body."""
+    """Top-level functions and classes, and the non-dunder methods of those
+    classes, named nowhere outside their own body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     dead = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if corpus[node.name] - references(node)[node.name] <= 0:
-                dead.append(f"{node.name} (line {node.lineno})")
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        defs = [(node.name, node)]
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, functions)
+                     and not (m.name.startswith("__") and m.name.endswith("__"))]
+        for label, d in defs:
+            if corpus[d.name] - references(d)[d.name] <= 0:
+                dead.append(f"{label} (line {d.lineno})")
     return dead
 
 
@@ -83,9 +92,14 @@ def test_no_dead_definitions(path, corpus):
 def test_detects_a_dead_definition():
     source = ("def used():\n    return 1\n\n"
               "def dead(n):\n    return dead(n - 1)\n\n"
-              "class Kept:\n    pass\n")
-    corpus = references(ast.parse(source)) + references(ast.parse("used()\nx = 'pkg.Kept'\n"))
-    assert dead_definitions(source, corpus) == ["dead (line 4)"]
+              "class Kept:\n    pass\n\n"
+              "class Host:\n"
+              "    def __repr__(self):\n        return 'host'\n\n"
+              "    def called(self):\n        return 1\n\n"
+              "    def unused(self, n):\n        return self.unused(n - 1)\n")
+    corpus = references(ast.parse(source)) + references(
+        ast.parse("used()\nx = 'pkg.Kept'\nHost().called()\n"))
+    assert dead_definitions(source, corpus) == ["dead (line 4)", "Host.unused (line 17)"]
 
 
 def failure_calls(source: str) -> list[int]:

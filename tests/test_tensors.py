@@ -27,7 +27,7 @@ from embtens import (
     sc_table,
     unit_vector,
 )
-from embtens.tensors import algebra_from_matrix_subspace, net_residual
+from embtens.tensors import algebra_from_matrix_subspace, descendent_table, net_residual
 from conftest import family_ii_matrix, heisenberg, rand_matrix
 from oracles import heisenberg_net_system
 
@@ -86,9 +86,10 @@ def test_residual_table_reported(ad3, t1):
     bad = EmbeddingTensor(ad3, Matrix.from_rows([[0, 0, 1], [1, 0, 0], [2, 3, 0]]))
     report = check_embedding_tensor(bad)
     assert not report.ok
+    table = descendent_table(bad)
     for f in report.failures:
         i, j = f.where
-        assert tuple(f.residual) == net_residual(bad, i, j)
+        assert tuple(f.residual) == net_residual(bad, table, i, j)
 
 
 def test_verdict_matches_polynomial_family_oracle(ad3):
