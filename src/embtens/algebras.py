@@ -154,12 +154,6 @@ class LeibnizRep(Record):
             if m.rows != self.rep_dim or m.cols != self.rep_dim:
                 raise DimensionMismatch(f"representation matrices must be {self.rep_dim}x{self.rep_dim}")
 
-    def rho_l_of(self, x: Vector) -> Matrix:
-        return combination(self.rho_l, x, self.rep_dim)
-
-    def rho_r_of(self, x: Vector) -> Matrix:
-        return combination(self.rho_r, x, self.rep_dim)
-
 
 def _commutator(p: Matrix, q: Matrix) -> Matrix:
     return (p @ q) - (q @ p)
@@ -167,13 +161,13 @@ def _commutator(p: Matrix, q: Matrix) -> Matrix:
 
 def check_leibniz_rep(rep: LeibnizRep) -> CheckReport:
     """The three representation axioms on all basis pairs."""
-    a, rho_l, rho_r = rep.algebra, rep.rho_l, rep.rho_r
+    a, n, rho_l, rho_r = rep.algebra, rep.rep_dim, rep.rho_l, rep.rho_r
     return first_failure("leibniz-rep", scan(
         product(range(a.dim), repeat=2),
-        ("rho-left-bracket",
-         lambda i, j: (rep.rho_l_of(a.sc[i][j]) - _commutator(rho_l[i], rho_l[j])).entries),
-        ("rho-right-bracket",
-         lambda i, j: (rep.rho_r_of(a.sc[i][j]) - _commutator(rho_l[i], rho_r[j])).entries),
+        ("rho-left-bracket", lambda i, j: (
+            combination(rho_l, a.sc[i][j], n) - _commutator(rho_l[i], rho_l[j])).entries),
+        ("rho-right-bracket", lambda i, j: (
+            combination(rho_r, a.sc[i][j], n) - _commutator(rho_l[i], rho_r[j])).entries),
         ("rho-right-left",
          lambda i, j: ((rho_r[j] @ rho_l[i]) + (rho_r[j] @ rho_r[i])).entries)))
 

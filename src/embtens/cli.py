@@ -97,8 +97,8 @@ class _Usage(Exception):
     pass
 
 
-def _need(args, attr: str, flag: str):
-    value = getattr(args, attr)
+def _need(args, flag: str):
+    value = getattr(args, flag)
     if value is None:
         raise _Usage(f"--{flag} is required for this command")
     return value
@@ -149,42 +149,42 @@ def _equivalence_over_candidates(d1, d2, spec_text: str, dim: int):
 def _entry_check(flag: str, check):
     """A check of the workspace entry named by --flag; ``check(ws, name)``."""
     def run_check(ws: Workspace, args) -> tuple[str, CheckReport]:
-        subject = _need(args, flag, flag)
+        subject = _need(args, flag)
         return subject, check(ws, subject)
     return run_check
 
 
 def _check_nijenhuis(ws: Workspace, args) -> tuple[str, CheckReport]:
-    subject = _need(args, "tensor", "tensor")
+    subject = _need(args, "tensor")
     t = ws.tensor(subject)
-    x = _parse_element(_need(args, "element", "element"), t.action.source.dim, "--element")
+    x = _parse_element(_need(args, "element"), t.action.source.dim, "--element")
     return subject, defs.check_nijenhuis_element(defs.NijenhuisCandidate(t, x))
 
 
 def _check_nijenhuis_operator(ws: Workspace, args) -> tuple[str, CheckReport]:
     if args.tensor is not None:
         t = ws.tensor(args.tensor)
-        x = _parse_element(_need(args, "element", "element"), t.action.source.dim, "--element")
+        x = _parse_element(_need(args, "element"), t.action.source.dim, "--element")
         return args.tensor, defs.check_nijenhuis_operator(tensors.descendent(t), t.action.of(x))
-    subject = _need(args, "algebra", "algebra")
+    subject = _need(args, "algebra")
     a = ws.algebra(subject)
-    op = _parse_operator(_need(args, "operator", "operator"), a.dim)
+    op = _parse_operator(_need(args, "operator"), a.dim)
     return subject, defs.check_nijenhuis_operator(a, op)
 
 
 def _check_deform(ws: Workspace, args) -> tuple[str, CheckReport]:
-    subject = _need(args, "tensor", "tensor")
-    d = _direction(ws, ws.tensor(subject), _need(args, "direction", "direction"))
+    subject = _need(args, "tensor")
+    d = _direction(ws, ws.tensor(subject), _need(args, "direction"))
     return subject, defs.check_linear_deformation(d)
 
 
 def _check_equivalence(ws: Workspace, args) -> tuple[str, CheckReport]:
-    subject = _need(args, "tensor", "tensor")
+    subject = _need(args, "tensor")
     t = ws.tensor(subject)
-    d1 = _direction(ws, t, _need(args, "direction", "direction"))
-    d2 = _direction(ws, t, _need(args, "direction2", "direction2"))
+    d1 = _direction(ws, t, _need(args, "direction"))
+    d2 = _direction(ws, t, _need(args, "direction2"))
     return subject, _equivalence_over_candidates(
-        d1, d2, _need(args, "element", "element"), t.action.source.dim)
+        d1, d2, _need(args, "element"), t.action.source.dim)
 
 
 def _algebra_line(data: dict) -> str:
@@ -243,7 +243,7 @@ def _run_check(ws: Workspace, args) -> tuple[int, dict, str]:
 
 def _run_build(ws: Workspace, args) -> tuple[int, dict, str]:
     flag, build, describe = BUILDS[args.what]
-    subject = _need(args, flag, flag)
+    subject = _need(args, flag)
     result = build(ws, subject)
     payload = {"command": f"build {args.what}", "subject": subject, "object": result}
     return 0, payload, f"build {args.what} {subject}: {describe(result)}"
@@ -251,13 +251,13 @@ def _run_build(ws: Workspace, args) -> tuple[int, dict, str]:
 
 def _run_mc(ws: Workspace, args) -> tuple[int, dict, str]:
     what = args.what
-    subject = _need(args, "tensor", "tensor")
+    subject = _need(args, "tensor")
     t = ws.tensor(subject)
     cap = ws.settings.arity_cap
     if what == "net":
         report = graded.mc_check_tensor(t, arity_cap=cap)
     else:
-        d = _direction(ws, t, _need(args, "direction", "direction"))
+        d = _direction(ws, t, _need(args, "direction"))
         report = graded.mc_check_deformation(t, d.direction, arity_cap=cap)
     return _report_result(f"mc {what}", subject, report)
 
@@ -273,16 +273,16 @@ def _run_cohomology(ws: Workspace, args) -> tuple[int, dict, str]:
 
 
 def _run_class_equals(ws: Workspace, args) -> tuple[int, dict, str]:
-    subject = _need(args, "tensor", "tensor")
+    subject = _need(args, "tensor")
     t = ws.tensor(subject)
     k = args.degree
     if args.element is not None or args.element2 is not None:
         dim = t.action.source.dim
-        f = _parse_element(_need(args, "element", "element"), dim, "--element")
-        g = _parse_element(_need(args, "element2", "element2"), dim, "--element2")
+        f = _parse_element(_need(args, "element"), dim, "--element")
+        g = _parse_element(_need(args, "element2"), dim, "--element2")
     else:
-        f = _direction(ws, t, _need(args, "direction", "direction")).direction
-        g = _direction(ws, t, _need(args, "direction2", "direction2")).direction
+        f = _direction(ws, t, _need(args, "direction")).direction
+        g = _direction(ws, t, _need(args, "direction2")).direction
     equal = class_equals(t, f, g, k, max_degree=ws.settings.max_degree)
     payload = {"command": "class-equals", "subject": subject, "degree": k, "equal": equal}
     line = f"class-equals {subject} degree {k}: {'EQUAL' if equal else 'DIFFERENT'}"

@@ -149,16 +149,9 @@ class TensorComplex:
         self._rows: dict[int, list[SparseRow]] = {}
         self._rep = induced_representation(tensor)
 
-    @property
-    def source_dim(self) -> int:
-        return self.tensor.action.source.dim
-
-    @property
-    def target_dim(self) -> int:
-        return self.tensor.action.target.dim
-
     def cochain_dim(self, k: int) -> int:
-        return 0 if k <= 0 else self.source_dim * self.target_dim ** (k - 1)
+        action = self.tensor.action
+        return 0 if k <= 0 else action.source.dim * action.target.dim ** (k - 1)
 
     def rows(self, k: int) -> list[SparseRow]:
         """Sparse ``{column: entry}`` rows of d_k, from degree k to degree k + 1."""

@@ -30,7 +30,18 @@ from itertools import chain, combinations, product
 
 from .algebras import Algebra, abelian_algebra, direct_sum
 from .errors import ArityCapExceeded, DimensionMismatch
-from .linalg import Matrix, Record, Scalar, Vector, ZERO, accumulate, frac, is_zero_vector
+from .linalg import (
+    Flat,
+    Matrix,
+    Record,
+    Scalar,
+    Vector,
+    ZERO,
+    accumulate,
+    frac,
+    is_zero_vector,
+    vector_to_json,
+)
 from .reports import CheckReport, first_failure, scan, verdict
 from .tensors import (
     Action,
@@ -47,7 +58,7 @@ DEFAULT_ARITY_CAP = 4
 # dense multilinear maps
 # ---------------------------------------------------------------------------
 
-class MultiMap(Record):
+class MultiMap(Flat):
     """A dense multilinear map, all tensor factors drawn from one space.
 
     ``coeffs`` is flat with index ((i_1 n + i_2) n + ...) m + j for the
@@ -83,14 +94,11 @@ class MultiMap(Record):
         return cls(arity, domain_dim, codomain_dim,
                    (ZERO,) * ((domain_dim ** arity) * codomain_dim))
 
-    def _offset(self, idxs: tuple[int, ...]) -> int:
+    def value(self, idxs: tuple[int, ...]) -> Vector:
         off = 0
         for i in idxs:
             off = off * self.domain_dim + i
-        return off * self.codomain_dim
-
-    def value(self, idxs: tuple[int, ...]) -> Vector:
-        off = self._offset(idxs)
+        off *= self.codomain_dim
         return self.coeffs[off: off + self.codomain_dim]
 
     def value_with_vector(self, pre: tuple[int, ...], vec: Vector,
@@ -102,41 +110,13 @@ class MultiMap(Record):
                 accumulate(out, c, self.value(pre + (m,) + post))
         return tuple(out)
 
-    def __add__(self, other: "MultiMap") -> "MultiMap":
-        self._same_shape(other)
-        return MultiMap(self.arity, self.domain_dim, self.codomain_dim,
-                        tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "MultiMap") -> "MultiMap":
-        self._same_shape(other)
-        return MultiMap(self.arity, self.domain_dim, self.codomain_dim,
-                        tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "MultiMap":
-        return self.scale(-1)
-
-    def scale(self, c) -> "MultiMap":
-        c = frac(c)
-        return MultiMap(self.arity, self.domain_dim, self.codomain_dim,
-                        tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def to_nested(self):
-        from .linalg import scalar_to_json
-
         def build(prefix: tuple[int, ...], depth: int):
             if depth == self.arity:
-                return [scalar_to_json(x) for x in self.value(prefix)]
+                return vector_to_json(self.value(prefix))
             return [build(prefix + (i,), depth + 1) for i in range(self.domain_dim)]
 
         return build((), 0)
-
-    def _same_shape(self, other: "MultiMap") -> None:
-        if (self.arity, self.domain_dim, self.codomain_dim) != \
-                (other.arity, other.domain_dim, other.codomain_dim):
-            raise DimensionMismatch("multilinear maps of different shapes")
 
 
 def tensor_as_multimap(t: EmbeddingTensor) -> MultiMap:
@@ -158,15 +138,6 @@ def multimap_as_matrix(f: MultiMap) -> Matrix:
 # shuffles
 # ---------------------------------------------------------------------------
 
-def _inversions(perm: tuple[int, ...]) -> int:
-    count = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                count += 1
-    return count
-
-
 @lru_cache(maxsize=None)
 def shuffles(i: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All (i, k)-shuffles of {0..i+k-1} with their signs.
@@ -184,7 +155,8 @@ def shuffles(i: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     for first in combinations(universe, i):
         rest = tuple(x for x in universe if x not in first)
         perm = first + rest
-        out.append((perm, -1 if _inversions(perm) % 2 else 1))
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        out.append((perm, -1 if inversions % 2 else 1))
     return tuple(out)
 
 
@@ -423,9 +395,8 @@ def derived_bracket_nested(theta: MultiMap, phi: MultiMap, ctx: GradedContext,
 # ---------------------------------------------------------------------------
 
 def _mc_residual(t_map: MultiMap, action: Action, arity_cap: int) -> MultiMap:
-    half = frac(1, 2)
     return bracket_differential(t_map, action.target, arity_cap=arity_cap) + \
-        derived_bracket(t_map, t_map, action, arity_cap=arity_cap).scale(half)
+        derived_bracket(t_map, t_map, action, arity_cap=arity_cap).scale(frac(1, 2))
 
 
 def mc_check_tensor(t: EmbeddingTensor, arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:

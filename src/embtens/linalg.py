@@ -7,16 +7,19 @@ machine-speed ints.  ``frac`` is the one normaliser that makes them, and
 package has no ``/`` operator.  An ``int`` and the ``Fraction`` of the
 same value compare and hash equal, so mixing them changes no result.
 Vectors are plain tuples of scalars, matrices are immutable row-major
-``Record``s, and subspaces are stored in reduced row echelon form, so
+``Flat`` records, and subspaces are stored in reduced row echelon form, so
 subspace equality is literal equality of canonical bases.  ``Record`` is
-the base of every immutable value type in the package.
+the base of every immutable value type in the package, and ``Flat`` the
+base of those holding a flat tuple of scalars (``Matrix`` and
+``graded.MultiMap``): it defines their entrywise arithmetic once.
 
 All elimination goes through one sparse RREF, ``_sparse_rref``, on
 ``{column: entry}`` rows: ``rref``, ``kernel_basis``, ``column_space``
 and ``Subspace.from_spanning`` convert their dense input, and
 ``sparse_kernel`` and ``sparse_image`` take sparse rows directly.  The
 RREF of a row space is unique, so the bases do not depend on the order
-of elimination; they are handed out as dense canonical tuples.
+of elimination; they are handed out as dense canonical tuples, each
+entry normalised by ``frac`` as it leaves sparse form (``_dense``).
 """
 from __future__ import annotations
 
@@ -109,6 +112,10 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 
 def is_zero_vector(a: Vector) -> bool:
     return all(x == 0 for x in a)
+
+
+def vector_to_json(v: Vector) -> list:
+    return [scalar_to_json(x) for x in v]
 
 
 def accumulate(acc: list[Scalar], c: Scalar, v: Vector) -> None:
@@ -208,11 +215,46 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class Flat(Record):
+    """Base of the records whose last field is a flat tuple of scalars and
+    whose other fields give its shape.
+
+    The linear structure is entrywise and defined here once: ``+`` and
+    ``-`` need a record of the same class and shape (``DimensionMismatch``
+    otherwise), and ``scale`` passes each product through ``frac``.
+    """
+
+    def _with(self, values) -> "Flat":
+        return type(self)(*self._values[:-1], tuple(values))
+
+    def _pairs(self, other: "Flat"):
+        if other.__class__ is not self.__class__ or other._values[:-1] != self._values[:-1]:
+            raise DimensionMismatch(f"shape mismatch: {type(self).__name__}{self._values[:-1]} "
+                                    f"vs {type(other).__name__}{getattr(other, '_values', ())[:-1]}")
+        return zip(self._values[-1], other._values[-1])
+
+    def __add__(self, other: "Flat") -> "Flat":
+        return self._with(a + b for a, b in self._pairs(other))
+
+    def __sub__(self, other: "Flat") -> "Flat":
+        return self._with(a - b for a, b in self._pairs(other))
+
+    def __neg__(self) -> "Flat":
+        return self._with(-a for a in self._values[-1])
+
+    def scale(self, c) -> "Flat":
+        c = frac(c)
+        return self._with(frac(c * a) for a in self._values[-1])
+
+    def is_zero(self) -> bool:
+        return not any(self._values[-1])
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
-class Matrix(Record):
+class Matrix(Flat):
     """Immutable rows x cols matrix with row-major rational entries."""
 
     rows: int
@@ -246,11 +288,8 @@ class Matrix(Record):
     def from_sparse_rows(cls, rows: int, cols: int, sparse) -> "Matrix":
         """The matrix whose leading rows are the ``{column: entry}`` dicts of
         ``sparse``; the rows after them are zero."""
-        out = [ZERO] * (rows * cols)
-        for i, row in enumerate(sparse):
-            for c, x in row.items():
-                out[i * cols + c] = x
-        return cls(rows, cols, tuple(out))
+        dense = tuple(x for row in sparse for x in _dense(row, cols))
+        return cls(rows, cols, dense + (ZERO,) * (rows * cols - len(dense)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -271,23 +310,6 @@ class Matrix(Record):
 
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -322,9 +344,6 @@ class Matrix(Record):
                     out[i] += e * x
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     def try_inverse(self) -> "Matrix | None":
         """Exact inverse, or None when singular."""
         if self.rows != self.cols:
@@ -336,11 +355,6 @@ class Matrix(Record):
         if tuple(pivots) != tuple(range(n)):
             return None
         return Matrix.from_rows([red.row(i)[n:] for i in range(n)])
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
 def combination(mats: tuple[Matrix, ...], x: Vector, n: int) -> Matrix:
@@ -358,9 +372,11 @@ def _sparse_rows(m: Matrix) -> list[SparseRow]:
 
 
 def _dense(row: SparseRow, n: int) -> Vector:
+    """Row ``row`` as a dense tuple of length n, each entry through ``frac``:
+    elimination leaves whole ``Fraction``s, and this is where they go."""
     out = [ZERO] * n
     for c, x in row.items():
-        out[c] = x
+        out[c] = frac(x)
     return tuple(out)
 
 
@@ -476,7 +492,7 @@ class Subspace(Record):
         return all(other.contains(b) for b in self.basis)
 
     def to_json(self) -> list:
-        return [[scalar_to_json(x) for x in row] for row in self.basis]
+        return [vector_to_json(row) for row in self.basis]
 
 
 def _span(ambient_dim: int, rows) -> Subspace:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .linalg import Record, Vector, is_zero_vector, scalar_to_json
+from .linalg import Record, Vector, is_zero_vector, vector_to_json
 
 
 class Failure(Record):
@@ -33,7 +33,7 @@ class Failure(Record):
     def to_json(self) -> dict:
         data: dict = {"law": self.law, "where": list(self.where)}
         if self.residual is not None:
-            data["residual"] = [scalar_to_json(x) for x in self.residual]
+            data["residual"] = vector_to_json(self.residual)
         return data
 
 

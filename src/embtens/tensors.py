@@ -25,6 +25,7 @@ from .algebras import (
 from .errors import DimensionMismatch, NotAnEmbeddingTensor, NotCoherentAction
 from .linalg import (
     Matrix,
+    ONE,
     Record,
     Subspace,
     Vector,
@@ -249,18 +250,7 @@ def projection_tensor(h: Algebra) -> EmbeddingTensor:
     g, mats = algebra_from_matrix_subspace(f"cder_{h.name}", sub, h.dim)
     big = direct_sum(g, h, f"cder_{h.name}+{h.name}", flavor="lie")
     m, n = g.dim, h.dim
-    rho = []
-    for a in range(m):
-        op = Matrix.zero(m + n, m + n)
-        rows = op.to_rows()
-        for r in range(n):
-            for c in range(n):
-                rows[m + r][m + c] = mats[a].entry(r, c)
-        rho.append(Matrix.from_rows(rows))
-    action = Action(g, big, tuple(rho))
-    if m:
-        proj = Matrix.from_rows(
-            [[(1 if j == i else 0) for j in range(m + n)] for i in range(m)])
-    else:
-        proj = Matrix.zero(0, n)
-    return EmbeddingTensor(action, proj)
+    rho = tuple(Matrix(m + n, m + n, (ZERO,) * (m * (m + n)) + tuple(
+        x for r in range(n) for x in (ZERO,) * m + mat.row(r))) for mat in mats)
+    proj = Matrix(m, m + n, tuple(ONE if j == i else ZERO for i in range(m) for j in range(m + n)))
+    return EmbeddingTensor(Action(g, big, rho), proj)

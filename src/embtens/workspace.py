@@ -23,7 +23,7 @@ from .errors import (
 )
 from .graded import DEFAULT_ARITY_CAP, MultiMap
 from .leibniz_lie import LeibnizLie
-from .linalg import Matrix, Record, Vector, parse_scalar, scalar_to_json, zero_vector
+from .linalg import Matrix, Record, Vector, parse_scalar, vector_to_json, zero_vector
 from .reports import require
 from .tensors import Action, EmbeddingTensor
 
@@ -83,10 +83,6 @@ def _vector(data, length: int, path: str) -> Vector:
     vals = [_scalar(x, f"{path}[{i}]") for i, x in enumerate(data)]
     vals.extend([parse_scalar(0)] * (length - len(vals)))
     return tuple(vals)
-
-
-def vector_to_json(v: Vector) -> list:
-    return [scalar_to_json(x) for x in v]
 
 
 def matrix_from_json(data, rows: int, cols: int, path: str) -> Matrix:

@@ -17,6 +17,7 @@ from embtens import (
     MultiMap,
     NotACocycle,
     NotAnEmbeddingTensor,
+    Subspace,
     TensorComplex,
     adjoint_action,
     check_embedding_tensor,
@@ -217,6 +218,12 @@ def test_integral_data_stays_int(t1, ad3):
     reduced, pivots = rref(Matrix.from_rows([[2, 4], [0, 0]]))
     assert (reduced.entries, pivots) == ((1, 2, 0, 0), (0,))
     assert all(type(x) is int for x in reduced.entries)
+    # eliminating [4, 7] against the pivot row (1, 3/2) leaves a whole Fraction
+    reduced, pivots = rref(Matrix.from_rows([[2, 3], [4, 7]]))
+    assert (reduced.entries, pivots) == ((1, 0, 0, 1), (0, 1))
+    assert all(type(x) is int for x in reduced.entries)
+    span = Subspace.from_spanning(2, [(2, 3), (4, 7)])
+    assert all(type(x) is int for row in span.basis for x in row)
     kernel = kernel_basis(Matrix.from_rows([[2, 4, 6]]))
     assert kernel.basis == ((1, 0, Fraction(-1, 3)), (0, 1, Fraction(-2, 3)))
     assert all(type(x) is int for row in kernel.basis for x in row if x.denominator == 1)

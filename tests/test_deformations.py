@@ -72,6 +72,15 @@ def test_deformation_terms_match_hand_equations_randomized(t1, tab, g23_net):
             assert {uv: quadratic.value(uv) for uv in quad} == quad
 
 
+def test_deformation_terms_keep_whole_values_int(t1):
+    # [T',T']/2 halves an integral table; its whole values must come out as ints
+    rng = random.Random(73)
+    for _ in range(6):
+        fr = rand_matrix(rng, 3, 3, dens=(1,))
+        for term in deformation_terms(t1, fr):
+            assert not [x for x in term.coeffs if type(x) is Fraction and x.denominator == 1]
+
+
 def test_disagreeing_routes_raise_a_typed_error(t1, monkeypatch):
     # a probe route that rejects every tensor contradicts the passing coefficient route
     import embtens.deformations as deformations

@@ -1,8 +1,9 @@
 """Source hygiene: no package module imports a name it never uses, every
 top-level definition of the package and every non-dunder method of a
 top-level class is used somewhere, only ``reports`` builds a ``Failure``,
-no module divides with ``/``, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``."""
+only ``linalg.Flat`` defines entrywise arithmetic, no module divides
+with ``/``, and importing the CLI loads neither ``dataclasses`` nor
+``inspect``."""
 import ast
 import os
 import re
@@ -126,6 +127,33 @@ def test_detects_a_failure_built_outside_reports():
               "def f(res) -> Failure:\n    return Failure('law', (0,), res)\n"
               "g = reports.Failure('law', ())\n")
     assert failure_calls(source) == [3, 4]
+
+
+ARITHMETIC = ("__add__", "__sub__", "__neg__", "scale", "is_zero")
+
+
+def arithmetic_definitions(source: str) -> list[str]:
+    """``Class.method`` for each entrywise-arithmetic method a class defines."""
+    return [f"{node.name}.{m.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for m in node.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and m.name in ARITHMETIC]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_entrywise_arithmetic_is_defined_once(path):
+    """``Matrix`` and ``MultiMap`` inherit ``+``, ``-``, negation, ``scale``
+    and ``is_zero`` from ``linalg.Flat``; no other class defines them."""
+    found = arithmetic_definitions(path.read_text(encoding="utf-8"))
+    assert found == ([f"Flat.{m}" for m in ARITHMETIC] if path.name == "linalg.py" else [])
+
+
+def test_detects_entrywise_arithmetic_outside_flat():
+    source = ("class Flat:\n    def scale(self, c):\n        return self\n\n"
+              "class Table(Flat):\n    def __add__(self, o):\n        return o\n\n"
+              "    def add(self, o):\n        return o\n\n"
+              "    async def is_zero(self):\n        return True\n\n"
+              "def scale(x):\n    return x\n")
+    assert arithmetic_definitions(source) == ["Flat.scale", "Table.__add__", "Table.is_zero"]
 
 
 def true_divisions(source: str) -> list[int]:

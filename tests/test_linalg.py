@@ -16,6 +16,7 @@ from embtens import (
     Failure,
     LeibnizLie,
     Matrix,
+    MultiMap,
     NotASubspace,
     ParseError,
     Subspace,
@@ -29,9 +30,9 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
-from embtens.linalg import Record, column_space
+from embtens.linalg import Record, column_space, frac
 from embtens.workspace import matrix_to_json
-from conftest import heisenberg, rand_matrix
+from conftest import heisenberg, rand_fraction, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
 
 
@@ -343,3 +344,47 @@ def test_equal_tensors_share_one_cached_check():
     hits = check_embedding_tensor.cache_info().hits
     assert check_embedding_tensor(second) is report
     assert check_embedding_tensor.cache_info().hits == hits + 1
+
+
+# the two flat-coefficient records, each with six entries in one shape
+FLATS = {"Matrix": lambda vals: Matrix(2, 3, tuple(vals)),
+         "MultiMap": lambda vals: MultiMap(1, 3, 2, tuple(vals))}
+
+
+@pytest.mark.parametrize("make", FLATS.values(), ids=FLATS.keys())
+def test_flat_arithmetic_is_entrywise(make):
+    rng = random.Random(31)
+    for _ in range(25):
+        a = [rand_fraction(rng) for _ in range(6)]
+        b = [rand_fraction(rng) for _ in range(6)]
+        c = rand_fraction(rng)
+        x, y = make(a), make(b)
+        assert x + y == make([p + q for p, q in zip(a, b)])
+        assert x - y == make([p - q for p, q in zip(a, b)])
+        assert -x == make([-p for p in a])
+        scaled = [frac(c * p) for p in a]
+        assert x.scale(c) == make(scaled)
+        assert list(map(type, x.scale(c)._values[-1])) == list(map(type, scaled))
+        assert x.is_zero() == all(p == 0 for p in a)
+    assert make([0] * 6).is_zero() and not make([0] * 5 + [Fraction(1, 3)]).is_zero()
+    assert type(-make(range(6))) is type(make(range(6)).scale(2)) is type(make(range(6)))
+
+
+def test_flat_arithmetic_needs_one_class_and_shape():
+    vals = tuple(range(6))
+    m, f = Matrix(2, 3, vals), MultiMap(1, 3, 2, vals)
+    mismatched = [(m, f), (f, m), (m, Matrix(3, 2, vals)), (f, MultiMap(1, 2, 3, vals)),
+                  (f, MultiMap(0, 3, 6, vals))]
+    for a, b in mismatched:
+        for op in (lambda: a + b, lambda: a - b):
+            with pytest.raises(DimensionMismatch, match="shape mismatch"):
+                op()
+
+
+@pytest.mark.parametrize("make", FLATS.values(), ids=FLATS.keys())
+def test_flat_scale_keeps_whole_values_int(make):
+    halved = make([2, -4, 0, 6, 8, -10]).scale(Fraction(1, 2))
+    assert halved == make([1, -2, 0, 3, 4, -5])
+    assert all(type(x) is int for x in halved._values[-1])
+    doubled = make([Fraction(1, 2), Fraction(-3, 2), 1, 0, Fraction(5, 2), 2]).scale(2)
+    assert all(type(x) is int for x in doubled._values[-1])
