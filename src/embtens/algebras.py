@@ -211,8 +211,7 @@ def _quotient_data(a: Algebra):
         res = ker.reduce(v)
         return tuple(res[c] for c in complement)
 
-    proj = Matrix.from_columns([project(a.basis_vector(j)) for j in range(a.dim)]) \
-        if qdim else Matrix.zero(0, a.dim)
+    proj = Matrix.from_columns([project(a.basis_vector(j)) for j in range(a.dim)])
     table = tuple(
         tuple(project(a.bracket(a.basis_vector(ci), a.basis_vector(cj))) for cj in complement)
         for ci in complement)
@@ -283,11 +282,9 @@ def _coherence_rows(a: Algebra) -> list[list[Scalar]]:
 
 def derivation_algebra(a: Algebra) -> Subspace:
     """All derivations of the bracket, as a subspace of the dim^2 matrix space."""
-    rows = _derivation_rows(a)
-    return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zero(0, a.dim * a.dim))
+    return kernel_basis(Matrix.from_rows(_derivation_rows(a)))
 
 
 def coherent_derivation_algebra(a: Algebra) -> Subspace:
     """Derivations D with [Du, v] = 0 for all u, v."""
-    rows = _derivation_rows(a) + _coherence_rows(a)
-    return kernel_basis(Matrix.from_rows(rows) if rows else Matrix.zero(0, a.dim * a.dim))
+    return kernel_basis(Matrix.from_rows(_derivation_rows(a) + _coherence_rows(a)))

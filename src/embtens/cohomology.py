@@ -8,12 +8,16 @@ the flat coefficient order of ``MultiMap``.
 
 The complex is the Loday-Pirashvili complex of the descendent Leibniz
 algebra with coefficients in the induced representation on the source.
-``lp_differential`` assembles each d_k, k >= 1, in one pass over the
-output tuples from the rho_l, rho_r and structure-constant blocks of that
-representation; d_0 is zero.  ``tensor_coboundary`` maps one cochain by
-the twisted differential d_T of the controlling DGLA instead, with the
-sign d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the
-DGLA are each other's test oracle.
+``induced_representation`` fills the flat entry tables of rho_l and rho_r
+in one pass over the nonzero entries of T, reading the source structure
+constants and the action matrices directly.  ``lp_differential``
+assembles each d_k, k >= 1, in one pass over the output tuples from the
+rho_l, rho_r and structure-constant blocks of that representation; d_0
+is zero.  ``tensor_coboundary`` maps one cochain by the twisted
+differential d_T of the controlling DGLA instead, with the sign
+d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the DGLA
+are each other's test oracle.  A cochain is normalised as it enters:
+``_as_cochain`` passes every coefficient through ``frac``.
 
 ``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, and
 ``cohomology`` and ``class_equals`` eliminate those rows directly.
@@ -33,6 +37,7 @@ from .linalg import (
     SparseRow,
     Subspace,
     Vector,
+    ZERO,
     quotient_dim,
     sparse_image,
     sparse_kernel,
@@ -47,21 +52,34 @@ DEFAULT_MAX_DEGREE = 4
 def induced_representation(t: EmbeddingTensor) -> LeibnizRep:
     """The representation of the descendent algebra on the source algebra.
 
-    Left action by the source bracket against T-images, right action by
-    [x, Tv] - T(rho(x)v).
+    Left action rho_l(u) = ad(Te_u) by the source bracket, right action
+    rho_r(v): x -> [x, Te_v] - T(rho(x)e_v).  Both are linear in T, so one
+    pass over the nonzero entries x = (Te_u)_i adds x [e_i, e_j] to column
+    j of rho_l(u), x [e_j, e_i] to column j of rho_r(u), and
+    -x (rho(e_j)e_u)_v to entry (i, j) of rho_r(v).
     """
     require_embedding_tensor(t)
-    g, h = t.action.source, t.action.target
-    rho_l = tuple(g.adjoint(t.column(u)) for u in range(h.dim))
-    rho_r = []
-    for v in range(h.dim):
-        tv = t.column(v)
-        ev = h.basis_vector(v)
-        cols = [vec_sub(g.bracket(g.basis_vector(i), tv),
-                        t.apply(t.action.apply(g.basis_vector(i), ev)))
-                for i in range(g.dim)]
-        rho_r.append(Matrix.from_columns(cols))
-    return LeibnizRep(descendent(t), g.dim, rho_l, tuple(rho_r))
+    g, n, rho = t.action.source, t.action.target.dim, t.action.rho
+    m, sc, entries = g.dim, g.sc, t.matrix.entries
+    left = [[ZERO] * (m * m) for _ in range(n)]
+    right = [[ZERO] * (m * m) for _ in range(n)]
+    for i, u in product(range(m), range(n)):
+        x = entries[i * n + u]
+        if x == 0:
+            continue
+        lu, ru = left[u], right[u]
+        for j in range(m):
+            for r, c in enumerate(sc[i][j]):
+                if c != 0:
+                    lu[r * m + j] += x * c
+            for r, c in enumerate(sc[j][i]):
+                if c != 0:
+                    ru[r * m + j] += x * c
+            for v, y in enumerate(rho[j].row(u)):
+                if y != 0:
+                    right[v][i * m + j] -= x * y
+    rho_l, rho_r = (tuple(Matrix(m, m, vector(e)) for e in table) for table in (left, right))
+    return LeibnizRep(descendent(t), m, rho_l, rho_r)
 
 
 def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
@@ -110,11 +128,14 @@ def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
 
 
 def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
-    """A cochain of t as a map: a vector is arity 0, a Matrix arity 1."""
+    """A cochain of t as a map: a vector is arity 0, a Matrix arity 1; every
+    coefficient goes through ``frac``, so whole ``Fraction``s enter as ``int``s."""
     g, h = t.action.source, t.action.target
     if isinstance(f, Matrix):
         f = matrix_as_multimap(f)
-    elif not isinstance(f, MultiMap):
+    if isinstance(f, MultiMap):
+        f = MultiMap(f.arity, f.domain_dim, f.codomain_dim, vector(f.coeffs))
+    else:
         v = vector(f)
         f = MultiMap(0, h.dim, len(v), v)
     if f.domain_dim != h.dim or f.codomain_dim != g.dim:

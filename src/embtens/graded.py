@@ -40,6 +40,7 @@ from .linalg import (
     accumulate,
     frac,
     is_zero_vector,
+    vector,
     vector_to_json,
 )
 from .reports import CheckReport, first_failure, scan, verdict
@@ -223,8 +224,10 @@ def mc_check_leibniz(omega: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> Che
 
 
 def _entries(f: MultiMap, law: str):
-    """Scan every value of f, in flat coefficient order, as the residual of law."""
-    return scan(product(range(f.domain_dim), repeat=f.arity), (law, lambda *idxs: f.value(idxs)))
+    """Scan every value of f, in flat coefficient order, as the residual of
+    law, through ``frac``: the sums that make a residual leave whole ``Fraction``s."""
+    return scan(product(range(f.domain_dim), repeat=f.arity),
+                (law, lambda *idxs: vector(f.value(idxs))))
 
 
 def multimap_from_algebra(a: Algebra) -> MultiMap:

@@ -149,8 +149,7 @@ def left_multiplication_tensor(l: LeibnizLie) -> EmbeddingTensor:
         coords.append(c)
     g, mats = algebra_from_matrix_subspace(f"cder_{h.name}", dbar, h.dim)
     action = Action(g, h, mats)
-    matrix = Matrix.from_columns(coords) if g.dim else Matrix.zero(0, h.dim)
-    return EmbeddingTensor(action, matrix)
+    return EmbeddingTensor(action, Matrix.from_columns(coords))
 
 
 def check_leibniz_lie_homomorphism(src: LeibnizLie, dst: LeibnizLie, phi: Matrix) -> CheckReport:

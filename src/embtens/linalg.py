@@ -125,6 +125,15 @@ def accumulate(acc: list[Scalar], c: Scalar, v: Vector) -> None:
             acc[k] += c * x
 
 
+def combine(x: Vector, vectors, n: int) -> Vector:
+    """The length-n vector sum of x_i vectors[i], skipping zero coefficients."""
+    out = [ZERO] * n
+    for c, v in zip(x, vectors):
+        if c != 0:
+            accumulate(out, c, v)
+    return tuple(out)
+
+
 def bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
     """Bilinear extension of a structure table: sum of x_i y_j table[i][j].
 
@@ -280,9 +289,12 @@ class Matrix(Flat):
 
     @classmethod
     def from_columns(cls, cols) -> "Matrix":
+        """The matrix with these columns; n empty columns give a 0 x n matrix."""
         cols = [vector(c) for c in cols]
         nrows = len(cols[0]) if cols else 0
-        return cls.from_rows([[c[i] for c in cols] for i in range(nrows)])
+        if any(len(c) != nrows for c in cols):
+            raise DimensionMismatch("ragged columns")
+        return cls(nrows, len(cols), tuple(c[i] for i in range(nrows) for c in cols))
 
     @classmethod
     def from_sparse_rows(cls, rows: int, cols: int, sparse) -> "Matrix":
@@ -359,11 +371,7 @@ class Matrix(Flat):
 
 def combination(mats: tuple[Matrix, ...], x: Vector, n: int) -> Matrix:
     """The n x n matrix sum of x_i mats[i], skipping zero coefficients."""
-    out = [ZERO] * (n * n)
-    for c, m in zip(x, mats):
-        if c != 0:
-            accumulate(out, c, m.entries)
-    return Matrix(n, n, tuple(out))
+    return Matrix(n, n, combine(x, [m.entries for m in mats], n * n))
 
 
 def _sparse_rows(m: Matrix) -> list[SparseRow]:

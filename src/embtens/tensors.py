@@ -32,6 +32,7 @@ from .linalg import (
     ZERO,
     accumulate,
     combination,
+    combine,
     vec_add,
     vec_sub,
 )
@@ -94,22 +95,29 @@ class EmbeddingTensor(Record):
 
 @lru_cache(maxsize=None)
 def check_coherent_action(action: Action) -> CheckReport:
-    """Derivation property, homomorphism property, and coherence, on basis tuples."""
+    """Derivation property, homomorphism property, and coherence, on basis tuples.
+
+    Brackets with a basis vector combine table entries: [rho_i e_a, e_b] the
+    column sc[.][b] by the coordinates of rho_i e_a, [e_a, rho_i e_b] the row
+    sc[a] by those of rho_i e_b."""
     g, h, rho = action.source, action.target, action.rho
     triples = (range(g.dim), range(h.dim), range(h.dim))
+    images = [[op.col(a) for a in range(h.dim)] for op in rho]
+    sc_cols = [[row[b] for row in h.sc] for b in range(h.dim)]
+
+    def left(i: int, a: int, b: int) -> Vector:  # [rho_i e_a, e_b]
+        return combine(images[i][a], sc_cols[b], h.dim)
 
     def derivation(i: int, a: int, b: int) -> Vector:
-        ea, eb = h.basis_vector(a), h.basis_vector(b)
         return vec_sub(rho[i].apply(h.sc[a][b]),
-                       vec_add(h.bracket(rho[i].apply(ea), eb), h.bracket(ea, rho[i].apply(eb))))
+                       vec_add(left(i, a, b), combine(images[i][b], h.sc[a], h.dim)))
 
     return first_failure(
         "coherent-action",
         scan(product(*triples), ("derivation", derivation)),
         scan(product(range(g.dim), repeat=2), ("homomorphism", lambda i, j: (
             action.of(g.sc[i][j]) - _commutator(rho[i], rho[j])).entries)),
-        scan(product(*triples), ("coherence", lambda i, a, b: h.bracket(
-            rho[i].col(a), h.basis_vector(b)))))
+        scan(product(*triples), ("coherence", left)))
 
 
 def require_coherent(action: Action) -> None:

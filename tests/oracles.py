@@ -5,10 +5,12 @@ ranks come from fraction-free integer elimination, echelon forms from
 dense column-by-column Gauss-Jordan elimination, ideal closures from
 a plain Gaussian span, shuffles from filtering full permutation groups,
 bilinear maps from a plain triple sum over a structure table, the
-Heisenberg tensor family from its closed polynomial system, and the
+Heisenberg tensor family from its closed polynomial system, the
 Loday-Pirashvili coboundary and the two coefficient equations of a
 linear deformation entry by entry from matrix entries and structure
-constants.  Nothing here imports the package.
+constants, and the induced representation of a tensor and the residuals
+of a coherent action from brackets of unit vectors.  Nothing here
+imports the package.
 """
 from __future__ import annotations
 
@@ -259,3 +261,71 @@ def linear_deformation_equations(t, direction) -> tuple[dict, dict]:
             add(_mat_vec(t.matrix, act(fu, v)), _mat_vec(direction, add(act(tu, v), h.sc[u][v]))))
         quadratic[u, v] = sub(bilinear_oracle(g.sc, fu, fv), _mat_vec(direction, act(fu, v)))
     return linear, quadratic
+
+
+def _units(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _sub(a, b) -> tuple:
+    return tuple(p - q for p, q in zip(a, b))
+
+
+def induced_representation_by_brackets(t) -> tuple[list[tuple], list[tuple]]:
+    """The induced representation of a tensor on its source, column by
+    column from brackets of unit vectors:
+
+        rho_l(u) x = [Te_u, x],    rho_r(v) x = [x, Te_v] - T(rho(x)e_v),
+
+    as the row-major entries of each rho_l(u) and of each rho_r(v).
+    """
+    g, h, rho, tm = t.action.source, t.action.target, t.action.rho, t.matrix
+    units, targets = _units(g.dim), _units(h.dim)
+
+    def entries(cols) -> tuple:
+        return tuple(cols[c][r] for r in range(g.dim) for c in range(g.dim))
+
+    rho_l, rho_r = [], []
+    for u in range(h.dim):
+        tu = _mat_col(tm, u)
+        rho_l.append(entries([bilinear_oracle(g.sc, tu, e) for e in units]))
+        rho_r.append(entries([_sub(bilinear_oracle(g.sc, units[i], tu),
+                                   _mat_vec(tm, _mat_vec(rho[i], targets[u])))
+                              for i in range(g.dim)]))
+    return rho_l, rho_r
+
+
+def coherent_action_residuals(action) -> list[tuple]:
+    """Every nonzero residual of the three coherent-action laws, as
+    (law, where, residual) in scan order: on each triple (i, a, b)
+
+        rho_i [e_a, e_b] - [rho_i e_a, e_b] - [e_a, rho_i e_b]  (derivation),
+
+    on each pair (i, j) the entries of rho([e_i, e_j]) - [rho_i, rho_j]
+    (homomorphism), and on each triple [rho_i e_a, e_b] (coherence), from
+    brackets of unit vectors and plain matrix products.
+    """
+    g, h, rho = action.source, action.target, action.rho
+    units, n = _units(h.dim), h.dim
+    triples = list(product(range(g.dim), range(n), range(n)))
+
+    def left(i, a, b):
+        return bilinear_oracle(h.sc, _mat_col(rho[i], a), units[b])
+
+    def derivation(i, a, b):
+        right = bilinear_oracle(h.sc, units[a], _mat_col(rho[i], b))
+        return _sub(_sub(_mat_vec(rho[i], h.sc[a][b]), left(i, a, b)), right)
+
+    def product_entries(p, q):
+        return [sum((Fraction(p.entries[r * n + k]) * q.entries[k * n + c] for k in range(n)),
+                    Fraction(0)) for r in range(n) for c in range(n)]
+
+    def homomorphism(i, j):
+        image = [sum((Fraction(x) * op.entries[e] for x, op in zip(g.sc[i][j], rho)), Fraction(0))
+                 for e in range(n * n)]
+        return _sub(image, _sub(product_entries(rho[i], rho[j]), product_entries(rho[j], rho[i])))
+
+    found = [("derivation", w, derivation(*w)) for w in triples]
+    found += [("homomorphism", w, homomorphism(*w)) for w in product(range(g.dim), repeat=2)]
+    found += [("coherence", w, left(*w)) for w in triples]
+    return [(law, w, res) for law, w, res in found if any(res)]

@@ -247,3 +247,13 @@ def test_adjoint_operators_are_coherent_for_two_step_nilpotent():
 def test_algebra_shape_validation():
     with pytest.raises(DimensionMismatch):
         Algebra("bad", 2, sc_table([[Z3, Z3], [Z3, Z3]]), "unchecked")
+
+
+def test_empty_sides_keep_their_shapes():
+    # the projection onto a zero quotient is 0 x dim, and the derivations of
+    # the zero algebra are the zero subspace of the zero matrix space
+    squares = Algebra("sq", 1, sc_table([[(1,)]]), "leibniz")
+    quotient, proj = quotient_lie(squares)
+    assert (quotient.dim, proj) == (0, Matrix.zero(0, 1))
+    empty = abelian_algebra("z", 0)
+    assert derivation_algebra(empty).ambient_dim == coherent_derivation_algebra(empty).ambient_dim == 0

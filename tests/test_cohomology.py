@@ -20,6 +20,7 @@ from embtens import (
     Subspace,
     TensorComplex,
     adjoint_action,
+    check_coherent_action,
     check_embedding_tensor,
     check_leibniz_rep,
     class_equals,
@@ -28,14 +29,16 @@ from embtens import (
     kernel_basis,
     matrix_as_multimap,
     multimap_as_matrix,
+    projection_tensor,
     rref,
     sc_table,
     tensor_coboundary,
     twisted_differential,
     unit_vector,
 )
-from conftest import rand_fraction
-from oracles import bareiss_rank, loday_pirashvili_coboundary
+from embtens.cohomology import _as_cochain
+from conftest import family_i_matrix, family_ii_matrix, heisenberg, rand_fraction
+from oracles import bareiss_rank, induced_representation_by_brackets, loday_pirashvili_coboundary
 
 
 def rand_cochain(rng, arity, t):
@@ -150,6 +153,8 @@ def test_coboundary_checks_tensor_then_shape_then_arity_cap(t1):
     wrong_shape = MultiMap.zero(4, 2, 3)
     with pytest.raises(NotAnEmbeddingTensor):
         tensor_coboundary(not_a_tensor, wrong_shape)
+    with pytest.raises(NotAnEmbeddingTensor):
+        induced_representation(not_a_tensor)
     with pytest.raises(DimensionMismatch):
         tensor_coboundary(t1, wrong_shape)
     with pytest.raises(DimensionMismatch):
@@ -213,8 +218,9 @@ def test_sparse_rows_compose_to_zero_and_densify(t1, tii, tzero, tab):
 
 def test_integral_data_stays_int(t1, ad3):
     """Integral inputs keep every scalar a Python int: differential rows,
-    checker residuals and entries scaled by a non-unit pivot never turn into
-    whole Fractions."""
+    checker residuals, the induced representation, cochains entering the
+    complex and entries scaled by a non-unit pivot never turn into whole
+    Fractions."""
     reduced, pivots = rref(Matrix.from_rows([[2, 4], [0, 0]]))
     assert (reduced.entries, pivots) == ((1, 2, 0, 0), (0,))
     assert all(type(x) is int for x in reduced.entries)
@@ -237,6 +243,65 @@ def test_integral_data_stays_int(t1, ad3):
     assert [(f.where, f.residual) for f in report.failures] == \
         [((0, 1), (0, 0, 1)), ((1, 0), (0, 0, -1))]
     assert all(type(x) is int for f in report.failures for x in f.residual)
+    rep = induced_representation(t1)
+    assert all(type(x) is int for m in rep.rho_l + rep.rho_r for x in m.entries)
+    # a cochain of whole Fractions, in any of its three forms, reaches the
+    # complex as ints, and class_equals takes it in each form
+    rng = random.Random(66)
+    whole = [Fraction(rng.randint(-3, 3)) for _ in range(27)]
+    forms = [tuple(whole[:3]), Matrix(3, 3, tuple(whole[:9])),
+             MultiMap(1, 3, 3, tuple(whole[:9])), MultiMap(2, 3, 3, tuple(whole))]
+    for f in forms:
+        assert all(type(x) is int for x in _as_cochain(t1, f).coeffs)
+        assert all(type(x) is int for x in tensor_coboundary(t1, f).coeffs)
+    d = tensor_coboundary(t1, forms[0])
+    as_map = MultiMap(1, 3, 3, tuple(map(Fraction, d.coeffs)))
+    as_matrix = Matrix(3, 3, tuple(map(Fraction, multimap_as_matrix(d).entries)))
+    assert class_equals(t1, as_map, Matrix.zero(3, 3), 2)
+    assert class_equals(t1, as_matrix, as_map, 2)
+
+
+def bracket_route_tensors(t1, tzero, tii, tab, toy_tensor, g23_net):
+    """Every tensor fixture, the h3 projection tensor and seeded random tensors."""
+    yield from (t1, tzero, tii, tab, toy_tensor, g23_net, projection_tensor(heisenberg()))
+    rng = random.Random(67)
+    for shape in (0, 1, 0, 1):
+        yield EmbeddingTensor(t1.action, family_i_matrix(rng, shape))
+    for _ in range(4):
+        r = rng.choice((1, 2, -2, 3))
+        yield EmbeddingTensor(t1.action, family_ii_matrix(rng, Fraction(r), Fraction(r * r, r + 1)))
+        rows = [[rand_fraction(rng), rand_fraction(rng), 0] for _ in range(2)]
+        yield EmbeddingTensor(g23_net.action, Matrix.from_rows(rows))
+    h5 = heisenberg5()
+    central = [[0] * 5 for _ in range(4)] + [[rand_fraction(rng) for _ in range(4)] + [0]]
+    yield EmbeddingTensor(adjoint_action(h5), Matrix.from_rows(central))
+
+
+def test_induced_representation_matches_bracket_oracle(t1, tzero, tii, tab, toy_tensor, g23_net):
+    for t in bracket_route_tensors(t1, tzero, tii, tab, toy_tensor, g23_net):
+        assert check_embedding_tensor(t).ok
+        rep = induced_representation(t)
+        rho_l, rho_r = induced_representation_by_brackets(t)
+        assert [m.entries for m in rep.rho_l] == rho_l
+        assert [m.entries for m in rep.rho_r] == rho_r
+        assert check_leibniz_rep(rep).ok
+
+
+def test_setup_routes_read_structure_constants(t1, tii, g23_net, monkeypatch):
+    # neither the representation nor an uncached coherent-action check
+    # makes a unit vector of either algebra
+    tensors = (t1, tii, g23_net, projection_tensor(heisenberg()))
+    for t in tensors:
+        check_embedding_tensor(t)
+    calls = []
+    original = Algebra.basis_vector
+    monkeypatch.setattr(Algebra, "basis_vector", lambda a, i: calls.append(i) or original(a, i))
+    for t in tensors:
+        check_coherent_action.__wrapped__(t.action)
+        induced_representation(t)
+    assert calls == []
+    t1.action.target.basis_vector(0)
+    assert calls == [0]
 
 
 def test_top_rung_cohomology_stays_sparse():

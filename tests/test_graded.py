@@ -343,3 +343,15 @@ def test_mc_deformation_compatible_family_member(tab, ad3):
     other = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [5, Fraction(-1, 2), 0]])
     assert mc_check_deformation(tab, other).ok
     assert check_embedding_tensor(tab.with_matrix(tab.matrix + other)).ok
+
+
+def test_mc_residuals_keep_whole_values_int(t1):
+    # d_T T' + [T',T']/2 sums two unnormalised tables: at this fractional
+    # direction one of its 27 coefficients is a whole Fraction before the scan
+    rng = random.Random(3)
+    rand_matrix(rng, 3, 3)
+    report = mc_check_deformation(t1, rand_matrix(rng, 3, 3))
+    assert not report.ok
+    residuals = [x for f in report.failures for x in f.residual]
+    assert Fraction(2) in residuals
+    assert not [x for x in residuals if type(x) is Fraction and x.denominator == 1]

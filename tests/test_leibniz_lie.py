@@ -6,6 +6,7 @@ import pytest
 
 from embtens import (
     ActionIllDefined,
+    Algebra,
     Matrix,
     NotLeibnizLie,
     abelian_algebra,
@@ -20,6 +21,7 @@ from embtens import (
     leibniz_kernel,
     make_leibniz_lie,
     quotient_projection_tensor,
+    sc_table,
     subadjacent,
     subadjacent_representation,
     unit_vector,
@@ -180,3 +182,16 @@ def test_homomorphism_report_separates_laws(ll3, h3):
     assert not report.ok
     assert "triangle-product" in laws
     assert "lie-bracket" in laws  # odd map also breaks the quadratic bracket
+
+
+def test_left_multiplication_tensor_into_zero_derivations():
+    # sl2 has no nonzero coherent derivation, so the zero triangle maps into
+    # a zero-dimensional source and the tensor is 0 x 3
+    sl2 = Algebra("sl2", 3, sc_table([
+        [Z3, (0, 0, 1), (-2, 0, 0)],
+        [(0, 0, -1), Z3, (0, 2, 0)],
+        [(2, 0, 0), (0, -2, 0), Z3],
+    ]), "lie")
+    t = left_multiplication_tensor(make_leibniz_lie(sl2, [[Z3] * 3] * 3))
+    assert (t.action.source.dim, t.matrix) == (0, Matrix.zero(0, 3))
+    assert check_embedding_tensor(t).ok

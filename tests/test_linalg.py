@@ -388,3 +388,14 @@ def test_flat_scale_keeps_whole_values_int(make):
     assert all(type(x) is int for x in halved._values[-1])
     doubled = make([Fraction(1, 2), Fraction(-3, 2), 1, 0, Fraction(5, 2), 2]).scale(2)
     assert all(type(x) is int for x in doubled._values[-1])
+
+
+def test_empty_columns_keep_their_count():
+    # n empty columns are a 0 x n matrix, not 0 x 0
+    assert Matrix.from_columns([(), (), ()]) == Matrix.zero(0, 3)
+    assert Matrix.from_rows([]) == Matrix.from_columns([]) == Matrix.zero(0, 0)
+    assert Matrix.from_columns([(1, 2), (3, 4), (5, 6)]) == Matrix(2, 3, (1, 3, 5, 2, 4, 6))
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        Matrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        Matrix.from_columns([(1,), (3, 4)])

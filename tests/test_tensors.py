@@ -20,6 +20,7 @@ from embtens import (
     check_lie,
     check_tensor_homomorphism,
     coherent_derivation_algebra,
+    derivation_algebra,
     descendent,
     graph_subalgebra_check,
     hemisemidirect,
@@ -28,8 +29,8 @@ from embtens import (
     unit_vector,
 )
 from embtens.tensors import algebra_from_matrix_subspace, descendent_table, net_residual
-from conftest import family_ii_matrix, heisenberg, rand_matrix
-from oracles import heisenberg_net_system
+from conftest import family_ii_matrix, g2h3_action, heisenberg, rand_fraction, rand_matrix
+from oracles import coherent_action_residuals, heisenberg_net_system
 
 Z3 = (0, 0, 0)
 
@@ -229,3 +230,34 @@ def test_reduces_to_classical_tensor_equation_when_target_abelian():
             t.apply(action.apply(t.column(u), h.basis_vector(v)))
             for u, v in product(range(2), repeat=2))
         assert check_embedding_tensor(t).ok == classical
+
+
+def bracket_route_actions(ad3, g23, toy_tensor):
+    """Passing and failing actions, each law failing first somewhere."""
+    h3, sl2 = heisenberg(), sl2_like()
+    g1, g2 = abelian_algebra("g1", 1), abelian_algebra("g2", 2)
+    flat = abelian_algebra("flat", 2)
+    yield from (ad3, g23, toy_tensor.action, projection_tensor(h3).action)
+    yield adjoint_action(sl2)  # coherence fails
+    yield Action(g1, sl2, (adjoint_action(sl2).rho[0],))  # coherence only
+    yield Action(g2, flat, (Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 1], [0, 0]])))
+    rng = random.Random(69)
+    derivations = derivation_algebra(h3).basis
+    for seed in range(4):
+        yield g2h3_action(seed)
+        yield Action(g2, h3, (rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)))
+        d = Matrix(3, 3, tuple(sum(rand_fraction(rng) * b[e] for b in derivations)
+                               for e in range(9)))
+        yield Action(g1, h3, (d,))  # a derivation of h3, rarely a coherent one
+
+
+def test_coherent_action_matches_bracket_oracle(ad3, g23, toy_tensor):
+    laws = []
+    for action in bracket_route_actions(ad3, g23, toy_tensor):
+        report = check_coherent_action.__wrapped__(action)
+        expected = coherent_action_residuals(action)[:1]
+        assert [(f.law, f.where, f.residual) for f in report.failures] == expected
+        assert report == check_coherent_action(action)
+        laws += [law for law, _, _ in expected] or ["passes"]
+    assert set(laws) == {"derivation", "homomorphism", "coherence", "passes"}
+    assert laws.count("passes") >= 8
