@@ -20,6 +20,7 @@ from .linalg import (
     ZERO,
     bilinear,
     combination,
+    combine,
     kernel_basis,
     unit_vector,
     vec_add,
@@ -65,13 +66,36 @@ class Algebra(Record):
         """Bilinear extension of the structure table."""
         return bilinear(self.sc, x, y, self.dim)
 
+    def left(self, i: int, v: Vector) -> Vector:
+        """[e_i, v], read from row i of the table."""
+        return combine(v, self.sc[i], self.dim)
+
+    def right(self, v: Vector, k: int) -> Vector:
+        """[v, e_k], read from column k of the table."""
+        return combine(v, [row[k] for row in self.sc], self.dim)
+
+    def leibniz_residual(self, i: int, j: int, k: int) -> Vector:
+        """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]: the left Leibniz
+        identity, and under antisymmetry the Jacobi identity."""
+        return vec_sub(self.left(i, self.sc[j][k]),
+                       vec_add(self.right(self.sc[i][j], k), self.left(j, self.sc[i][k])))
+
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)
 
     def adjoint(self, x: Vector) -> Matrix:
         """Matrix of left multiplication u -> [x, u]."""
-        return Matrix.from_columns(
-            [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)])
+        return Matrix.from_columns([self.right(x, j) for j in range(self.dim)])
+
+
+def table_sum(a: ScTable, b: ScTable) -> ScTable:
+    """The entrywise sum of two tables of the same shape."""
+    return tuple(tuple(map(vec_add, ra, rb)) for ra, rb in zip(a, b, strict=True))
+
+
+def _homomorphism_residual(phi: Matrix, src: Algebra, dst: Algebra):
+    """The residual (i, j) -> phi[e_i, e_j] - [phi e_i, phi e_j] of phi: src -> dst."""
+    return lambda i, j: vec_sub(phi.apply(src.sc[i][j]), dst.bracket(phi.col(i), phi.col(j)))
 
 
 def abelian_algebra(name: str, dim: int) -> Algebra:
@@ -111,32 +135,20 @@ def check_lie(a: Algebra) -> CheckReport:
     """Antisymmetry on basis pairs plus the Jacobi identity on triples."""
     antisymmetry = ("antisymmetry", lambda i, j: vec_add(a.sc[i][j], a.sc[j][i]))
     return first_failure("lie", scan(product(range(a.dim), repeat=2), antisymmetry),
-                         _leibniz_scan(a, "jacobi"))
+                         scan(product(range(a.dim), repeat=3), ("jacobi", a.leibniz_residual)))
 
 
 def check_leibniz(a: Algebra) -> CheckReport:
     """The left Leibniz identity on all basis triples; no antisymmetry."""
-    return first_failure("leibniz", _leibniz_scan(a, "leibniz"))
-
-
-def _leibniz_scan(a: Algebra, law: str):
-    """[x,[y,z]] = [[x,y],z] + [y,[x,z]] on basis triples.
-
-    Under antisymmetry this is the Jacobi identity.
-    """
-    def residual(i: int, j: int, k: int) -> Vector:
-        ei, ej, ek = (a.basis_vector(t) for t in (i, j, k))
-        return vec_sub(a.bracket(ei, a.sc[j][k]),
-                       vec_add(a.bracket(a.sc[i][j], ek), a.bracket(ej, a.sc[i][k])))
-
-    return scan(product(range(a.dim), repeat=3), (law, residual))
+    return first_failure("leibniz", scan(product(range(a.dim), repeat=3),
+                                         ("leibniz", a.leibniz_residual)))
 
 
 def check_two_step_nilpotent(a: Algebra) -> CheckReport:
     """[[x, y], z] = 0 on all basis triples."""
     return first_failure("two-step-nilpotent", scan(
         product(range(a.dim), repeat=3),
-        ("double-bracket", lambda i, j, k: a.bracket(a.sc[i][j], a.basis_vector(k)))))
+        ("double-bracket", lambda i, j, k: a.right(a.sc[i][j], k))))
 
 
 class LeibnizRep(Record):
@@ -192,9 +204,8 @@ def leibniz_kernel(a: Algebra) -> Subspace:
         grown = list(space.basis)
         for b in space.basis:
             for k in range(a.dim):
-                ek = a.basis_vector(k)
-                grown.append(a.bracket(ek, b))
-                grown.append(a.bracket(b, ek))
+                grown.append(a.left(k, b))
+                grown.append(a.right(b, k))
         bigger = Subspace.from_spanning(a.dim, grown)
         if bigger.dim == space.dim:
             return space
@@ -212,9 +223,7 @@ def _quotient_data(a: Algebra):
         return tuple(res[c] for c in complement)
 
     proj = Matrix.from_columns([project(a.basis_vector(j)) for j in range(a.dim)])
-    table = tuple(
-        tuple(project(a.bracket(a.basis_vector(ci), a.basis_vector(cj))) for cj in complement)
-        for ci in complement)
+    table = tuple(tuple(project(a.sc[ci][cj]) for cj in complement) for ci in complement)
     quotient = Algebra(f"{a.name}_lie", qdim, table, LIE)
     return ker, complement, quotient, proj
 

@@ -208,6 +208,14 @@ class CohomologyReport(Record):
         }
 
 
+def _complex_at(t: EmbeddingTensor, k: int, max_degree: int) -> tuple[TensorComplex, Subspace]:
+    """The complex of t for a degree-k query, and the coboundaries in degree k."""
+    if k < 1 or k > max_degree:
+        raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
+    cx = TensorComplex(t, max_degree)
+    return cx, sparse_image(cx.rows(k - 1), cx.cochain_dim(k - 1))
+
+
 def cohomology(t: EmbeddingTensor, k: int,
                max_degree: int = DEFAULT_MAX_DEGREE) -> CohomologyReport:
     """Cocycles, coboundaries, and their quotient dimension in degree k.
@@ -215,11 +223,8 @@ def cohomology(t: EmbeddingTensor, k: int,
     The quotient dimension goes through the subspace containment check,
     so a broken differential surfaces loudly instead of as a wrong count.
     """
-    if k < 1 or k > max_degree:
-        raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
-    cx = TensorComplex(t, max_degree)
+    cx, boundaries = _complex_at(t, k, max_degree)
     cocycles = sparse_kernel(cx.rows(k), cx.cochain_dim(k))
-    boundaries = sparse_image(cx.rows(k - 1), cx.cochain_dim(k - 1))
     return CohomologyReport(
         degree=k,
         dim_z=cocycles.dim,
@@ -233,9 +238,7 @@ def cohomology(t: EmbeddingTensor, k: int,
 def class_equals(t: EmbeddingTensor, f, g, k: int,
                  max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
     """Whether two degree-k cocycles differ by a coboundary."""
-    if k < 1 or k > max_degree:
-        raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
-    cx = TensorComplex(t, max_degree)
+    cx, image = _complex_at(t, k, max_degree)
 
     def coeffs(x) -> Vector:
         c = _as_cochain(t, x)
@@ -248,5 +251,4 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
     for name, v in (("first", vf), ("second", vg)):
         if any(sum(x * v[c] for c, x in row.items()) for row in cx.rows(k)):
             raise NotACocycle(f"the {name} cochain is not a cocycle in degree {k}")
-    image = sparse_image(cx.rows(k - 1), cx.cochain_dim(k - 1))
     return image.contains(vec_sub(vf, vg))

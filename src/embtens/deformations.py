@@ -90,7 +90,7 @@ def _square_failures(action: Action, x: Vector) -> list[Failure]:
     [[x, e_i], [x, e_j]] = 0 ("bracket-square") and
     rho([x, e_i]) rho(x) = 0 ("action-square")."""
     g = action.source
-    ad_x = [g.bracket(x, g.basis_vector(i)) for i in range(g.dim)]
+    ad_x = [g.right(x, i) for i in range(g.dim)]
     rho_x = action.of(x)
     return [*islice(scan(product(range(g.dim), repeat=2),
                          ("bracket-square", lambda i, j: g.bracket(ad_x[i], ad_x[j]))), 1),
@@ -161,9 +161,7 @@ def check_nijenhuis_operator(a: Algebra, n: Matrix) -> CheckReport:
 
     def residual(i: int, j: int) -> Vector:
         ni, nj = n.col(i), n.col(j)
-        ei, ej = a.basis_vector(i), a.basis_vector(j)
-        inner = vec_sub(vec_add(a.bracket(ni, ej), a.bracket(ei, nj)),
-                        n.apply(a.sc[i][j]))
+        inner = vec_sub(vec_add(a.right(ni, j), a.left(i, nj)), n.apply(a.sc[i][j]))
         return vec_sub(a.bracket(ni, nj), n.apply(inner))
 
     return first_failure("nijenhuis-operator", scan(product(range(a.dim), repeat=2),

@@ -38,6 +38,7 @@ from .linalg import (
     Vector,
     ZERO,
     accumulate,
+    combine,
     frac,
     is_zero_vector,
     vector,
@@ -258,7 +259,8 @@ def bracket_differential(f: MultiMap, h: Algebra,
     """The degree-one differential inserting the bracket of h pairwise.
 
     (df)(v_1..v_{n+1}) = sum_{i<j} (-1)^{n-1+i}
-                         f(v_1.. v^_i ..v_{j-1}, [v_i,v_j], v_{j+1}..).
+                         f(v_1.. v^_i ..v_{j-1}, [v_i,v_j], v_{j+1}..),
+    that is (-1)^n times the (k-1, 1)-shuffle insertions of the bracket into f.
     """
     if f.domain_dim != h.dim:
         raise DimensionMismatch("map domain and algebra dimension differ")
@@ -268,13 +270,7 @@ def bracket_differential(f: MultiMap, h: Algebra,
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * f.codomain_dim
-        for i0 in range(n + 1):
-            sign = -1 if (n + i0) % 2 else 1
-            reduced = idxs[:i0] + idxs[i0 + 1:]
-            for j0 in range(i0 + 1, n + 1):
-                br = h.sc[idxs[i0]][idxs[j0]]
-                if not is_zero_vector(br):
-                    accumulate(acc, sign, f.value_with_vector(reduced[:j0 - 1], br, reduced[j0:]))
+        _insertions(acc, f, 1, lambda args, last: h.sc[args[0]][last], idxs, -1 if n % 2 else 1)
         return tuple(acc)
 
     return MultiMap.from_function(n + 1, f.domain_dim, f.codomain_dim, entry)
@@ -296,8 +292,10 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
     if total > arity_cap:
         raise ArityCapExceeded(f"result arity {total} above cap {arity_cap}")
 
+    columns = [[op.col(b) for op in action.rho] for b in range(h.dim)]
+
     def acting(f: MultiMap):  # the action of f(block) on the next basis vector
-        return lambda args, last: action.apply(f.value(args), h.basis_vector(last))
+        return lambda args, last: combine(f.value(args), columns[last], h.dim)
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * g.dim

@@ -489,10 +489,9 @@ class Subspace(Record):
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v on the echelon basis, or None if outside."""
-        coords = tuple(v[p] for p in self.pivots)
         if not self.contains(v):
             return None
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

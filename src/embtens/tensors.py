@@ -16,11 +16,13 @@ from .algebras import (
     ScTable,
     _block_table,
     _commutator,
+    _homomorphism_residual,
     coherent_derivation_algebra,
     direct_sum,
     flatten_matrix,
     matrix_from_flat,
     sc_table,
+    table_sum,
 )
 from .errors import DimensionMismatch, NotAnEmbeddingTensor, NotCoherentAction
 from .linalg import (
@@ -68,8 +70,8 @@ class Action(Record):
 
 
 def adjoint_action(a: Algebra) -> Action:
-    """The adjoint action of a Lie algebra on itself."""
-    return Action(a, a, tuple(a.adjoint(a.basis_vector(i)) for i in range(a.dim)))
+    """The adjoint action of a Lie algebra on itself: ad(e_i) has the columns sc[i]."""
+    return Action(a, a, tuple(Matrix.from_columns(row) for row in a.sc))
 
 
 class EmbeddingTensor(Record):
@@ -124,17 +126,17 @@ def require_coherent(action: Action) -> None:
     require(check_coherent_action(action), NotCoherentAction, "action ")
 
 
-def descendent_table(t: EmbeddingTensor) -> ScTable:
-    """The table of [e_i, e_j]_T = rho(Te_i)e_j + [e_i, e_j] on the target.
+def induced_triangle(t: EmbeddingTensor) -> ScTable:
+    """The table of e_i > e_j = rho(Te_i)e_j on the target, row i read from the
+    columns of the matrix rho(Te_i); built for any candidate tensor, unverified."""
+    n = t.action.target.dim
+    return tuple(tuple(map(m.col, range(n))) for m in map(t.action.of, map(t.column, range(n))))
 
-    Built for any candidate tensor; nothing here is verified.
-    """
-    h = t.action.target
-    table = []
-    for i in range(h.dim):
-        rho_ti = t.action.of(t.column(i))
-        table.append(tuple(vec_add(rho_ti.col(j), h.sc[i][j]) for j in range(h.dim)))
-    return tuple(table)
+
+def descendent_table(t: EmbeddingTensor) -> ScTable:
+    """The table of [e_i, e_j]_T = e_i > e_j + [e_i, e_j] on the target,
+    for any candidate tensor."""
+    return table_sum(induced_triangle(t), t.action.target.sc)
 
 
 def net_residual(t: EmbeddingTensor, table: ScTable, i: int, j: int) -> Vector:
@@ -180,13 +182,12 @@ def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,
         raise DimensionMismatch("phi_g has the wrong shape")
     if phi_h.rows != h.dim or phi_h.cols != h.dim:
         raise DimensionMismatch("phi_h has the wrong shape")
-    endomorphisms = (("phi-source-endomorphism", phi_g, g), ("phi-target-endomorphism", phi_h, h))
     return first_failure(
         "tensor-homomorphism",
-        (f for law, phi, alg in endomorphisms for f in scan(
-            product(range(alg.dim), repeat=2),
-            (law, lambda i, j, phi=phi, alg=alg: vec_sub(
-                phi.apply(alg.sc[i][j]), alg.bracket(phi.col(i), phi.col(j)))))),
+        scan(product(range(g.dim), repeat=2),
+             ("phi-source-endomorphism", _homomorphism_residual(phi_g, g, g))),
+        scan(product(range(h.dim), repeat=2),
+             ("phi-target-endomorphism", _homomorphism_residual(phi_h, h, h))),
         scan([()], ("intertwining", lambda: (t.matrix @ phi_h - phi_g @ t_prime.matrix).entries)),
         scan(product(range(g.dim), range(h.dim)), ("action-compatibility", lambda i, u: vec_sub(
             phi_h.apply(t.action.rho[i].col(u)), t.action.apply(phi_g.col(i), phi_h.col(u))))))

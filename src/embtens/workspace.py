@@ -133,9 +133,7 @@ def _object(data, path: str, *required: str) -> None:
 
 def algebra_from_json(data, name: str, path: str) -> Algebra:
     _object(data, path)
-    if "dim" not in data or not isinstance(data["dim"], int) or data["dim"] < 0:
-        raise ParseError(f"{path}.dim: a nonnegative integer is required")
-    dim = data["dim"]
+    dim = _int_at_least(0, data.get("dim"), f"{path}.dim")
     flavor = data.get("flavor", UNCHECKED)
     if flavor not in FLAVORS:
         raise ParseError(f"{path}.flavor: unknown flavor {flavor!r}")
@@ -229,7 +227,7 @@ def multimap_from_json(data, path: str = "multimap") -> MultiMap:
     _object(data, path, "arity", "domainDim", "codomainDim", "coeffs")
     arity = _int_at_least(0, data["arity"], f"{path}.arity")
     n, m = data["domainDim"], data["codomainDim"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 0:
+    if type(n) is not int or type(m) is not int or n < 1 or m < 0:
         raise ParseError(f"{path}: bad dimensions")
     flat: list = []
 

@@ -1,4 +1,5 @@
 """Axiom checkers, the ideal of squares, quotients, derivation algebras."""
+import random
 from itertools import product
 
 import pytest
@@ -23,8 +24,8 @@ from embtens import (
     unit_vector,
 )
 from embtens.algebras import flatten_matrix, matrix_from_flat
-from conftest import heisenberg
-from oracles import bareiss_rank, close_ideal
+from conftest import heisenberg, rand_fraction
+from oracles import bareiss_rank, bilinear_oracle, close_ideal
 
 Z3 = (0, 0, 0)
 
@@ -35,6 +36,29 @@ def sl2_like() -> Algebra:
         [(0, 0, -1), Z3, (0, 2, 0)],
         [(2, 0, 0), (0, -2, 0), Z3],
     ]), LIE)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_reads_match_triple_sum_oracle(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 3
+    a = Algebra("r", n, sc_table(
+        [[[rand_fraction(rng) for _ in range(n)] for _ in range(n)] for _ in range(n)]))
+    assert any(vec != tuple(-x for x in a.sc[j][i])
+               for i, row in enumerate(a.sc) for j, vec in enumerate(row))
+    units = [unit_vector(n, i) for i in range(n)]
+
+    def br(x, y):
+        return bilinear_oracle(a.sc, x, y)
+
+    v = tuple(rand_fraction(rng) for _ in range(n))
+    for i in range(n):
+        assert a.left(i, v) == br(units[i], v)
+        assert a.right(v, i) == br(v, units[i])
+    for i, j, k in product(range(n), repeat=3):
+        ei, ej, ek = units[i], units[j], units[k]
+        terms = zip(br(ei, br(ej, ek)), br(br(ei, ej), ek), br(ej, br(ei, ek)))
+        assert a.leibniz_residual(i, j, k) == tuple(p - q - r for p, q, r in terms)
 
 
 def test_check_lie_heisenberg_and_abelian():

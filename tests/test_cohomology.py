@@ -22,21 +22,39 @@ from embtens import (
     adjoint_action,
     check_coherent_action,
     check_embedding_tensor,
+    check_leibniz,
+    check_leibniz_lie,
+    check_leibniz_lie_homomorphism,
     check_leibniz_rep,
+    check_lie,
+    check_nijenhuis_operator,
+    check_tensor_homomorphism,
+    check_two_step_nilpotent,
     class_equals,
     cohomology,
+    derived_bracket,
+    induced_leibniz_lie,
     induced_representation,
     kernel_basis,
+    left_multiplication_tensor,
+    leibniz_kernel,
     matrix_as_multimap,
     multimap_as_matrix,
     projection_tensor,
+    quotient_lie,
+    quotient_projection_tensor,
     rref,
     sc_table,
+    subadjacent,
+    subadjacent_representation,
+    tensor_as_multimap,
     tensor_coboundary,
     twisted_differential,
     unit_vector,
 )
 from embtens.cohomology import _as_cochain
+from embtens.deformations import _square_failures
+from embtens.tensors import descendent_table
 from conftest import family_i_matrix, family_ii_matrix, heisenberg, rand_fraction
 from oracles import bareiss_rank, induced_representation_by_brackets, loday_pirashvili_coboundary
 
@@ -302,6 +320,43 @@ def test_setup_routes_read_structure_constants(t1, tii, g23_net, monkeypatch):
     assert calls == []
     t1.action.target.basis_vector(0)
     assert calls == [0]
+
+
+def test_table_routes_make_no_unit_vectors(t1, ll3, monkeypatch):
+    # every checker and induced construction reads its tables directly; only
+    # the projection of the quotient reduces each e_j against the kernel
+    h3, x = t1.action.target, (1, 2, -1)
+    tm, ident = tensor_as_multimap(t1), Matrix.identity(3)
+    routes = {
+        "check_lie": lambda: check_lie(h3),
+        "check_leibniz": lambda: check_leibniz(h3),
+        "check_two_step_nilpotent": lambda: check_two_step_nilpotent(h3),
+        "leibniz_kernel": lambda: leibniz_kernel(subadjacent(ll3)),
+        "adjoint": lambda: h3.adjoint(x),
+        "adjoint_action": lambda: adjoint_action(h3),
+        "check_leibniz_lie": lambda: check_leibniz_lie(ll3),
+        "subadjacent_representation": lambda: subadjacent_representation(ll3),
+        "left_multiplication_tensor": lambda: left_multiplication_tensor(ll3),
+        "square_failures": lambda: _square_failures(t1.action, x),
+        "check_nijenhuis_operator": lambda: check_nijenhuis_operator(h3, t1.matrix),
+        "derived_bracket": lambda: derived_bracket(tm, tm, t1.action),
+        "induced_leibniz_lie": lambda: induced_leibniz_lie(t1),
+        "descendent_table": lambda: descendent_table(t1),
+        "check_tensor_homomorphism": lambda: check_tensor_homomorphism(t1, t1, ident, ident),
+        "check_leibniz_lie_homomorphism": lambda: check_leibniz_lie_homomorphism(ll3, ll3, ident),
+        "quotient_lie": lambda: quotient_lie(subadjacent(ll3)),
+        "quotient_projection_tensor": lambda: quotient_projection_tensor(ll3),
+    }
+    check_embedding_tensor(t1)
+    calls = []
+    original = Algebra.basis_vector
+    monkeypatch.setattr(Algebra, "basis_vector", lambda a, i: calls.append(i) or original(a, i))
+    made = {}
+    for name, route in routes.items():
+        route()
+        made[name], calls[:] = list(calls), []
+    projections = ("quotient_lie", "quotient_projection_tensor")
+    assert made == {name: [0, 1, 2] if name in projections else [] for name in routes}
 
 
 def test_top_rung_cohomology_stays_sparse():

@@ -1,8 +1,9 @@
 """Source hygiene: no package module imports a name it never uses, every
 top-level definition of the package and every non-dunder method of a
 top-level class is used somewhere, only ``reports`` builds a ``Failure``,
-only ``linalg.Flat`` defines entrywise arithmetic, no module divides
-with ``/``, and importing the CLI loads neither ``dataclasses`` nor
+only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
+evaluates a table through ``linalg.bilinear``, no module divides with
+``/``, and importing the CLI loads neither ``dataclasses`` nor
 ``inspect``."""
 import ast
 import os
@@ -154,6 +155,38 @@ def test_detects_entrywise_arithmetic_outside_flat():
               "    async def is_zero(self):\n        return True\n\n"
               "def scale(x):\n    return x\n")
     assert arithmetic_definitions(source) == ["Flat.scale", "Table.__add__", "Table.is_zero"]
+
+
+def bilinear_uses(source: str) -> list[int]:
+    """Lines where a syntax tree imports ``bilinear`` from a ``linalg`` module
+    or reads it as ``linalg.bilinear``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            lines += [node.lineno for alias in node.names if alias.name == "bilinear"]
+        elif isinstance(node, ast.Attribute) and node.attr == "bilinear" and \
+                getattr(node.value, "id", getattr(node.value, "attr", None)) == "linalg":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_tables_are_evaluated_behind_algebra(path):
+    """Table evaluation lives behind ``Algebra``: its ``bracket`` is the one
+    caller of ``linalg.bilinear``, and every other module reads rows and
+    columns through ``left``, ``right`` and the tables themselves."""
+    uses = bilinear_uses(path.read_text(encoding="utf-8"))
+    assert bool(uses) == (path.name == "algebras.py"), uses
+
+
+def test_detects_a_bilinear_import():
+    source = ("from .linalg import Matrix, bilinear\n"
+              "from embtens.linalg import bilinear as b\n"
+              "from .graded import bilinear\n"
+              "from . import linalg\n"
+              "v = linalg.bilinear(t, x, y, 2)\n"
+              "w = embtens.linalg.bilinear(t, x, y, 2)\n")
+    assert bilinear_uses(source) == [1, 2, 5, 6]
 
 
 def true_divisions(source: str) -> list[int]:

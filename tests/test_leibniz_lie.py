@@ -7,6 +7,8 @@ import pytest
 from embtens import (
     ActionIllDefined,
     Algebra,
+    DimensionMismatch,
+    LeibnizLie,
     Matrix,
     NotLeibnizLie,
     abelian_algebra,
@@ -46,6 +48,13 @@ def test_abelian_lie_part_reduces_to_leibniz_check():
 
     as_algebra = Algebra("t", 2, good.triangle, "unchecked")
     assert check_leibniz(as_algebra).ok
+
+
+def test_misshapen_triangle_gets_the_table_shape_error(h3):
+    with pytest.raises(DimensionMismatch, match="structure table of 'h3_triangle' is not 3x3"):
+        LeibnizLie(h3, ((Z3,) * 3,) * 2)
+    with pytest.raises(DimensionMismatch, match="structure vector of length 2"):
+        LeibnizLie(h3, ((Z3, Z3, Z2),) + ((Z3,) * 3,) * 2)
 
 
 def test_broken_triangle_fails(h3):

@@ -111,6 +111,12 @@ def test_subspace_membership_and_coordinates():
     assert s.coordinates((1, 0, 0)) is None
 
 
+def test_coordinates_check_the_length_first():
+    # the pivot (2) lies outside a vector of length 1
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_spanning(3, [(0, 0, 1)]).coordinates((1,))
+
+
 def test_quotient_dim():
     full = Subspace.full(3)
     line = Subspace.from_spanning(3, [(1, 2, 3)])

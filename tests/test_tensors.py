@@ -28,7 +28,13 @@ from embtens import (
     sc_table,
     unit_vector,
 )
-from embtens.tensors import algebra_from_matrix_subspace, descendent_table, net_residual
+from embtens.algebras import table_sum
+from embtens.tensors import (
+    algebra_from_matrix_subspace,
+    descendent_table,
+    induced_triangle,
+    net_residual,
+)
 from conftest import family_ii_matrix, g2h3_action, heisenberg, rand_fraction, rand_matrix
 from oracles import coherent_action_residuals, heisenberg_net_system
 
@@ -179,6 +185,16 @@ def test_descendent_values(t1, h3):
     # the tensor intertwines the descendent bracket with the source one
     for i, j in product(range(3), repeat=2):
         assert t1.apply(d.sc[i][j]) == h3.bracket(t1.column(i), t1.column(j))
+
+
+def test_induced_triangle_applies_the_action(t1, tzero, tii, tab, toy_tensor, g23_net, ad3):
+    bad = EmbeddingTensor(ad3, Matrix.from_rows([[0, 0, 1], [1, 0, 0], [2, 3, 0]]))
+    for t in (t1, tzero, tii, tab, toy_tensor, g23_net, bad):
+        n = t.action.target.dim
+        assert induced_triangle(t) == tuple(
+            tuple(t.action.apply(t.column(i), unit_vector(n, j)) for j in range(n))
+            for i in range(n))
+        assert descendent_table(t) == table_sum(induced_triangle(t), t.action.target.sc)
 
 
 def test_descendent_of_zero_tensor_is_target(tzero, h3):

@@ -147,6 +147,19 @@ def test_multimap_json_round_trips_byte_identically_from_arity_zero():
         multimap_from_json({"arity": -1, "domainDim": 2, "codomainDim": 1, "coeffs": [1]})
 
 
+def test_boolean_dimensions_rejected():
+    # a JSON true is an int to isinstance; it must not pass as dimension 1
+    with pytest.raises(ParseError, match=r"algebras\.a\.dim: a nonnegative integer is required"):
+        workspace_from_dict({"algebras": {"a": {"dim": True, "sc": [[[0]]]}}})
+    from embtens.workspace import multimap_from_json
+
+    for key in ("domainDim", "codomainDim"):
+        data = {"arity": 0, "domainDim": 1, "codomainDim": 1, "coeffs": [1]}
+        data[key] = True
+        with pytest.raises(ParseError, match="multimap: bad dimensions"):
+            multimap_from_json(data)
+
+
 def test_multimap_json_rejects_ragged_tables():
     from embtens.workspace import multimap_from_json
 
