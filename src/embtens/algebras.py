@@ -4,24 +4,26 @@ An algebra is a finite-dimensional bilinear product stored as a table
 ``sc[i][j]`` holding the coordinates of ``[e_i, e_j]``.  The flavor tag
 records what the table is claimed to be; the checkers verify it.  All
 checkers scan basis tuples in lexicographic order and report the first
-violation, so diagnostics are reproducible.
+violation, so diagnostics are reproducible.  Both derivation algebras
+solve one system of sparse rows, the derivation identity on basis pairs.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
     Record,
-    Scalar,
+    SparseRow,
     Subspace,
     Vector,
     ZERO,
     bilinear,
     combination,
     combine,
-    kernel_basis,
+    sparse_kernel,
     unit_vector,
     vec_add,
     vec_sub,
@@ -70,9 +72,14 @@ class Algebra(Record):
         """[e_i, v], read from row i of the table."""
         return combine(v, self.sc[i], self.dim)
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[Vector, ...], ...]:
+        """The columns of the table: entry k holds [e_i, e_k] for each i."""
+        return tuple(zip(*self.sc))
+
     def right(self, v: Vector, k: int) -> Vector:
         """[v, e_k], read from column k of the table."""
-        return combine(v, [row[k] for row in self.sc], self.dim)
+        return combine(v, self._columns[k], self.dim)
 
     def leibniz_residual(self, i: int, j: int, k: int) -> Vector:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]: the left Leibniz
@@ -96,6 +103,22 @@ def table_sum(a: ScTable, b: ScTable) -> ScTable:
 def _homomorphism_residual(phi: Matrix, src: Algebra, dst: Algebra):
     """The residual (i, j) -> phi[e_i, e_j] - [phi e_i, phi e_j] of phi: src -> dst."""
     return lambda i, j: vec_sub(phi.apply(src.sc[i][j]), dst.bracket(phi.col(i), phi.col(j)))
+
+
+def _bracket_residual(a: Algebra, n: int, rho: tuple[Matrix, ...], p: tuple[Matrix, ...],
+                      q: tuple[Matrix, ...]):
+    """The residual (i, j) -> rho([e_i, e_j]) - [p_i, q_j] of n x n operators
+    on the basis of a, with [p, q] = pq - qp, as matrix entries."""
+    return lambda i, j: (
+        combination(rho, a.sc[i][j], n) - ((p[i] @ q[j]) - (q[j] @ p[i]))).entries
+
+
+def _check_operators(ops: tuple[Matrix, ...], count: int, n: int) -> None:
+    """One n x n operator for each of count basis vectors."""
+    if len(ops) != count:
+        raise DimensionMismatch("one operator per basis vector is required")
+    if any(m.rows != n or m.cols != n for m in ops):
+        raise DimensionMismatch(f"operators must be {n}x{n}")
 
 
 def abelian_algebra(name: str, dim: int) -> Algebra:
@@ -160,15 +183,8 @@ class LeibnizRep(Record):
     rho_r: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.rho_l) != self.algebra.dim or len(self.rho_r) != self.algebra.dim:
-            raise DimensionMismatch("one matrix per algebra basis vector is required")
-        for m in (*self.rho_l, *self.rho_r):
-            if m.rows != self.rep_dim or m.cols != self.rep_dim:
-                raise DimensionMismatch(f"representation matrices must be {self.rep_dim}x{self.rep_dim}")
-
-
-def _commutator(p: Matrix, q: Matrix) -> Matrix:
-    return (p @ q) - (q @ p)
+        for ops in (self.rho_l, self.rho_r):
+            _check_operators(ops, self.algebra.dim, self.rep_dim)
 
 
 def check_leibniz_rep(rep: LeibnizRep) -> CheckReport:
@@ -176,10 +192,8 @@ def check_leibniz_rep(rep: LeibnizRep) -> CheckReport:
     a, n, rho_l, rho_r = rep.algebra, rep.rep_dim, rep.rho_l, rep.rho_r
     return first_failure("leibniz-rep", scan(
         product(range(a.dim), repeat=2),
-        ("rho-left-bracket", lambda i, j: (
-            combination(rho_l, a.sc[i][j], n) - _commutator(rho_l[i], rho_l[j])).entries),
-        ("rho-right-bracket", lambda i, j: (
-            combination(rho_r, a.sc[i][j], n) - _commutator(rho_l[i], rho_r[j])).entries),
+        ("rho-left-bracket", _bracket_residual(a, n, rho_l, rho_l, rho_l)),
+        ("rho-right-bracket", _bracket_residual(a, n, rho_r, rho_l, rho_r)),
         ("rho-right-left",
          lambda i, j: ((rho_r[j] @ rho_l[i]) + (rho_r[j] @ rho_r[i])).entries)))
 
@@ -250,50 +264,34 @@ def matrix_from_flat(n: int, v: Vector) -> Matrix:
     return Matrix(n, n, tuple(v))
 
 
-def _derivation_rows(a: Algebra) -> list[list[Scalar]]:
-    """Equations D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] on the dim^2 unknowns.
+def _derivation_rows(a: Algebra, coherent: bool = False) -> list[SparseRow]:
+    """Equations D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0 on the dim^2 unknowns,
+    one sparse row per coordinate k of each basis pair (i, j); with
+    ``coherent``, then also the rows [De_i, e_j] = 0.
 
     Unknown (r, c) is entry D[r][c] at flat index r*dim + c, i.e. D maps
     e_c to sum_r D[r][c] e_r.
     """
-    n = a.dim
-    rows = []
+    n, sc = a.dim, a.sc
+    rows, coherence = [], []
     for i, j, k in product(range(n), repeat=3):
-        row = [ZERO] * (n * n)
-        for m in range(n):
-            s = a.sc[i][j][m]
-            if s != 0:
-                row[k * n + m] += s
+        left = {r * n + i: s for r in range(n) if (s := sc[r][j][k])}  # [De_i, e_j]_k
+        row = {k * n + m: s for m, s in enumerate(sc[i][j]) if s}  # (D[e_i, e_j])_k
+        for c, s in left.items():
+            row[c] = row.get(c, ZERO) - s
         for r in range(n):
-            s = a.sc[r][j][k]
-            if s != 0:
-                row[r * n + i] -= s
-            s = a.sc[i][r][k]
-            if s != 0:
-                row[r * n + j] -= s
+            if s := sc[i][r][k]:  # [e_i, De_j]_k
+                row[r * n + j] = row.get(r * n + j, ZERO) - s
         rows.append(row)
-    return rows
-
-
-def _coherence_rows(a: Algebra) -> list[list[Scalar]]:
-    """Extra equations [De_i, e_j] = 0 for all basis pairs."""
-    n = a.dim
-    rows = []
-    for i, j, k in product(range(n), repeat=3):
-        row = [ZERO] * (n * n)
-        for r in range(n):
-            s = a.sc[r][j][k]
-            if s != 0:
-                row[r * n + i] += s
-        rows.append(row)
-    return rows
+        coherence.append(left)
+    return rows + coherence if coherent else rows
 
 
 def derivation_algebra(a: Algebra) -> Subspace:
     """All derivations of the bracket, as a subspace of the dim^2 matrix space."""
-    return kernel_basis(Matrix.from_rows(_derivation_rows(a)))
+    return sparse_kernel(_derivation_rows(a), a.dim * a.dim)
 
 
 def coherent_derivation_algebra(a: Algebra) -> Subspace:
     """Derivations D with [Du, v] = 0 for all u, v."""
-    return kernel_basis(Matrix.from_rows(_derivation_rows(a) + _coherence_rows(a)))
+    return sparse_kernel(_derivation_rows(a, coherent=True), a.dim * a.dim)

@@ -28,7 +28,6 @@ from .errors import (
     DegreeOutOfRange,
     ParseError,
     ToolkitError,
-    UnresolvedReference,
     WorkspaceError,
 )
 from .linalg import Matrix, parse_scalar
@@ -318,7 +317,7 @@ def run(argv) -> tuple[int, str]:
             raise _Usage("--workspace PATH is required")
         ws = load_workspace(args.workspace)
         code, payload, text = COMMANDS[args.command](ws, args)
-    except (_Usage, WorkspaceError, UnresolvedReference, DegreeOutOfRange, OSError) as exc:
+    except (_Usage, WorkspaceError, DegreeOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
     except ToolkitError as exc:

@@ -77,10 +77,15 @@ def require_leibniz_lie(l: LeibnizLie) -> None:
     require(check_leibniz_lie(l), NotLeibnizLie)
 
 
+def _sum_algebra(l: LeibnizLie, name: str | None = None) -> Algebra:
+    """The algebra with bracket x > y + [x, y], built for any triangle, unverified."""
+    return Algebra(name or f"{l.lie.name}_sub", l.lie.dim, table_sum(l.triangle, l.lie.sc), LEIBNIZ)
+
+
 def subadjacent(l: LeibnizLie, name: str | None = None) -> Algebra:
     """The Leibniz algebra with bracket x > y + [x, y]."""
     require_leibniz_lie(l)
-    return Algebra(name or f"{l.lie.name}_sub", l.lie.dim, table_sum(l.triangle, l.lie.sc), LEIBNIZ)
+    return _sum_algebra(l, name)
 
 
 def subadjacent_representation(l: LeibnizLie) -> LeibnizRep:
@@ -103,10 +108,8 @@ def quotient_projection_tensor(l: LeibnizLie) -> EmbeddingTensor:
     well defined when every vector of the ideal of squares multiplies to
     zero, which is checked constructively on the kernel basis.
     """
-    n = l.lie.dim
-    sub = Algebra(f"{l.lie.name}_sub", n, table_sum(l.triangle, l.lie.sc), LEIBNIZ)
-    ker, complement, quotient, proj = _quotient_data(sub)
-    for w, j in product(ker.basis, range(n)):
+    ker, complement, quotient, proj = _quotient_data(_sum_algebra(l))
+    for w, j in product(ker.basis, range(l.lie.dim)):
         if not is_zero_vector(l._algebra.right(w, j)):
             raise ActionIllDefined(f"kernel vector {w} acts nontrivially on basis vector {j}")
     rho = tuple(Matrix.from_columns(l.triangle[c]) for c in complement)

@@ -15,7 +15,8 @@ from .algebras import (
     LEIBNIZ,
     ScTable,
     _block_table,
-    _commutator,
+    _bracket_residual,
+    _check_operators,
     _homomorphism_residual,
     coherent_derivation_algebra,
     direct_sum,
@@ -34,7 +35,6 @@ from .linalg import (
     ZERO,
     accumulate,
     combination,
-    combine,
     vec_add,
     vec_sub,
 )
@@ -49,12 +49,7 @@ class Action(Record):
     rho: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.rho) != self.source.dim:
-            raise DimensionMismatch("one operator per source basis vector is required")
-        for m in self.rho:
-            if m.rows != self.target.dim or m.cols != self.target.dim:
-                raise DimensionMismatch(
-                    f"operators must be {self.target.dim}x{self.target.dim}")
+        _check_operators(self.rho, self.source.dim, self.target.dim)
 
     def of(self, x: Vector) -> Matrix:
         """rho(x) for an arbitrary source vector."""
@@ -97,28 +92,23 @@ class EmbeddingTensor(Record):
 
 @lru_cache(maxsize=None)
 def check_coherent_action(action: Action) -> CheckReport:
-    """Derivation property, homomorphism property, and coherence, on basis tuples.
-
-    Brackets with a basis vector combine table entries: [rho_i e_a, e_b] the
-    column sc[.][b] by the coordinates of rho_i e_a, [e_a, rho_i e_b] the row
-    sc[a] by those of rho_i e_b."""
+    """Derivation property, homomorphism property, and coherence, on basis tuples;
+    brackets with a basis vector read h's table through ``h.left``/``h.right``."""
     g, h, rho = action.source, action.target, action.rho
     triples = (range(g.dim), range(h.dim), range(h.dim))
     images = [[op.col(a) for a in range(h.dim)] for op in rho]
-    sc_cols = [[row[b] for row in h.sc] for b in range(h.dim)]
 
     def left(i: int, a: int, b: int) -> Vector:  # [rho_i e_a, e_b]
-        return combine(images[i][a], sc_cols[b], h.dim)
+        return h.right(images[i][a], b)
 
     def derivation(i: int, a: int, b: int) -> Vector:
-        return vec_sub(rho[i].apply(h.sc[a][b]),
-                       vec_add(left(i, a, b), combine(images[i][b], h.sc[a], h.dim)))
+        return vec_sub(rho[i].apply(h.sc[a][b]), vec_add(left(i, a, b), h.left(a, images[i][b])))
 
     return first_failure(
         "coherent-action",
         scan(product(*triples), ("derivation", derivation)),
-        scan(product(range(g.dim), repeat=2), ("homomorphism", lambda i, j: (
-            action.of(g.sc[i][j]) - _commutator(rho[i], rho[j])).entries)),
+        scan(product(range(g.dim), repeat=2),
+             ("homomorphism", _bracket_residual(g, h.dim, rho, rho, rho))),
         scan(product(*triples), ("coherence", left)))
 
 
@@ -205,19 +195,13 @@ def hemisemidirect(action: Action, name: str | None = None) -> Algebra:
                    _block_table(g, h, action.rho), LEIBNIZ)
 
 
-def graph_subspace(t: EmbeddingTensor) -> Subspace:
-    g, h = t.action.source, t.action.target
-    vectors = [t.column(u) + h.basis_vector(u) for u in range(h.dim)]
-    return Subspace.from_spanning(g.dim + h.dim, vectors)
-
-
 def graph_subalgebra_check(t: EmbeddingTensor) -> CheckReport:
-    """Whether the graph of T is closed under the hemisemidirect bracket."""
-    require_coherent(t.action)
+    """Whether the graph of T, spanned by the lifts Te_u + e_u, is closed
+    under the hemisemidirect bracket."""
     big = hemisemidirect(t.action)
-    graph = graph_subspace(t)
     g, h = t.action.source, t.action.target
     lifts = [t.column(u) + h.basis_vector(u) for u in range(h.dim)]
+    graph = Subspace.from_spanning(g.dim + h.dim, lifts)
     bad = tuple(scan(product(range(h.dim), repeat=2), ("graph-closure", lambda i, j: graph.reduce(
         big.bracket(lifts[i], lifts[j])))))
     return verdict("graph-subalgebra", bad,

@@ -56,9 +56,9 @@ class Workspace:
         return _lookup(self.leibniz_lie, name, "leibnizLie entry")
 
 
-def _lookup(table: dict, name: str, kind: str):
+def _lookup(table: dict, name: str, kind: str, prefix: str = ""):
     if name not in table:
-        raise UnresolvedReference(f"unknown {kind} {name!r}")
+        raise UnresolvedReference(f"{prefix}unknown {kind} {name!r}")
     return table[name]
 
 
@@ -157,9 +157,7 @@ def algebra_to_json(a: Algebra) -> dict:
 
 def _resolve_algebra(ref, ws: Workspace, path: str) -> Algebra:
     if isinstance(ref, str):
-        if ref not in ws.algebras:
-            raise UnresolvedReference(f"{path}: unknown algebra {ref!r}")
-        return ws.algebras[ref]
+        return _lookup(ws.algebras, ref, "algebra", f"{path}: ")
     return algebra_from_json(ref, f"inline@{path}", path)
 
 
@@ -185,9 +183,7 @@ def action_to_json(a: Action) -> dict:
 
 def _resolve_action(ref, ws: Workspace, path: str) -> Action:
     if isinstance(ref, str):
-        if ref not in ws.actions:
-            raise UnresolvedReference(f"{path}: unknown action {ref!r}")
-        return ws.actions[ref]
+        return _lookup(ws.actions, ref, "action", f"{path}: ")
     return action_from_json(ref, ws, path)
 
 

@@ -34,6 +34,13 @@ def heisenberg() -> Algebra:
     ]), LIE)
 
 
+def heisenberg5() -> Algebra:
+    table = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for i in range(2):
+        table[i][i + 2][4], table[i + 2][i][4] = 1, -1
+    return Algebra("h5", 5, sc_table(table), LIE)
+
+
 @pytest.fixture(scope="session")
 def h3() -> Algebra:
     return heisenberg()

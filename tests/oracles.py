@@ -8,9 +8,9 @@ bilinear maps from a plain triple sum over a structure table, the
 Heisenberg tensor family from its closed polynomial system, the
 Loday-Pirashvili coboundary and the two coefficient equations of a
 linear deformation entry by entry from matrix entries and structure
-constants, and the induced representation of a tensor and the residuals
-of a coherent action from brackets of unit vectors.  Nothing here
-imports the package.
+constants, and the induced representation of a tensor, the residuals
+of a coherent action and the linear system of the derivations from
+brackets of unit vectors.  Nothing here imports the package.
 """
 from __future__ import annotations
 
@@ -137,8 +137,10 @@ def bilinear_oracle(table, x, y) -> tuple:
     out = [Fraction(0)] * out_dim
     for i in range(len(x)):
         for j in range(len(y)):
-            for k in range(out_dim):
-                out[k] += Fraction(x[i]) * Fraction(y[j]) * Fraction(table[i][j][k])
+            c = Fraction(x[i]) * Fraction(y[j])
+            if c:  # a zero coefficient adds nothing
+                for k in range(out_dim):
+                    out[k] += c * Fraction(table[i][j][k])
     return tuple(out)
 
 
@@ -293,6 +295,35 @@ def induced_representation_by_brackets(t) -> tuple[list[tuple], list[tuple]]:
                                    _mat_vec(tm, _mat_vec(rho[i], targets[u])))
                               for i in range(g.dim)]))
     return rho_l, rho_r
+
+
+def derivation_system(a, coherent: bool) -> list[list[Fraction]]:
+    """The linear system cut out by the derivations of an algebra (with
+    ``coherent``, by its coherent derivations) on the n^2 entries of D,
+    entry D[r][c] at column r*n + c.  Column r*n + c lists, over the basis
+    pairs (i, j) and then the coordinates k, the k-th coordinate of
+
+        D[e_i, e_j] - [De_i, e_j] - [e_i, De_j]   (and then of [De_i, e_j])
+
+    at the unit operator D = E_rc, which maps e_c to e_r, from brackets of
+    unit vectors.
+    """
+    n, pairs = a.dim, list(product(_units(a.dim), repeat=2))
+
+    def bracket(x, y):
+        return bilinear_oracle(a.sc, x, y)
+
+    columns = []
+    for r, c in product(range(n), repeat=2):
+        def unit_op(x):  # E_rc x = x_c e_r
+            return [x[c] if s == r else Fraction(0) for s in range(n)]
+
+        column = [v for x, y in pairs for v in _sub(_sub(
+            unit_op(bracket(x, y)), bracket(unit_op(x), y)), bracket(x, unit_op(y)))]
+        if coherent:
+            column += [v for x, y in pairs for v in bracket(unit_op(x), y)]
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
 
 
 def coherent_action_residuals(action) -> list[tuple]:

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from embtens import (
+    Action,
     Algebra,
     DimensionMismatch,
     LIE,
@@ -24,8 +25,8 @@ from embtens import (
     unit_vector,
 )
 from embtens.algebras import flatten_matrix, matrix_from_flat
-from conftest import heisenberg, rand_fraction
-from oracles import bareiss_rank, bilinear_oracle, close_ideal
+from conftest import heisenberg, heisenberg5, rand_fraction
+from oracles import bareiss_rank, bilinear_oracle, close_ideal, derivation_system
 
 Z3 = (0, 0, 0)
 
@@ -146,6 +147,20 @@ def test_leibniz_rep_shape_errors(h3):
         LeibnizRep(h3, 2, (Matrix.zero(2, 2),), (Matrix.zero(2, 2),) * 3)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("one-too-few", "one operator per basis vector is required"),
+    ("non-square", "operators must be 2x2")], ids=["one-too-few", "non-square"])
+@pytest.mark.parametrize("build", [
+    lambda h, ops: Action(h, abelian_algebra("a2", 2), ops),
+    lambda h, ops: LeibnizRep(h, 2, ops, (Matrix.zero(2, 2),) * 3),
+    lambda h, ops: LeibnizRep(h, 2, (Matrix.zero(2, 2),) * 3, ops)],
+    ids=["action", "rep-left", "rep-right"])
+def test_operator_families_share_one_shape_check(h3, build, fault, message):
+    ops = (Matrix.zero(2, 2),) * 2 + ((Matrix.zero(2, 3),) if fault == "non-square" else ())
+    with pytest.raises(DimensionMismatch, match=message):
+        build(h3, ops)
+
+
 def test_leibniz_kernel_of_lie_algebra_is_zero():
     assert leibniz_kernel(heisenberg()).dim == 0
     assert leibniz_kernel(sl2_like()).dim == 0
@@ -211,12 +226,9 @@ def test_derivation_algebra_of_heisenberg_is_six_dimensional():
     a = heisenberg()
     der = derivation_algebra(a)
     assert der.dim == 6
-    # independent oracle: rank of the defining linear system via
-    # fraction-free elimination
-    from embtens.algebras import _derivation_rows
-
-    rows = _derivation_rows(a)
-    assert 9 - bareiss_rank(rows) == 6
+    # independent oracle: rank of the defining linear system, evaluated at
+    # the unit operators, via fraction-free elimination
+    assert 9 - bareiss_rank(derivation_system(a, coherent=False)) == 6
 
 
 def test_derivation_algebra_closed_under_commutator():
@@ -244,10 +256,33 @@ def test_coherent_derivations_of_heisenberg():
     assert sub.contains(flatten_matrix(e20))
     assert sub.contains(flatten_matrix(e21))
     # cross-check against an independently assembled linear system
-    from embtens.algebras import _coherence_rows, _derivation_rows
+    assert 9 - bareiss_rank(derivation_system(a, coherent=True)) == 2
 
-    rows = _derivation_rows(a) + _coherence_rows(a)
-    assert 9 - bareiss_rank(rows) == 2
+
+def test_derivation_algebras_solve_the_unit_operator_system():
+    # both derivation algebras against the system evaluated at each unit
+    # operator E_rc: every basis vector solves it, and the dimension is
+    # n^2 - rank; the 24 random tables are sparse and not antisymmetric
+    rng = random.Random(13)
+    algebras = [heisenberg(), heisenberg5(), sl2_like()]
+    algebras += [abelian_algebra(f"a{n}", n) for n in (0, 1, 2, 3)]
+    while len(algebras) < 7 + 24:
+        n, density = rng.randint(1, 3), rng.choice((0.1, 0.2, 0.3))
+        a = Algebra(f"r{len(algebras)}", n, sc_table(
+            [[[rand_fraction(rng) if rng.random() < density else 0 for _ in range(n)]
+              for _ in range(n)] for _ in range(n)]))
+        if any(a.sc[i][j] != tuple(-x for x in a.sc[j][i]) for i, j in product(range(n), repeat=2)):
+            algebras.append(a)
+    solved = 0
+    for a in algebras:
+        for coherent, space in ((False, derivation_algebra(a)),
+                                (True, coherent_derivation_algebra(a))):
+            system = derivation_system(a, coherent)
+            for v in space.basis:
+                assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in system), a.name
+            assert space.dim == a.dim ** 2 - bareiss_rank(system), (a.name, coherent)
+            solved += a.name.startswith("r") and space.dim > 0
+    assert solved >= 10  # the random tables are not all rigid
 
 
 def test_coherent_derivations_inside_derivations_and_closed():

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from embtens import (
-    LIE,
     Algebra,
     ArityCapExceeded,
     DegreeOutOfRange,
@@ -44,7 +43,6 @@ from embtens import (
     quotient_lie,
     quotient_projection_tensor,
     rref,
-    sc_table,
     subadjacent,
     subadjacent_representation,
     tensor_as_multimap,
@@ -55,7 +53,7 @@ from embtens import (
 from embtens.cohomology import _as_cochain
 from embtens.deformations import _square_failures
 from embtens.tensors import descendent_table
-from conftest import family_i_matrix, family_ii_matrix, heisenberg, rand_fraction
+from conftest import family_i_matrix, family_ii_matrix, heisenberg, heisenberg5, rand_fraction
 from oracles import bareiss_rank, induced_representation_by_brackets, loday_pirashvili_coboundary
 
 
@@ -114,13 +112,6 @@ def test_lp_specialization_equals_tensor_coboundary(t1, tii, toy_tensor, g23_net
                 img = tensor_coboundary(t, f)
                 assert img.arity == arity + 1
                 assert img.coeffs == cx.differential(arity + 1).apply(f.coeffs)
-
-
-def heisenberg5() -> Algebra:
-    table = [[[0] * 5 for _ in range(5)] for _ in range(5)]
-    for i in range(2):
-        table[i][i + 2][4], table[i + 2][i][4] = 1, -1
-    return Algebra("h5", 5, sc_table(table), LIE)
 
 
 def test_coboundary_of_one_cochain_builds_no_matrix():

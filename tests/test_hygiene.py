@@ -2,9 +2,9 @@
 top-level definition of the package and every non-dunder method of a
 top-level class is used somewhere, only ``reports`` builds a ``Failure``,
 only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
-evaluates a table through ``linalg.bilinear``, no module divides with
-``/``, and importing the CLI loads neither ``dataclasses`` nor
-``inspect``."""
+evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
+dense-matrix solvers, no module divides with ``/``, and importing the CLI
+loads neither ``dataclasses`` nor ``inspect``."""
 import ast
 import os
 import re
@@ -187,6 +187,40 @@ def test_detects_a_bilinear_import():
               "v = linalg.bilinear(t, x, y, 2)\n"
               "w = embtens.linalg.bilinear(t, x, y, 2)\n")
     assert bilinear_uses(source) == [1, 2, 5, 6]
+
+
+DENSE_SOLVERS = ("kernel_basis", "column_space", "rref")
+
+
+def dense_solver_calls(source: str) -> list[int]:
+    """Lines where a syntax tree calls ``kernel_basis``, ``column_space`` or
+    ``rref``, bare or qualified."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in DENSE_SOLVERS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_systems_are_solved_sparse(path):
+    """Linear systems leave ``linalg`` as sparse rows: the dense-matrix wrappers
+    stay public API, but no other module builds a ``Matrix`` to solve one."""
+    assert dense_solver_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_dense_solver_call():
+    source = ("from .linalg import kernel_basis, rref\n"
+              "k = kernel_basis(m)\n"
+              "c = linalg.column_space(m)\n"
+              "r = rref\n"
+              "s = sparse_kernel(rows, 3)\n"
+              "t = rref(m)[0]\n")
+    assert dense_solver_calls(source) == [2, 3, 6]
 
 
 def true_divisions(source: str) -> list[int]:

@@ -62,9 +62,16 @@ def test_flavor_violation_reports_witness():
 
 
 def test_unresolved_reference():
-    with pytest.raises(UnresolvedReference):
+    with pytest.raises(UnresolvedReference) as err:
         workspace_from_dict({
             "actions": {"a": {"source": "nope", "target": "nope", "rho": []}}})
+    assert str(err.value) == "actions.a.source: unknown algebra 'nope'"
+    with pytest.raises(UnresolvedReference) as err:
+        workspace_from_dict({"tensors": {"t": {"action": "gone", "matrix": []}}})
+    assert str(err.value) == "tensors.t.action: unknown action 'gone'"
+    with pytest.raises(UnresolvedReference) as err:
+        workspace_from_dict({}).tensor("x")
+    assert str(err.value) == "unknown tensor 'x'"
 
 
 def test_parse_error_reports_position(tmp_path):
