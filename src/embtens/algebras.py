@@ -228,9 +228,7 @@ def leibniz_kernel(a: Algebra) -> Subspace:
 
 def _quotient_data(a: Algebra):
     ker = leibniz_kernel(a)
-    pivset = set(ker.pivots)
-    complement = [c for c in range(a.dim) if c not in pivset]
-    qdim = len(complement)
+    complement = [c for c in range(a.dim) if c not in ker.pivots]
 
     def project(v: Vector) -> Vector:
         res = ker.reduce(v)
@@ -238,7 +236,7 @@ def _quotient_data(a: Algebra):
 
     proj = Matrix.from_columns([project(a.basis_vector(j)) for j in range(a.dim)])
     table = tuple(tuple(project(a.sc[ci][cj]) for cj in complement) for ci in complement)
-    quotient = Algebra(f"{a.name}_lie", qdim, table, LIE)
+    quotient = Algebra(f"{a.name}_lie", len(complement), table, LIE)
     return ker, complement, quotient, proj
 
 

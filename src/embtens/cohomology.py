@@ -19,10 +19,10 @@ d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the DGLA
 are each other's test oracle.  A cochain is normalised as it enters:
 ``_as_cochain`` passes every coefficient through ``frac``.
 
-``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, and
-``cohomology`` and ``class_equals`` eliminate those rows directly.
-``TensorComplex.differential(k)`` densifies d_k into a ``Matrix`` on
-demand; nothing in this module calls it.
+``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, which
+``cohomology`` and ``class_equals`` eliminate into sparse echelon rows;
+``CohomologyReport.to_json`` alone makes those dense, and nothing here calls
+``TensorComplex.differential(k)``, which densifies d_k into a ``Matrix``.
 """
 from __future__ import annotations
 
@@ -186,7 +186,7 @@ class TensorComplex:
     def differential(self, k: int) -> Matrix:
         """Matrix of the coboundary from degree k to degree k + 1, densified."""
         rows = self.rows(k)
-        return Matrix.from_sparse_rows(len(rows), self.cochain_dim(k), rows)
+        return Matrix.from_sparse_rows(len(rows), self.cochain_dim(k), map(dict.items, rows))
 
 
 class CohomologyReport(Record):

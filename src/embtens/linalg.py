@@ -7,8 +7,8 @@ machine-speed ints.  ``frac`` is the one normaliser that makes them, and
 package has no ``/`` operator.  An ``int`` and the ``Fraction`` of the
 same value compare and hash equal, so mixing them changes no result.
 Vectors are plain tuples of scalars, matrices are immutable row-major
-``Flat`` records, and subspaces are stored in reduced row echelon form, so
-subspace equality is literal equality of canonical bases.  ``Record`` is
+``Flat`` records, and a subspace is held by its reduced row echelon rows,
+so subspace equality is literal equality of canonical rows.  ``Record`` is
 the base of every immutable value type in the package, and ``Flat`` the
 base of those holding a flat tuple of scalars (``Matrix`` and
 ``graded.MultiMap``): it defines their entrywise arithmetic once.
@@ -17,9 +17,10 @@ All elimination goes through one sparse RREF, ``_sparse_rref``, on
 ``{column: entry}`` rows: ``rref``, ``kernel_basis``, ``column_space``
 and ``Subspace.from_spanning`` convert their dense input, and
 ``sparse_kernel`` and ``sparse_image`` take sparse rows directly.  The
-RREF of a row space is unique, so the bases do not depend on the order
-of elimination; they are handed out as dense canonical tuples, each
-entry normalised by ``frac`` as it leaves sparse form (``_dense``).
+RREF of a row space is unique; it comes out as the rows a ``Subspace``
+keeps, ``(column, entry)`` pairs with the pivot first and each entry
+through ``frac``.  One step, ``_eliminate``, reduces a row for elimination
+and membership alike, and dense tuples are made only for output (``_dense``).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .errors import DimensionMismatch, NotASubspace, ParseError
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
 SparseRow = dict[int, Scalar]
+EchelonRow = tuple[tuple[int, Scalar], ...]
 
 ZERO = 0
 ONE = 1
@@ -56,7 +58,7 @@ def frac(value: int | str | Fraction, den: Scalar | None = None) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_SCALAR_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_scalar(value: int | str) -> Scalar:
@@ -298,8 +300,8 @@ class Matrix(Flat):
 
     @classmethod
     def from_sparse_rows(cls, rows: int, cols: int, sparse) -> "Matrix":
-        """The matrix whose leading rows are the ``{column: entry}`` dicts of
-        ``sparse``; the rows after them are zero."""
+        """The matrix whose leading rows are given by the ``(column, entry)``
+        pairs of ``sparse``; the rows after them are zero."""
         dense = tuple(x for row in sparse for x in _dense(row, cols))
         return cls(rows, cols, dense + (ZERO,) * (rows * cols - len(dense)))
 
@@ -379,11 +381,12 @@ def _sparse_rows(m: Matrix) -> list[SparseRow]:
     return [{j: x for j in range(cols) if (x := e[i * cols + j])} for i in range(m.rows)]
 
 
-def _dense(row: SparseRow, n: int) -> Vector:
-    """Row ``row`` as a dense tuple of length n, each entry through ``frac``:
-    elimination leaves whole ``Fraction``s, and this is where they go."""
+def _dense(pairs, n: int) -> Vector:
+    """The length-n dense tuple with these ``(column, entry)`` pairs, each
+    entry through ``frac``: elimination leaves whole ``Fraction``s, and this
+    is where they go."""
     out = [ZERO] * n
-    for c, x in row.items():
+    for c, x in pairs:
         out[c] = frac(x)
     return tuple(out)
 
@@ -400,21 +403,27 @@ def _subtract(row: SparseRow, f: Scalar, other: SparseRow) -> None:
             del row[c]
 
 
-def _sparse_rref(rows) -> tuple[list[SparseRow], tuple[int, ...]]:
-    """Reduced row echelon form of the span of sparse rows, and its pivots.
+def _eliminate(row: SparseRow, by_pivot: dict[int, SparseRow]) -> SparseRow:
+    """Clear from ``row``, in place, every pivot column of ``by_pivot``, and
+    return it; one pass is enough, as pivot rows vanish at other pivots."""
+    for p in [c for c in row if c in by_pivot]:
+        _subtract(row, row[p], by_pivot[p])
+    return row
+
+
+def _sparse_rref(rows) -> tuple[EchelonRow, ...]:
+    """Reduced row echelon form of the span of sparse rows, in canonical form.
 
     Each incoming row is reduced against the pivot rows found so far,
     pivots on the first nonzero column of what is left, is normalised
     there, and clears that column from every earlier pivot row.  The
     pivot rows stay zero at every other pivot column throughout, so the
-    rows returned, sorted by pivot, are the unique RREF of the span.
-    The input rows are not changed.
+    rows returned, sorted by pivot and each as ``(column, entry)`` pairs in
+    column order, are the unique RREF of the span.  Input is not changed.
     """
     by_pivot: dict[int, SparseRow] = {}
     for incoming in rows:
-        row = {c: x for c, x in incoming.items() if x}
-        for p in [c for c in row if c in by_pivot]:
-            _subtract(row, row[p], by_pivot[p])
+        row = _eliminate({c: x for c, x in incoming.items() if x}, by_pivot)
         if not row:
             continue
         p = min(row)
@@ -425,14 +434,14 @@ def _sparse_rref(rows) -> tuple[list[SparseRow], tuple[int, ...]]:
             if p in other:
                 _subtract(other, other[p], row)
         by_pivot[p] = row
-    pivots = tuple(sorted(by_pivot))
-    return [by_pivot[p] for p in pivots], pivots
+    return tuple(tuple(sorted((c, frac(x)) for c, x in by_pivot[p].items()))
+                 for p in sorted(by_pivot))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns, exactly."""
-    rows, pivots = _sparse_rref(_sparse_rows(m))
-    return Matrix.from_sparse_rows(m.rows, m.cols, rows), pivots
+    rows = _sparse_rref(_sparse_rows(m))
+    return Matrix.from_sparse_rows(m.rows, m.cols, rows), tuple(row[0][0] for row in rows)
 
 
 def rank(m: Matrix) -> int:
@@ -444,10 +453,13 @@ def rank(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 class Subspace(Record):
-    """A subspace of Q^n held by its reduced row echelon basis."""
+    """A subspace of Q^n held by its RREF rows, as ``_sparse_rref`` returns
+    them; the RREF is unique, so equal subspaces are equal records.  Rows are
+    reduced against a pivot index built on first use, and ``basis``, the
+    dense echelon tuples, is made only when read."""
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[EchelonRow, ...]
 
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -456,7 +468,7 @@ class Subspace(Record):
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"spanning vector of length {len(v)} in ambient dim {ambient_dim}")
-        return _span(ambient_dim, ({j: x for j, x in enumerate(v) if x} for v in vecs))
+        return cls(ambient_dim, _sparse_rref({j: x for j, x in enumerate(v) if x} for v in vecs))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -464,59 +476,55 @@ class Subspace(Record):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+        return cls(ambient_dim, tuple(((i, ONE),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+        return tuple(row[0][0] for row in self.rows)
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
+
+    @cached_property
+    def _by_pivot(self) -> dict[int, SparseRow]:
+        return {row[0][0]: dict(row) for row in self.rows}
 
     def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating against the echelon basis."""
+        """Residual of v after eliminating against the echelon rows."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        res = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            if res[p] != 0:
-                accumulate(res, -res[p], row)
-        return tuple(res)
+        row = _eliminate({j: x for j, x in enumerate(v) if x}, self._by_pivot)
+        return _dense(row.items(), self.ambient_dim)
 
     def contains(self, v: Vector) -> bool:
-        return is_zero_vector(self.reduce(v))
+        return not any(self.reduce(v))
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v on the echelon basis, or None if outside."""
-        if not self.contains(v):
-            return None
-        return tuple(v[p] for p in self.pivots)
+        return tuple(v[p] for p in self.pivots) if self.contains(v) else None
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(other.contains(b) for b in self.basis)
+        return not any(_eliminate(dict(row), other._by_pivot) for row in self.rows)
 
     def to_json(self) -> list:
         return [vector_to_json(row) for row in self.basis]
 
 
-def _span(ambient_dim: int, rows) -> Subspace:
-    """The subspace spanned by sparse rows, with its dense canonical basis."""
-    basis, _ = _sparse_rref(rows)
-    return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for row in basis))
-
-
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> Subspace:
     """Canonical basis of {v : row . v = 0 for every row}, v in Q^ncols."""
-    reduced, pivots = _sparse_rref(rows)
-    vecs = {f: {f: ONE} for f in sorted(set(range(ncols)) - set(pivots))}
-    for p, row in zip(pivots, reduced):
-        for c, x in row.items():
-            if c != p:
-                vecs[c][p] = -x
-    return _span(ncols, vecs.values())
+    vecs = {f: {f: ONE} for f in range(ncols)}
+    for (p, _), *rest in _sparse_rref(rows):
+        del vecs[p]
+        for c, x in rest:
+            vecs[c][p] = -x
+    return Subspace(ncols, _sparse_rref(vecs.values()))
 
 
 def sparse_image(rows: list[SparseRow], ncols: int) -> Subspace:
@@ -525,7 +533,7 @@ def sparse_image(rows: list[SparseRow], ncols: int) -> Subspace:
     for i, row in enumerate(rows):
         for c, x in row.items():
             cols[c][i] = x
-    return _span(len(rows), cols)
+    return Subspace(len(rows), _sparse_rref(cols))
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -138,7 +138,10 @@ def algebra_from_json(data, name: str, path: str) -> Algebra:
     if flavor not in FLAVORS:
         raise ParseError(f"{path}.flavor: unknown flavor {flavor!r}")
     sc = _table(data.get("sc"), dim, f"{path}.sc")
-    algebra = Algebra(str(data.get("name", name)), dim, sc, flavor)
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise ParseError(f"{path}.name: expected a string")
+    algebra = Algebra(name, dim, sc, flavor)
     _verify_flavor(algebra, path)
     return algebra
 

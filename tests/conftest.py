@@ -34,11 +34,17 @@ def heisenberg() -> Algebra:
     ]), LIE)
 
 
+def heisenberg_of(dim: int) -> Algebra:
+    """h_dim for odd dim = 2n + 1, with [e_i, e_{i+n}] = e_{2n} for i < n."""
+    n = dim // 2
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(n):
+        table[i][i + n][dim - 1], table[i + n][i][dim - 1] = 1, -1
+    return Algebra(f"h{dim}", dim, sc_table(table), LIE)
+
+
 def heisenberg5() -> Algebra:
-    table = [[[0] * 5 for _ in range(5)] for _ in range(5)]
-    for i in range(2):
-        table[i][i + 2][4], table[i + 2][i][4] = 1, -1
-    return Algebra("h5", 5, sc_table(table), LIE)
+    return heisenberg_of(5)
 
 
 @pytest.fixture(scope="session")

@@ -53,7 +53,8 @@ from embtens import (
 from embtens.cohomology import _as_cochain
 from embtens.deformations import _square_failures
 from embtens.tensors import descendent_table
-from conftest import family_i_matrix, family_ii_matrix, heisenberg, heisenberg5, rand_fraction
+from conftest import (family_i_matrix, family_ii_matrix, heisenberg, heisenberg5, heisenberg_of,
+                      rand_fraction)
 from oracles import bareiss_rank, induced_representation_by_brackets, loday_pirashvili_coboundary
 
 
@@ -361,6 +362,35 @@ def test_top_rung_cohomology_stays_sparse():
         tracemalloc.stop()
     assert (report.dim_z, report.dim_b, report.dim_h) == (350, 45, 305)
     assert peak < 8 * 1024 * 1024
+
+
+def test_h9_degree_four_rung():
+    # the cocycle basis is 4617 x 6561; held as dense tuples this took ~270 MB
+    t = EmbeddingTensor(adjoint_action(heisenberg_of(9)), Matrix.zero(9, 9))
+    report = cohomology(t, 4)
+    assert (report.dim_z, report.dim_b, report.dim_h) == (4617, 153, 4464)
+
+
+def test_subspaces_stay_sparse_until_output(t1, monkeypatch):
+    """Dense echelon tuples are made only at the output boundary: no
+    ``Subspace`` of a cohomology query or class test builds ``basis``
+    before the report is written out."""
+    made = []
+    monkeypatch.setattr(Subspace, "__post_init__", lambda s: made.append(s))
+    report = cohomology(t1, 3)
+    cocycle = [0] * report.cocycle_basis.ambient_dim
+    for c, x in report.cocycle_basis.rows[-1]:
+        cocycle[c] = x
+    cocycle = MultiMap(2, 3, 3, tuple(cocycle))
+    exact = tensor_coboundary(t1, Matrix.from_rows([[1, 0, 2], [0, 3, 0], [1, 1, 0]]))
+    assert class_equals(t1, cocycle, cocycle + exact, 3)
+    assert not class_equals(t1, cocycle, MultiMap.zero(2, 3, 3), 3)
+    assert len(made) >= 4
+    assert not any("basis" in vars(s) for s in made)
+    payload = report.to_json()
+    assert payload["cocycleBasis"][-1] == [int(x) if x.denominator == 1 else str(x)
+                                           for x in cocycle.coeffs]
+    assert "basis" in vars(report.cocycle_basis)
 
 
 def test_cohomology_of_zero_tensor_in_degree_one(tzero):

@@ -229,7 +229,10 @@ def test_sparse_elimination_matches_dense_oracle(nrows, ncols, data):
 
     Each draw is also checked with its first row repeated, with a copy
     of its first column appended (a column that cannot hold a pivot), as
-    the zero matrix of its shape, and with no rows at all.
+    the zero matrix of its shape, and with no rows at all.  The span's
+    reduction, membership, coordinates and containment are checked
+    against the dense echelon rows on a combination of the rows, a free
+    vector and the span of a leading subset of the rows.
     """
     flat = data.draw(st.lists(SPARSE, min_size=nrows * ncols, max_size=nrows * ncols))
     rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
@@ -238,6 +241,34 @@ def test_sparse_elimination_matches_dense_oracle(nrows, ncols, data):
     assert_matches_dense_oracle([row + row[:1] for row in rows], ncols + 1)
     assert_matches_dense_oracle([[Fraction(0)] * ncols for _ in rows], ncols)
     assert_matches_dense_oracle([], ncols)
+
+    span = Subspace.from_spanning(ncols, rows)
+    red, pivots = dense_rref(rows, ncols)
+    basis = red[:len(pivots)]
+    coeffs = data.draw(st.lists(SPARSE, min_size=nrows, max_size=nrows))
+    combo = tuple(sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+                  for j in range(ncols))
+    free = tuple(data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols)))
+    for v in (combo, free):
+        residual = list(v)
+        for row, p in zip(basis, pivots):
+            residual = [x - residual[p] * y for x, y in zip(residual, row)]
+        assert span.reduce(v) == tuple(residual)
+        assert span.contains(v) is not any(residual)
+        coords = span.coordinates(v)
+        if any(residual):
+            assert coords is None
+        else:
+            assert tuple(sum((c * row[j] for c, row in zip(coords, basis)), Fraction(0))
+                         for j in range(ncols)) == v
+    assert span.contains(combo)
+    cut = data.draw(st.integers(0, nrows))
+    part = Subspace.from_spanning(ncols, rows[:cut])
+    assert part.is_subspace_of(span) and span.is_subspace_of(Subspace.full(ncols))
+    assert span.is_subspace_of(part) is (part.dim == span.dim)
+    assert quotient_dim(span, part) == bareiss_rank(rows) - bareiss_rank(rows[:cut])
+    again = Subspace.from_spanning(ncols, rows[::-1] + [combo])
+    assert again == span and hash(again) == hash(span)
 
 
 def scalars_of(results) -> list:
@@ -336,7 +367,8 @@ def test_record_repr_names_every_field():
 def test_record_keeps_cached_properties():
     s = Subspace.from_spanning(3, [(0, 1, 2), (0, 0, 3)])
     assert s.pivots is s.pivots == (1, 2)
-    assert s == Subspace(3, s.basis)
+    assert s == Subspace(3, s.rows)
+    assert s.basis is s.basis
 
 
 def test_equal_tensors_share_one_cached_check():

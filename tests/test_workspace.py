@@ -1,4 +1,5 @@
 """Workspace loading: schemas, omission defaults, reference resolution."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from embtens import (
     UnresolvedReference,
     check_lie,
     load_workspace,
+    parse_scalar,
     workspace_from_dict,
 )
+from embtens.cli import run
 from embtens.workspace import (
     algebra_to_json,
     leibniz_lie_to_json,
@@ -98,6 +101,22 @@ def test_parse_error_for_bad_scalar():
     assert "sc" in str(err.value)
 
 
+def test_scalar_digits_and_algebra_names_are_strict(tmp_path):
+    # Fraction reads any Unicode decimal digit; the wire format takes ASCII 0-9 only
+    for text in ("\u0663/\u0664", "\uff11"):
+        with pytest.raises(ParseError, match="not a rational scalar"):
+            parse_scalar(text)
+    for name in (5, [1]):
+        with pytest.raises(ParseError, match=r"^algebras\.a\.name: expected a string$"):
+            workspace_from_dict({"algebras": {"a": {"name": name, "dim": 0}}})
+    ws = tmp_path / "ws.json"
+    for entry in ({"dim": 1, "sc": [[["\u0663/\u0664"]]]}, {"dim": 1, "name": 5},
+                  {"dim": 1, "name": [1]}):
+        ws.write_text(json.dumps({"algebras": {"a": entry}}), encoding="utf-8")
+        code, _ = run(["check", "lie", "--algebra", "a", "--workspace", str(ws)])
+        assert code == 2
+
+
 def test_inline_references_accepted(heisenberg_workspace_path):
     ws = load_workspace(heisenberg_workspace_path)
     tensor_json = tensor_to_json(ws.tensor("T1"))
@@ -138,8 +157,6 @@ def test_multimap_json_round_trip():
 
 
 def test_multimap_json_round_trips_byte_identically_from_arity_zero():
-    import json
-
     from embtens import MultiMap
     from embtens.workspace import multimap_from_json, multimap_to_json
 
