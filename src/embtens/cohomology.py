@@ -23,9 +23,17 @@ are each other's test oracle.  A cochain is normalised as it enters:
 ``cohomology`` and ``class_equals`` eliminate into sparse echelon rows;
 ``CohomologyReport.to_json`` alone makes those dense, and nothing here calls
 ``TensorComplex.differential(k)``, which densifies d_k into a ``Matrix``.
+
+Queries share one complex per verified tensor, with its induced
+representation, d_k rows and coboundary images: ``_complex_at`` checks the
+degree and the tensor on every call, and keeps the complex on the report
+the lru-cached ``check_embedding_tensor`` returns, so
+``check_embedding_tensor.cache_clear()`` frees it and a failing tensor gets
+none.  Cocycles cost one elimination each (``linalg.sparse_kernel``).
 """
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 from .algebras import LeibnizRep
@@ -168,6 +176,7 @@ class TensorComplex:
         self.tensor = tensor
         self.max_degree = max_degree
         self._rows: dict[int, list[SparseRow]] = {}
+        self._images: dict[int, Subspace] = {}
         self._rep = induced_representation(tensor)
 
     def cochain_dim(self, k: int) -> int:
@@ -182,6 +191,12 @@ class TensorComplex:
             self._rows[k] = (lp_differential(self._rep, k - 1) if k
                              else [{} for _ in range(self.cochain_dim(1))])
         return self._rows[k]
+
+    def image(self, k: int) -> Subspace:
+        """The coboundaries in degree k, k >= 1: the image of d_(k-1)."""
+        if k not in self._images:
+            self._images[k] = sparse_image(self.rows(k - 1), self.cochain_dim(k - 1))
+        return self._images[k]
 
     def differential(self, k: int) -> Matrix:
         """Matrix of the coboundary from degree k to degree k + 1, densified."""
@@ -208,12 +223,15 @@ class CohomologyReport(Record):
         }
 
 
-def _complex_at(t: EmbeddingTensor, k: int, max_degree: int) -> tuple[TensorComplex, Subspace]:
-    """The complex of t for a degree-k query, and the coboundaries in degree k."""
+def _complex_at(t: EmbeddingTensor, k: int, max_degree: int) -> TensorComplex:
+    """The one complex of t for a degree-k query, kept on t's cached passing
+    report; each query checks its own degree bound, so it has none."""
     if k < 1 or k > max_degree:
         raise DegreeOutOfRange(f"degree {k} outside 1..{max_degree}")
-    cx = TensorComplex(t, max_degree)
-    return cx, sparse_image(cx.rows(k - 1), cx.cochain_dim(k - 1))
+    memo = require_embedding_tensor(t).__dict__
+    if "_complex" not in memo:
+        memo["_complex"] = TensorComplex(t, sys.maxsize)
+    return memo["_complex"]
 
 
 def cohomology(t: EmbeddingTensor, k: int,
@@ -223,8 +241,8 @@ def cohomology(t: EmbeddingTensor, k: int,
     The quotient dimension goes through the subspace containment check,
     so a broken differential surfaces loudly instead of as a wrong count.
     """
-    cx, boundaries = _complex_at(t, k, max_degree)
-    cocycles = sparse_kernel(cx.rows(k), cx.cochain_dim(k))
+    cx = _complex_at(t, k, max_degree)
+    cocycles, boundaries = sparse_kernel(cx.rows(k), cx.cochain_dim(k)), cx.image(k)
     return CohomologyReport(
         degree=k,
         dim_z=cocycles.dim,
@@ -238,7 +256,7 @@ def cohomology(t: EmbeddingTensor, k: int,
 def class_equals(t: EmbeddingTensor, f, g, k: int,
                  max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
     """Whether two degree-k cocycles differ by a coboundary."""
-    cx, image = _complex_at(t, k, max_degree)
+    cx = _complex_at(t, k, max_degree)
 
     def coeffs(x) -> Vector:
         c = _as_cochain(t, x)
@@ -251,4 +269,4 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
     for name, v in (("first", vf), ("second", vg)):
         if any(sum(x * v[c] for c, x in row.items()) for row in cx.rows(k)):
             raise NotACocycle(f"the {name} cochain is not a cocycle in degree {k}")
-    return image.contains(vec_sub(vf, vg))
+    return cx.image(k).contains(vec_sub(vf, vg))

@@ -21,6 +21,10 @@ RREF of a row space is unique; it comes out as the rows a ``Subspace``
 keeps, ``(column, entry)`` pairs with the pivot first and each entry
 through ``frac``.  One step, ``_eliminate``, reduces a row for elimination
 and membership alike, and dense tuples are made only for output (``_dense``).
+A kernel costs one elimination, on the columns in reverse order.  Nothing
+here is cached across calls: the complexes of ``cohomology`` live on the
+cached verification reports, and ``check_embedding_tensor.cache_clear()``
+frees them.
 """
 from __future__ import annotations
 
@@ -518,13 +522,19 @@ class Subspace(Record):
 
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> Subspace:
-    """Canonical basis of {v : row . v = 0 for every row}, v in Q^ncols."""
-    vecs = {f: {f: ONE} for f in range(ncols)}
-    for (p, _), *rest in _sparse_rref(rows):
-        del vecs[p]
+    """Canonical basis of {v : row . v = 0 for every row}, v in Q^ncols.
+
+    Eliminating with columns reversed (c -> ncols-1-c) puts each pivot p
+    after every other column of its row, so e_f - sum_p R[p][f] e_p leads
+    with 1 at the free column f and vanishes at the others: these vectors
+    are already the kernel's RREF."""
+    last = ncols - 1
+    vecs = {f: [(f, ONE)] for f in range(ncols)}
+    for (p, _), *rest in _sparse_rref({last - c: x for c, x in row.items()} for row in rows):
+        del vecs[last - p]
         for c, x in rest:
-            vecs[c][p] = -x
-    return Subspace(ncols, _sparse_rref(vecs.values()))
+            vecs[last - c].append((last - p, -x))
+    return Subspace(ncols, tuple(tuple(sorted(v)) for v in vecs.values()))
 
 
 def sparse_image(rows: list[SparseRow], ncols: int) -> Subspace:

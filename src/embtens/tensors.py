@@ -153,8 +153,11 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
         ("tensor-identity", lambda i, j: net_residual(t, table, i, j))))
 
 
-def require_embedding_tensor(t: EmbeddingTensor) -> None:
-    require(check_embedding_tensor(t), NotAnEmbeddingTensor, "tensor ")
+def require_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
+    """The cached passing report of t; a failing one raises ``NotAnEmbeddingTensor``."""
+    report = check_embedding_tensor(t)
+    require(report, NotAnEmbeddingTensor, "tensor ")
+    return report
 
 
 def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,

@@ -17,6 +17,8 @@ from embtens import (
     Matrix,
     abelian_algebra,
     adjoint_action,
+    check_coherent_action,
+    check_embedding_tensor,
     make_leibniz_lie,
     sc_table,
 )
@@ -24,6 +26,14 @@ from embtens import (
 DATA = Path(__file__).parent / "data"
 
 Z3 = (0, 0, 0)
+
+
+@pytest.fixture(autouse=True)
+def fresh_verification():
+    """Empty verification caches before each test: a query's complex lives
+    on a cached verdict, so no test reads one that another test built."""
+    check_coherent_action.cache_clear()
+    check_embedding_tensor.cache_clear()
 
 
 def heisenberg() -> Algebra:

@@ -3,8 +3,9 @@ top-level definition of the package and every non-dunder method of a
 top-level class is used somewhere, only ``reports`` builds a ``Failure``,
 only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
-dense-matrix solvers, no module divides with ``/``, and importing the CLI
-loads neither ``dataclasses`` nor ``inspect``."""
+dense-matrix solvers, no module divides with ``/``, the only module-level
+caches are the two verification caches and ``graded.shuffles``, and
+importing the CLI loads neither ``dataclasses`` nor ``inspect``."""
 import ast
 import os
 import re
@@ -238,6 +239,59 @@ def test_no_true_division(path):
 def test_detects_a_true_division():
     source = "a = 1 / 2\nb = 7 // 2\nc = a\nc /= b\nd = f'{a/b}'\n"
     assert true_divisions(source) == [1, 4, 5]
+
+
+CACHE_DECORATORS = ("lru_cache", "cache")
+MEMO_MAKERS = ("dict", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary")
+# The two verification caches are cleared before every benchmark pass, and a
+# query's complex lives on their verdicts; ``shuffles`` is keyed on small ints.
+ALLOWED_CACHES = {"tensors.py": ["check_coherent_action", "check_embedding_tensor"],
+                  "graded.py": ["shuffles"]}
+
+
+def _callee(node) -> str | None:
+    """The name a decorator or call expression calls, bare or qualified."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def module_caches(source: str) -> list[str]:
+    """Names of caches that outlive a call, in line order: every function
+    under an ``lru_cache`` or ``cache`` decorator, and every module-level
+    name bound to an empty dict, a dict-making call or a wrapped cache."""
+    tree = ast.parse(source)
+    found = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(_callee(d) in CACHE_DECORATORS for d in node.decorator_list)]
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or value is None:
+            continue
+        if (isinstance(value, ast.Dict) and not value.keys) or _callee(value) in (
+                *MEMO_MAKERS, *CACHE_DECORATORS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [name for _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cache_outlives_the_verification_caches(path):
+    """A memo anywhere else would survive ``check_embedding_tensor.cache_clear()``,
+    so a benchmark pass after the first would time cache hits."""
+    assert module_caches(path.read_text(encoding="utf-8")) == ALLOWED_CACHES.get(path.name, [])
+
+
+def test_detects_a_module_level_cache():
+    source = ("import functools\nfrom functools import cache, cached_property, lru_cache\n"
+              "@lru_cache(maxsize=None)\ndef a(x):\n    return x\n\n"
+              "@functools.cache\ndef b(x):\n    return x\n\n"
+              "class C:\n    table = {}\n\n    @cache\n    def m(self):\n        return 1\n\n"
+              "    @cached_property\n    def n(self):\n        return 1\n\n"
+              "_memo = {}\n_seen: dict = dict()\nCONST = {'k': 1}\nNAMES = ()\n"
+              "wrapped = lru_cache(maxsize=8)(len)\n\n"
+              "def f():\n    local = {}\n    return local\n")
+    assert module_caches(source) == ["a", "b", "m", "_memo", "_seen", "wrapped"]
 
 
 def imported_modules(source: str) -> set[str]:
