@@ -16,6 +16,7 @@ from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
     Record,
+    Scalar,
     SparseRow,
     Subspace,
     Vector,
@@ -80,6 +81,12 @@ class Algebra(Record):
     def right(self, v: Vector, k: int) -> Vector:
         """[v, e_k], read from column k of the table."""
         return combine(v, self._columns[k], self.dim)
+
+    @cached_property
+    def constants(self) -> tuple[tuple[int, int, int, Scalar], ...]:
+        """The nonzero constants (i, j, k, [e_i, e_j]_k), in lexicographic order."""
+        return tuple((i, j, k, c) for i, row in enumerate(self.sc) for j, v in enumerate(row)
+                     for k, c in enumerate(v) if c)
 
     def leibniz_residual(self, i: int, j: int, k: int) -> Vector:
         """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]: the left Leibniz
@@ -264,25 +271,24 @@ def matrix_from_flat(n: int, v: Vector) -> Matrix:
 
 def _derivation_rows(a: Algebra, coherent: bool = False) -> list[SparseRow]:
     """Equations D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0 on the dim^2 unknowns,
-    one sparse row per coordinate k of each basis pair (i, j); with
-    ``coherent``, then also the rows [De_i, e_j] = 0.
+    one sparse row per coordinate k of each basis pair (i, j), at index
+    (i*dim + j)*dim + k; with ``coherent``, then also the rows [De_i, e_j] = 0.
 
     Unknown (r, c) is entry D[r][c] at flat index r*dim + c, i.e. D maps
-    e_c to sum_r D[r][c] e_r.
+    e_c to sum_r D[r][c] e_r.  Built from the nonzero constants in O(nnz * dim).
     """
-    n, sc = a.dim, a.sc
-    rows, coherence = [], []
-    for i, j, k in product(range(n), repeat=3):
-        left = {r * n + i: s for r in range(n) if (s := sc[r][j][k])}  # [De_i, e_j]_k
-        row = {k * n + m: s for m, s in enumerate(sc[i][j]) if s}  # (D[e_i, e_j])_k
-        for c, s in left.items():
-            row[c] = row.get(c, ZERO) - s
-        for r in range(n):
-            if s := sc[i][r][k]:  # [e_i, De_j]_k
-                row[r * n + j] = row.get(r * n + j, ZERO) - s
-        rows.append(row)
-        coherence.append(left)
-    return rows + coherence if coherent else rows
+    n = a.dim
+    rows, coherence = [{} for _ in range(n ** 3)], [{} for _ in range(n ** 3 if coherent else 0)]
+    for x, y, z, s in a.constants:
+        # D[e_x,e_y]_k, [De_k,e_y]_z and [e_x,De_k]_z hold s D[k][z], s D[x][k], s D[y][k]
+        for k in range(n):
+            for row, c, e in ((rows[(x * n + y) * n + k], k * n + z, s),
+                              (rows[(k * n + y) * n + z], x * n + k, -s),
+                              (rows[(x * n + k) * n + z], y * n + k, -s)):
+                row[c] = row.get(c, ZERO) + e
+            if coherent:
+                coherence[(k * n + y) * n + z][x * n + k] = s
+    return rows + coherence
 
 
 def derivation_algebra(a: Algebra) -> Subspace:

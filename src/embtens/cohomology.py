@@ -8,16 +8,15 @@ the flat coefficient order of ``MultiMap``.
 
 The complex is the Loday-Pirashvili complex of the descendent Leibniz
 algebra with coefficients in the induced representation on the source.
-``induced_representation`` fills the flat entry tables of rho_l and rho_r
-in one pass over the nonzero entries of T, reading the source structure
-constants and the action matrices directly.  ``lp_differential``
-assembles each d_k, k >= 1, in one pass over the output tuples from the
-rho_l, rho_r and structure-constant blocks of that representation; d_0
-is zero.  ``tensor_coboundary`` maps one cochain by the twisted
-differential d_T of the controlling DGLA instead, with the sign
-d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the DGLA
-are each other's test oracle.  A cochain is normalised as it enters:
-``_as_cochain`` passes every coefficient through ``frac``.
+Its set-up visits only nonzero entries: ``induced_representation`` fills
+rho_l and rho_r from those of T, of the action and of the source table,
+and ``lp_differential`` assembles each d_k, k >= 1, term by term from the
+nonzero rho_l, rho_r and structure-constant blocks, each placed by index
+arithmetic; d_0 is zero.  ``tensor_coboundary`` maps one cochain by the
+twisted differential d_T of the controlling DGLA instead, with the sign
+d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the DGLA are
+each other's test oracle.  ``_as_cochain`` normalises a cochain as it
+enters, passing every coefficient through ``frac``.
 
 ``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, which
 ``cohomology`` and ``class_equals`` eliminate into sparse echelon rows;
@@ -46,6 +45,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _sparse_rows,
     quotient_dim,
     sparse_image,
     sparse_kernel,
@@ -61,31 +61,24 @@ def induced_representation(t: EmbeddingTensor) -> LeibnizRep:
     """The representation of the descendent algebra on the source algebra.
 
     Left action rho_l(u) = ad(Te_u) by the source bracket, right action
-    rho_r(v): x -> [x, Te_v] - T(rho(x)e_v).  Both are linear in T, so one
-    pass over the nonzero entries x = (Te_u)_i adds x [e_i, e_j] to column
-    j of rho_l(u), x [e_j, e_i] to column j of rho_r(u), and
-    -x (rho(e_j)e_u)_v to entry (i, j) of rho_r(v).
+    rho_r(v): x -> [x, Te_v] - T(rho(x)e_v).  Both are linear in T and read
+    only nonzero entries: each constant c = [e_i, e_j]_r adds (Te_u)_i c to
+    entry (r, j) of rho_l(u) and (Te_u)_j c to entry (r, i) of rho_r(u), and
+    each x = (Te_u)_i adds -x (rho_j)_uv to entry (i, j) of rho_r(v).
     """
     require_embedding_tensor(t)
-    g, n, rho = t.action.source, t.action.target.dim, t.action.rho
-    m, sc, entries = g.dim, g.sc, t.matrix.entries
-    left = [[ZERO] * (m * m) for _ in range(n)]
-    right = [[ZERO] * (m * m) for _ in range(n)]
-    for i, u in product(range(m), range(n)):
-        x = entries[i * n + u]
-        if x == 0:
-            continue
-        lu, ru = left[u], right[u]
-        for j in range(m):
-            for r, c in enumerate(sc[i][j]):
-                if c != 0:
-                    lu[r * m + j] += x * c
-            for r, c in enumerate(sc[j][i]):
-                if c != 0:
-                    ru[r * m + j] += x * c
-            for v, y in enumerate(rho[j].row(u)):
-                if y != 0:
-                    right[v][i * m + j] -= x * y
+    g, n, m = t.action.source, t.action.target.dim, t.action.source.dim
+    rows, ops = _sparse_rows(t.matrix), [_sparse_rows(op) for op in t.action.rho]
+    left, right = ([[ZERO] * (m * m) for _ in range(n)] for _ in range(2))
+    for i, j, r, c in g.constants:
+        for u, x in rows[i].items():
+            left[u][r * m + j] += x * c
+        for u, x in rows[j].items():
+            right[u][r * m + i] += x * c
+    for i, u, x in t.matrix.nonzero():
+        for j, op in enumerate(ops):
+            for v, y in op[u].items():
+                right[v][i * m + j] -= x * y
     rho_l, rho_r = (tuple(Matrix(m, m, vector(e)) for e in table) for table in (left, right))
     return LeibnizRep(descendent(t), m, rho_l, rho_r)
 
@@ -93,45 +86,39 @@ def induced_representation(t: EmbeddingTensor) -> LeibnizRep:
 def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
     """Sparse rows of the coboundary from arity-``arity`` cochains (arity >= 0).
 
-    One pass over the output tuples (x_0, .., x_arity) places, for each
-    term of the alternating formula, a block into the columns of the
-    input tuple it reads: rho_l(x_i) for each dropped argument,
-    rho_r(x_arity) for the last one, and the identity scaled by a
-    structure constant for each bracketed pair.  Row i*m + r holds
-    coordinate r of output tuple i as a ``{column: entry}`` dict.
+    Row i*m + r holds coordinate r of output tuple i, of index sum x_p n^(k-p),
+    as a ``{column: entry}`` dict.  Each term of the alternating formula goes
+    in block by block, placed by index arithmetic: rho_l(x_i) for each dropped
+    argument, rho_r(x_arity) for the last one, and the identity scaled by each
+    nonzero constant [x_i, x_j]_p for each bracketed pair.  Zero blocks are skipped.
     """
-    n, m, sc = rep.algebra.dim, rep.rep_dim, rep.algebra.sc
+    n, m = rep.algebra.dim, rep.rep_dim
+    left, right = ([op.nonzero() for op in ops] for ops in (rep.rho_l, rep.rho_r))
+    out: list[SparseRow] = [{} for _ in range(n ** (arity + 1) * m)]
 
-    def signed(mat: Matrix) -> dict:
-        block = [(r, c, e) for r in range(m) for c in range(m)
-                 if (e := mat.entries[r * m + c]) != 0]
-        return {1: block, -1: [(r, c, -e) for r, c, e in block]}
-
-    left, right = [signed(x) for x in rep.rho_l], [signed(x) for x in rep.rho_r]
-    col_of = {idxs: i * m for i, idxs in enumerate(product(range(n), repeat=arity))}
-    out: list[SparseRow] = []
-
-    def place(rows: list[SparseRow], col: tuple[int, ...], block) -> None:
-        base = col_of[col]
+    def place(i: int, j: int, block) -> None:  # at output tuple i, input tuple j
+        i, j = i * m, j * m
         for r, c, e in block:
-            row, j = rows[r], base + c
-            row[j] = row[j] + e if j in row else e
+            row, col = out[i + r], j + c
+            if x := row.get(col, ZERO) + e:
+                row[col] = x
+            else:
+                del row[col]
 
-    for idxs in product(range(n), repeat=arity + 1):
-        rows: list[SparseRow] = [{} for _ in range(m)]
-        for i0 in range(arity):
-            place(rows, idxs[:i0] + idxs[i0 + 1:], left[idxs[i0]][-1 if i0 % 2 else 1])
-        place(rows, idxs[:arity], right[idxs[arity]][-1 if (arity + 1) % 2 else 1])
-        for i0 in range(arity + 1):
-            sign = -1 if (i0 + 1) % 2 else 1
-            reduced = idxs[:i0] + idxs[i0 + 1:]
-            for j0 in range(i0 + 1, arity + 1):
-                for p, c in enumerate(sc[idxs[i0]][idxs[j0]]):
-                    if c != 0:
-                        e = sign * c
-                        place(rows, reduced[:j0 - 1] + (p,) + reduced[j0:],
-                              [(r, r, e) for r in range(m)])
-        out.extend({c: x for c, x in row.items() if x} for row in rows)
+    for i0 in range(arity + 1):  # drop x_i0: (-1)^i0 rho_l(x_i0), or -(-1)^i0 rho_r(x_i0) last
+        blocks, sign = (left, 1) if i0 < arity else (right, -1)
+        sign, tail = -sign if i0 % 2 else sign, n ** (arity - i0)
+        for u, entries in enumerate(blocks):
+            block = [(r, c, sign * e) for r, c, e in entries]
+            for head, s in product(range(n ** i0), range(tail)) if block else ():
+                place((head * n + u) * tail + s, head * tail + s, block)
+        for j0 in range(i0 + 1, arity + 1):  # -(-1)^i0 f(.. x^_i0 .. [x_i0, x_j0] at j0 ..)
+            mid, tail = n ** (j0 - i0 - 1), n ** (arity - j0)
+            for a, b, p, c in rep.algebra.constants:
+                block = [(r, r, c if i0 % 2 else -c) for r in range(m)]
+                for head, s, t in product(range(n ** i0), range(mid), range(tail)):
+                    place((((head * n + a) * mid + s) * n + b) * tail + t,
+                          ((head * mid + s) * n + p) * tail + t, block)
     return out
 
 

@@ -326,6 +326,10 @@ class Matrix(Flat):
     def col(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
+    def nonzero(self) -> list[tuple[int, int, Scalar]]:
+        """The nonzero entries as (row, column, entry), in row-major order."""
+        return [(*divmod(k, self.cols), x) for k, x in enumerate(self.entries) if x]
+
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 

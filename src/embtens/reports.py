@@ -3,8 +3,8 @@ that finds their witnesses.
 
 Every law is a residual evaluated on basis tuples in lexicographic order,
 law by law within a tuple; ``scan`` yields a ``Failure`` for each nonzero
-residual, so the witness is reproducible.  Checkers use one of three
-witness policies on that scan:
+residual, so the witness is reproducible (``scan_sparse`` visits only the
+tuples a sparse walk found nonzero).  Checkers use one of three policies:
 
 * first overall: axiom checkers stop at the first failure of their scans
   taken in turn (``first_failure``);
@@ -64,6 +64,13 @@ def scan(tuples, *laws):
             res = residual(*where)
             if not is_zero_vector(res):
                 yield Failure(law, where, res)
+
+
+def scan_sparse(law: str, residuals: dict, size: int):
+    """``scan`` over the tuples, in order, where a sparse walk found a nonzero
+    residual ``{coordinate: entry}``, each made dense of length ``size``."""
+    found = sorted(w for w, res in residuals.items() if any(res.values()))
+    return scan(found, (law, lambda *w: tuple(residuals[w].get(k, 0) for k in range(size))))
 
 
 def verdict(check: str, failures, notes: tuple[str, ...] = ()) -> CheckReport:

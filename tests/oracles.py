@@ -9,8 +9,9 @@ Heisenberg tensor family from its closed polynomial system, the
 Loday-Pirashvili coboundary and the two coefficient equations of a
 linear deformation entry by entry from matrix entries and structure
 constants, and the induced representation of a tensor, the residuals
-of a coherent action and the linear system of the derivations from
-brackets of unit vectors.  Nothing here imports the package.
+of a coherent action and of the tensor identity, and the linear system
+of the derivations from brackets of unit vectors.  Nothing here imports
+the package.
 """
 from __future__ import annotations
 
@@ -95,20 +96,6 @@ def _span_insert(basis: list[list[Fraction]], vec) -> bool:
     return False
 
 
-def span_dim(vectors) -> int:
-    basis: list[list[Fraction]] = []
-    for v in vectors:
-        _span_insert(basis, v)
-    return len(basis)
-
-
-def span_contains(vectors, probe) -> bool:
-    basis: list[list[Fraction]] = []
-    for v in vectors:
-        _span_insert(basis, v)
-    return not _span_insert(basis, probe)
-
-
 def close_ideal(bracket, dim: int, seeds) -> list[list[Fraction]]:
     """Two-sided ideal closure of the seed span under a bilinear bracket.
 
@@ -183,9 +170,13 @@ def heisenberg_net_system(rows) -> bool:
 
 
 def _mat_vec(mat, x) -> list[Fraction]:
-    """mat x from the row-major entries of a package matrix, as a plain sum."""
-    return [sum((Fraction(mat.entries[r * mat.cols + c]) * x[c] for c in range(mat.cols)),
-                Fraction(0)) for r in range(mat.rows)]
+    """mat x from the row-major entries of a package matrix, as a plain sum
+    over the nonzero coordinates of x."""
+    support = [c for c in range(mat.cols) if x[c]]
+    if not support:
+        return [0] * mat.rows
+    return [sum((Fraction(mat.entries[r * mat.cols + c]) * x[c] for c in support), 0)
+            for r in range(mat.rows)]
 
 
 def _mat_col(mat, j: int) -> list[Fraction]:
@@ -216,9 +207,9 @@ def _lp_entry(rep, f, idxs: tuple[int, ...]) -> list[Fraction]:
         off = 0
         for i in args:
             off = off * n + i
-        return [Fraction(x) for x in f.coeffs[off * m:(off + 1) * m]]
+        return f.coeffs[off * m:(off + 1) * m]
 
-    acc = [Fraction(0)] * m
+    acc = [0] * m
     for i in range(k):
         for r, c in enumerate(_mat_vec(rep.rho_l[idxs[i]], value(idxs[:i] + idxs[i + 1:]))):
             acc[r] += (-1) ** i * c
@@ -229,7 +220,8 @@ def _lp_entry(rep, f, idxs: tuple[int, ...]) -> list[Fraction]:
         for j in range(i + 1, k + 1):
             for p, c in enumerate(sc[idxs[i]][idxs[j]]):
                 for r, x in enumerate(value(reduced[:j - 1] + (p,) + reduced[j:])):
-                    acc[r] -= (-1) ** i * Fraction(c) * x
+                    if c and x:  # a zero factor adds nothing
+                        acc[r] -= (-1) ** i * Fraction(c) * x
     return acc
 
 
@@ -360,3 +352,24 @@ def coherent_action_residuals(action) -> list[tuple]:
     found += [("homomorphism", w, homomorphism(*w)) for w in product(range(g.dim), repeat=2)]
     found += [("coherence", w, left(*w)) for w in triples]
     return [(law, w, res) for law, w, res in found if any(res)]
+
+
+def tensor_identity_residuals(t) -> list[tuple]:
+    """Every nonzero residual of the tensor identity, as (law, where,
+    residual) in scan order: on each ordered pair (u, v) of the target
+
+        [Te_u, Te_v] - T(rho(Te_u)e_v + [e_u, e_v]),
+
+    from brackets of unit vectors and plain matrix-vector products.
+    """
+    g, h, rho, tm = t.action.source, t.action.target, t.action.rho, t.matrix
+    found = []
+    for u, v in product(range(h.dim), repeat=2):
+        tu, tv = _mat_col(tm, u), _mat_col(tm, v)
+        acted = [sum((tu[i] * _mat_col(rho[i], v)[r] for i in range(g.dim)), Fraction(0))
+                 for r in range(h.dim)]
+        inner = [a + Fraction(b) for a, b in zip(acted, h.sc[u][v])]
+        res = _sub(bilinear_oracle(g.sc, tu, tv), _mat_vec(tm, inner))
+        if any(res):
+            found.append(("tensor-identity", (u, v), res))
+    return found

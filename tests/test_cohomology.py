@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from embtens import (
     Algebra,
@@ -51,12 +52,12 @@ from embtens import (
     twisted_differential,
     unit_vector,
 )
-from embtens.cohomology import _as_cochain
+from embtens.cohomology import _as_cochain, lp_differential
 from embtens.deformations import _square_failures
 from embtens.linalg import sparse_image, sparse_kernel
 from embtens.tensors import descendent_table
-from conftest import (family_i_matrix, family_ii_matrix, heisenberg, heisenberg5, heisenberg_of,
-                      rand_fraction)
+from conftest import (family_i_matrix, family_ii_matrix, g2h3_action, heisenberg, heisenberg5,
+                      heisenberg_of, rand_fraction)
 from oracles import bareiss_rank, induced_representation_by_brackets, loday_pirashvili_coboundary
 
 
@@ -226,6 +227,63 @@ def test_sparse_rows_compose_to_zero_and_densify(t1, tii, tzero, tab):
                     for j, y in lower[c].items():
                         composed[j] = composed.get(j, 0) + x * y
                 assert not any(composed.values())
+
+
+def ladder_rungs(t1, tzero, tii, tab, g23_net):
+    """The complex-ladder rungs, each with its top degree: the h3 tensors under
+    the adjoint action, a g2 -> h3 tensor, the h3 projection tensor, and
+    central-image tensors on h5 and h7."""
+    rng = random.Random(71)
+    yield from ((t1, 4), (tzero, 4), (tii, 4), (tab, 4), (g23_net, 4))
+    yield EmbeddingTensor(t1.action, family_i_matrix(rng, 0)), 4
+    yield EmbeddingTensor(t1.action, family_ii_matrix(rng, Fraction(3), Fraction(9, 4))), 4
+    yield projection_tensor(heisenberg()), 3
+    for dim, top in ((5, 3), (7, 2)):
+        central = [[0] * dim for _ in range(dim - 1)]
+        central.append([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(dim - 1)] + [0])
+        yield EmbeddingTensor(adjoint_action(heisenberg_of(dim)), Matrix.from_rows(central)), top
+
+
+def test_lp_differential_matches_the_oracle_on_unit_cochains(t1, tzero, tii, tab, g23_net):
+    """Column j of d_k, read down the rows in order, is the oracle's coboundary
+    of the j-th unit cochain, on every complex-ladder rung and degree."""
+    shapes = []
+    for t, top in ladder_rungs(t1, tzero, tii, tab, g23_net):
+        assert check_embedding_tensor(t).ok
+        rep = induced_representation(t)
+        n, m = rep.algebra.dim, rep.rep_dim
+        shapes.append((n, m))
+        for arity in range(top):
+            rows, size = lp_differential(rep, arity), n ** arity * m
+            assert len(rows) == n * size
+            for j in range(size):
+                unit = MultiMap(arity, n, m, tuple(int(c == j) for c in range(size)))
+                assert tuple(row.get(j, 0) for row in rows) == \
+                    loday_pirashvili_coboundary(rep, unit).coeffs
+    assert shapes == [(3, 3)] * 4 + [(3, 2)] + [(3, 3)] * 2 + [(5, 2), (5, 5), (7, 7)]
+
+
+# no shrink phase, as in the other properties: a failure is reported as drawn
+@settings(derandomize=True, database=None, max_examples=25, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(0, 50), st.lists(st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))),
+                                    min_size=4, max_size=4))
+def test_random_g2h3_rows_compose_to_zero(seed, entries):
+    """Any matrix with a zero last column is a tensor over a g2 -> h3 action;
+    for each, consecutive rows of the complex compose to zero, d_(k+1) d_k = 0
+    for k <= 3."""
+    a, b, c, d = entries
+    t = EmbeddingTensor(g2h3_action(seed), Matrix.from_rows([[a, b, 0], [c, d, 0]]))
+    assert check_embedding_tensor(t).ok
+    cx = TensorComplex(t, max_degree=4)
+    for k in range(4):
+        lower = cx.rows(k)
+        for row in cx.rows(k + 1):
+            composed = {}
+            for col, x in row.items():
+                for j, y in lower[col].items():
+                    composed[j] = composed.get(j, 0) + x * y
+            assert not any(composed.values())
 
 
 def test_integral_data_stays_int(t1, ad3):

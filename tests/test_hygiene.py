@@ -1,6 +1,6 @@
 """Source hygiene: no package module imports a name it never uses, every
-top-level definition of the package and every non-dunder method of a
-top-level class is used somewhere, only ``reports`` builds a ``Failure``,
+top-level definition of the package and of the test oracles, and every
+non-dunder method of a top-level class, is used somewhere, only ``reports`` builds a ``Failure``,
 only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
 dense-matrix solvers, no module divides with ``/``, the only module-level
@@ -87,7 +87,7 @@ def corpus() -> Counter:
     return total
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ROOT / "tests" / "oracles.py"], ids=lambda p: p.name)
 def test_no_dead_definitions(path, corpus):
     assert dead_definitions(path.read_text(encoding="utf-8"), corpus) == []
 
