@@ -24,11 +24,13 @@ enters, passing every coefficient through ``frac``.
 ``TensorComplex.differential(k)``, which densifies d_k into a ``Matrix``.
 
 Queries share one complex per verified tensor, with its induced
-representation, d_k rows and coboundary images: ``_complex_at`` checks the
-degree and the tensor on every call, and keeps the complex on the report
-the lru-cached ``check_embedding_tensor`` returns, so
+representation, d_k rows, cocycles and coboundary images: ``_complex_at``
+checks the degree and the tensor on every call, and keeps the complex on
+the report the lru-cached ``check_embedding_tensor`` returns, so
 ``check_embedding_tensor.cache_clear()`` frees it and a failing tensor gets
-none.  Cocycles cost one elimination each (``linalg.sparse_kernel``).
+none.  Cocycles cost one elimination per degree (``linalg.sparse_kernel``):
+``cohomology`` reads them, and ``class_equals`` checks that each cochain is a
+cocycle by membership in them.
 """
 from __future__ import annotations
 
@@ -163,6 +165,7 @@ class TensorComplex:
         self.tensor = tensor
         self.max_degree = max_degree
         self._rows: dict[int, list[SparseRow]] = {}
+        self._cocycles: dict[int, Subspace] = {}
         self._images: dict[int, Subspace] = {}
         self._rep = induced_representation(tensor)
 
@@ -178,6 +181,12 @@ class TensorComplex:
             self._rows[k] = (lp_differential(self._rep, k - 1) if k
                              else [{} for _ in range(self.cochain_dim(1))])
         return self._rows[k]
+
+    def cocycles(self, k: int) -> Subspace:
+        """The cocycles in degree k: the kernel of d_k."""
+        if k not in self._cocycles:
+            self._cocycles[k] = sparse_kernel(self.rows(k), self.cochain_dim(k))
+        return self._cocycles[k]
 
     def image(self, k: int) -> Subspace:
         """The coboundaries in degree k, k >= 1: the image of d_(k-1)."""
@@ -229,7 +238,7 @@ def cohomology(t: EmbeddingTensor, k: int,
     so a broken differential surfaces loudly instead of as a wrong count.
     """
     cx = _complex_at(t, k, max_degree)
-    cocycles, boundaries = sparse_kernel(cx.rows(k), cx.cochain_dim(k)), cx.image(k)
+    cocycles, boundaries = cx.cocycles(k), cx.image(k)
     return CohomologyReport(
         degree=k,
         dim_z=cocycles.dim,
@@ -254,6 +263,6 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
 
     vf, vg = coeffs(f), coeffs(g)
     for name, v in (("first", vf), ("second", vg)):
-        if any(sum(x * v[c] for c, x in row.items()) for row in cx.rows(k)):
+        if not cx.cocycles(k).contains(v):
             raise NotACocycle(f"the {name} cochain is not a cocycle in degree {k}")
     return cx.image(k).contains(vec_sub(vf, vg))

@@ -17,20 +17,26 @@ All elimination goes through one sparse RREF, ``_sparse_rref``, on
 ``{column: entry}`` rows: ``rref``, ``kernel_basis``, ``column_space``
 and ``Subspace.from_spanning`` convert their dense input, and
 ``sparse_kernel`` and ``sparse_image`` take sparse rows directly.  The
-RREF of a row space is unique; it comes out as the rows a ``Subspace``
-keeps, ``(column, entry)`` pairs with the pivot first and each entry
-through ``frac``.  One step, ``_eliminate``, reduces a row for elimination
-and membership alike, and dense tuples are made only for output (``_dense``).
-A kernel costs one elimination, on the columns in reverse order.  Nothing
-here is cached across calls: the complexes of ``cohomology`` live on the
-cached verification reports, and ``check_embedding_tensor.cache_clear()``
-frees them.
+elimination runs on integers, fraction-free: each row is cleared of
+denominators once, pivot rows are kept primitive (gcd 1, pivot entry
+positive, not scaled to 1), and rationals are made once, at output, where
+each row is divided by its pivot entry.  The RREF of a row space is
+unique; it comes out as the rows a ``Subspace`` keeps, ``(column, entry)``
+pairs with the pivot first and each entry an ``int`` when whole.  One
+step, ``_eliminate``, reduces a row for elimination and membership alike
+(a ``Subspace``'s rows have pivot 1, so a residual is never scaled), and
+dense tuples are made only for output (``_dense``).  A kernel costs one
+elimination, on the columns in reverse order.  Nothing here is cached
+across calls: the complexes of ``cohomology`` live on the cached
+verification reports, and ``check_embedding_tensor.cache_clear()`` frees
+them.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotASubspace, ParseError
 
@@ -391,59 +397,98 @@ def _sparse_rows(m: Matrix) -> list[SparseRow]:
 
 def _dense(pairs, n: int) -> Vector:
     """The length-n dense tuple with these ``(column, entry)`` pairs, each
-    entry through ``frac``: elimination leaves whole ``Fraction``s, and this
-    is where they go."""
+    entry through ``frac``: the residual ``Subspace.reduce`` leaves may hold
+    whole ``Fraction``s, and this is where they go."""
     out = [ZERO] * n
     for c, x in pairs:
         out[c] = frac(x)
     return tuple(out)
 
 
-def _subtract(row: SparseRow, f: Scalar, other: SparseRow) -> None:
-    """row -= f * other in place, dropping the entries that cancel."""
-    for c, x in other.items():
-        y = row.get(c)
-        if y is None:
-            row[c] = -f * x
-        elif y := y - f * x:
-            row[c] = y
-        else:
-            del row[c]
-
-
 def _eliminate(row: SparseRow, by_pivot: dict[int, SparseRow]) -> SparseRow:
     """Clear from ``row``, in place, every pivot column of ``by_pivot``, and
-    return it; one pass is enough, as pivot rows vanish at other pivots."""
+    return it; one pass is enough, as pivot rows vanish at other pivots.
+
+    Against the pivot row P at p, with a = P[p] and f = row[p] each divided
+    by their gcd, the step is row := a row - f P, dropping the entries that
+    cancel, so integer rows stay integer.  The row is scaled only when a != 1:
+    against the pivot-1 rows of a ``Subspace`` the step is the plain
+    row - f P, on any rationals, and what is left is the residual."""
     for p in [c for c in row if c in by_pivot]:
-        _subtract(row, row[p], by_pivot[p])
+        other = by_pivot[p]
+        a, f = other[p], row[p]
+        if a != 1:
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+        for c, x in other.items():
+            y = row.get(c)
+            if y is None:
+                row[c] = -f * x
+            elif y := y - f * x:
+                row[c] = y
+            else:
+                del row[c]
+    return row
+
+
+def _integral(row: SparseRow) -> SparseRow:
+    """The nonzero entries of a row times the lcm of their denominators, as ints."""
+    row = {c: x for c, x in row.items() if x}
+    if {*map(type, row.values())} - {int}:
+        m = lcm(*(x.denominator for x in row.values()))
+        row = {c: int(x * m) for c, x in row.items()}
+    return row
+
+
+def _primitive(row: SparseRow, lead: int = 1) -> SparseRow:
+    """Divide an integer row, in place, by the gcd of its entries taken with
+    the sign of ``lead``, and return it: given its pivot entry, the row comes
+    out with that entry positive."""
+    g = gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
     return row
 
 
 def _sparse_rref(rows) -> tuple[EchelonRow, ...]:
     """Reduced row echelon form of the span of sparse rows, in canonical form.
 
-    Each incoming row is reduced against the pivot rows found so far,
-    pivots on the first nonzero column of what is left, is normalised
-    there, and clears that column from every earlier pivot row.  The
-    pivot rows stay zero at every other pivot column throughout, so the
-    rows returned, sorted by pivot and each as ``(column, entry)`` pairs in
-    column order, are the unique RREF of the span.  Input is not changed.
+    The elimination is fraction-free.  Each incoming row is cleared of
+    denominators (``_integral``), reduced against the pivot rows found so
+    far, and pivots on the first nonzero column of what is left.  It is made
+    primitive there (gcd 1, pivot entry positive; the pivot is not scaled to
+    1) and clears that column from every earlier pivot row, each of which is
+    made primitive again (its own pivot entry stays positive, as the step
+    scales it only by the new, positive, pivot entry).  The pivot rows stay
+    zero at every other pivot column throughout, so dividing each by its
+    pivot entry at the end, x // a when a divides x and ``frac(x, a)``
+    otherwise, gives the unique RREF of the span: rows sorted by pivot, each
+    as ``(column, entry)`` pairs in column order.  Input is not changed.
     """
     by_pivot: dict[int, SparseRow] = {}
     for incoming in rows:
-        row = _eliminate({c: x for c, x in incoming.items() if x}, by_pivot)
+        row = _eliminate(_integral(incoming), by_pivot) if incoming else None
         if not row:
             continue
         p = min(row)
-        inv = frac(ONE, row[p])
-        if inv != 1:
-            row = {c: frac(inv * x) for c, x in row.items()}
+        new = {p: _primitive(row, row[p])}
         for other in by_pivot.values():
             if p in other:
-                _subtract(other, other[p], row)
+                _primitive(_eliminate(other, new))
         by_pivot[p] = row
-    return tuple(tuple(sorted((c, frac(x)) for c, x in by_pivot[p].items()))
-                 for p in sorted(by_pivot))
+    out = []
+    for p in sorted(by_pivot):
+        row = by_pivot[p]
+        if (a := row[p]) != 1:
+            row = {c: x // a if x % a == 0 else frac(x, a) for c, x in row.items()}
+        out.append(tuple(sorted(row.items())))
+    return tuple(out)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -38,6 +38,7 @@ from .linalg import (
     accumulate,
     combination,
     vec_sub,
+    vector,
 )
 from .reports import CheckReport, first_failure, require, scan, scan_sparse, verdict
 
@@ -129,10 +130,16 @@ def require_coherent(action: Action) -> None:
 
 
 def induced_triangle(t: EmbeddingTensor) -> ScTable:
-    """The table of e_i > e_j = rho(Te_i)e_j on the target, row i read from the
-    columns of the matrix rho(Te_i); built for any candidate tensor, unverified."""
+    """The table of e_i > e_j = rho(Te_i)e_j on the target, from nonzero entries
+    only: each x = (Te_i)_a adds x (rho_a)_rj to coordinate r of e_i > e_j.
+    Built for any candidate tensor, unverified."""
     n = t.action.target.dim
-    return tuple(tuple(map(m.col, range(n))) for m in map(t.action.of, map(t.column, range(n))))
+    ops = [op.nonzero() for op in t.action.rho]
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a, i, x in t.matrix.nonzero():
+        for r, j, y in ops[a]:
+            table[i][j][r] += x * y
+    return tuple(tuple(map(vector, row)) for row in table)
 
 
 def descendent_table(t: EmbeddingTensor) -> ScTable:

@@ -505,19 +505,27 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 def test_queries_on_one_tensor_share_its_complex(t1, monkeypatch):
-    """Repeated queries assemble each d_k and the induced representation
-    once, for as long as the cached verdict lives; clearing the verification
-    cache, as the benchmark does before every pass, builds them again."""
+    """Repeated queries assemble each d_k, the induced representation and
+    each degree's cocycles once, for as long as the cached verdict lives,
+    whether ``cohomology`` or ``class_equals`` asks first; clearing the
+    verification cache, as the benchmark does before every pass, builds them
+    again.  A kernel is recorded by its number of columns."""
     arities = count_calls(monkeypatch, "lp_differential")
     reps = count_calls(monkeypatch, "induced_representation")
+    kernels = count_calls(monkeypatch, "sparse_kernel")
     report = cohomology(t1, 3)
     assert cohomology(t1, 3) == report
     cocycle = MultiMap(2, 3, 3, report.cocycle_basis.basis[0])
     assert class_equals(t1, cocycle, cocycle, 3)
-    assert (arities, len(reps)) == ([(2,), (1,)], 1)
+    assert (arities, len(reps), kernels) == ([(2,), (1,)], 1, [(27,)])
+    zero = Matrix.zero(3, 3)
+    assert class_equals(t1, zero, zero, 2)
+    assert cohomology(t1, 2).cocycle_basis.contains(matrix_as_multimap(zero).coeffs)
+    assert (arities, len(reps), kernels) == ([(2,), (1,), (0,)], 1, [(27,), (9,)])
     check_embedding_tensor.cache_clear()
+    assert class_equals(t1, cocycle, cocycle, 3)
     assert cohomology(t1, 3) == report
-    assert (arities, len(reps)) == ([(2,), (1,)] * 2, 2)
+    assert (arities[3:], len(reps), kernels[2:]) == ([(2,), (1,)], 2, [(27,)])
 
 
 def test_memoised_queries_match_a_fresh_complex(t1, tzero, tii, tab, toy_tensor, g23_net):
@@ -586,6 +594,25 @@ def test_class_equals_degree_one_needs_source_vectors(t1):
     assert class_equals(t1, unit_vector(3, 1), unit_vector(3, 1), 1)
     # nothing is a coboundary in degree one
     assert not class_equals(t1, unit_vector(3, 1), unit_vector(3, 2), 1)
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_class_equals_names_the_non_cocycle(t1, which, monkeypatch):
+    """The same error, naming the same argument, whether the degree's
+    cocycles are built by the check or were memoised before it."""
+    non_cocycle, zero = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Matrix.zero(3, 3)
+    args = (non_cocycle, zero) if which == "first" else (zero, non_cocycle)
+    kernels = count_calls(monkeypatch, "sparse_kernel")
+    message = f"^the {which} cochain is not a cocycle in degree 2$"
+    with pytest.raises(NotACocycle, match=message):
+        class_equals(t1, *args, 2)
+    assert kernels == [(9,)]
+    check_embedding_tensor.cache_clear()
+    assert not cohomology(t1, 2).cocycle_basis.contains(matrix_as_multimap(non_cocycle).coeffs)
+    for _ in range(2):
+        with pytest.raises(NotACocycle, match=message):
+            class_equals(t1, *args, 2)
+    assert kernels == [(9,), (9,)]
 
 
 def test_class_equals_rejects_non_cocycle(t1):

@@ -3,9 +3,10 @@ top-level definition of the package and of the test oracles, and every
 non-dunder method of a top-level class, is used somewhere, only ``reports`` builds a ``Failure``,
 only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
-dense-matrix solvers, no module divides with ``/``, the only module-level
-caches are the two verification caches and ``graded.shuffles``, and
-importing the CLI loads neither ``dataclasses`` nor ``inspect``."""
+dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
+calls ``Fraction``, the only module-level caches are the two verification
+caches and ``graded.shuffles``, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``."""
 import ast
 import os
 import re
@@ -239,6 +240,41 @@ def test_no_true_division(path):
 def test_detects_a_true_division():
     source = "a = 1 / 2\nb = 7 // 2\nc = a\nc /= b\nd = f'{a/b}'\n"
     assert true_divisions(source) == [1, 4, 5]
+
+
+def fraction_calls(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each call of ``Fraction``, bare
+    or qualified, in line order; the function is '' outside any."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and _callee(node.func) == "Fraction":
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda call: call[1])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_rationals_are_made_by_frac(path):
+    """``linalg.frac`` is the one constructor of a ``Fraction``, so a scalar is
+    an ``int`` whenever it is whole, and elimination, which runs on integers,
+    makes its rationals through it once, at output."""
+    found = fraction_calls(path.read_text(encoding="utf-8"))
+    assert [call for call in found if (path.name, call[0]) != ("linalg.py", "frac")] == []
+
+
+def test_detects_a_fraction_call_outside_frac():
+    source = ("from fractions import Fraction\nimport fractions\n"
+              "def frac(x):\n    return Fraction(x)\n\n"
+              "def half(x):\n    return Fraction(x, 2)\n\n"
+              "class Q:\n    def make(self):\n        return [fractions.Fraction(1) for _ in ()]\n\n"
+              "ONE = Fraction(1)\nok = isinstance(ONE, Fraction)\n")
+    assert fraction_calls(source) == [("frac", 4), ("half", 7), ("make", 11), ("", 13)]
 
 
 CACHE_DECORATORS = ("lru_cache", "cache")

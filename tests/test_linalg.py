@@ -198,10 +198,20 @@ def echelon_basis(rows, ncols: int) -> tuple:
     return tuple(tuple(row) for row in red[:len(pivots)])
 
 
+def assert_canonical_scalars(values) -> None:
+    """Each scalar is an ``int`` when whole and a ``Fraction`` with a
+    denominator above 1 otherwise."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
 def assert_matches_dense_oracle(rows, ncols: int) -> None:
+    """rref, span, kernel and column space against the dense oracle, with
+    every scalar they put out in canonical form."""
     m = Matrix(len(rows), ncols, tuple(Fraction(x) for row in rows for x in row))
     red, pivots = dense_rref(rows, ncols)
-    assert rref(m) == (Matrix(m.rows, ncols, tuple(x for row in red for x in row)), pivots)
+    reduced = rref(m)
+    assert reduced == (Matrix(m.rows, ncols, tuple(x for row in red for x in row)), pivots)
     assert len(pivots) == bareiss_rank(rows)
     span = Subspace.from_spanning(ncols, rows)
     assert span.basis == echelon_basis(rows, ncols)
@@ -215,10 +225,16 @@ def assert_matches_dense_oracle(rows, ncols: int) -> None:
     assert ker.basis == echelon_basis(kernel, ncols)
     assert ker.dim == ncols - bareiss_rank(rows)
     columns = [[row[j] for row in rows] for j in range(ncols)]
-    assert column_space(m).basis == echelon_basis(columns, len(rows))
+    image = column_space(m)
+    assert image.basis == echelon_basis(columns, len(rows))
+    assert_canonical_scalars(reduced[0].entries)
+    for space in (span, ker, image):
+        assert_canonical_scalars(x for row in space.basis for x in row)
+        assert_canonical_scalars(x for row in space.rows for _, x in row)
 
 
-SPARSE = st.sampled_from([Fraction(c) for c in (0,) * 8 + (1, -1, 2, "1/2", "-3/2", "2/3")])
+SPARSE = st.sampled_from([Fraction(c) for c in (0,) * 12 + (
+    1, -1, 2, 3, -6, "1/2", "-3/2", "2/3", "7/5", "-11/6")] + [Fraction(4, 2)])
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,
@@ -269,6 +285,18 @@ def test_sparse_elimination_matches_dense_oracle(nrows, ncols, data):
     assert quotient_dim(span, part) == bareiss_rank(rows) - bareiss_rank(rows[:cut])
     again = Subspace.from_spanning(ncols, rows[::-1] + [combo])
     assert again == span and hash(again) == hash(span)
+
+
+def test_coefficient_growth_matches_the_oracles():
+    """Two fixed inputs whose exact elimination grows its coefficients: the
+    12 x 15 Hilbert block and a seeded dense 30 x 40 rational matrix."""
+    hilbert = [[Fraction(1, i + j + 1) for j in range(15)] for i in range(12)]
+    rng = random.Random(29)
+    dense = [[rng.choice((1, -2, 3, Fraction(5, 7), Fraction(-3, 11))) for _ in range(40)]
+             for _ in range(30)]
+    for rows, ncols in ((hilbert, 15), (dense, 40)):
+        assert_matches_dense_oracle(rows, ncols)
+        assert rank(Matrix.from_rows(rows)) == bareiss_rank(rows) == len(rows)
 
 
 def scalars_of(results) -> list:
