@@ -10,13 +10,14 @@ The complex is the Loday-Pirashvili complex of the descendent Leibniz
 algebra with coefficients in the induced representation on the source.
 Its set-up visits only nonzero entries: ``induced_representation`` fills
 rho_l and rho_r from those of T, of the action and of the source table,
-and ``lp_differential`` assembles each d_k, k >= 1, term by term from the
-nonzero rho_l, rho_r and structure-constant blocks, each placed by index
-arithmetic; d_0 is zero.  ``tensor_coboundary`` maps one cochain by the
-twisted differential d_T of the controlling DGLA instead, with the sign
-d f = (-1)^(p-1) d_T f at arity p, so the matrix assembly and the DGLA are
-each other's test oracle.  ``_as_cochain`` normalises a cochain as it
-enters, passing every coefficient through ``frac``.
+and ``lp_differential`` assembles each d_k term by term from the nonzero
+rho_l, rho_r and structure-constant blocks, each placed by index
+arithmetic (d_0 has none: its rows are empty).  ``tensor_coboundary`` maps
+one cochain by the twisted differential d_T of the controlling DGLA
+instead, with the sign d f = (-1)^(p-1) d_T f at arity p, so the matrix
+assembly and the DGLA are each other's test oracle.  ``_as_cochain``
+normalises a cochain as it enters, passing every coefficient through
+``frac``.
 
 ``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, which
 ``cohomology`` and ``class_equals`` eliminate into sparse echelon rows;
@@ -86,7 +87,8 @@ def induced_representation(t: EmbeddingTensor) -> LeibnizRep:
 
 
 def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
-    """Sparse rows of the coboundary from arity-``arity`` cochains (arity >= 0).
+    """Sparse rows of the coboundary from arity-``arity`` cochains (arity >= -1;
+    arity -1 gives d_0).
 
     Row i*m + r holds coordinate r of output tuple i, of index sum x_p n^(k-p),
     as a ``{column: entry}`` dict.  Each term of the alternating formula goes
@@ -178,8 +180,7 @@ class TensorComplex:
         if k < 0 or k > self.max_degree:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.max_degree}")
         if k not in self._rows:
-            self._rows[k] = (lp_differential(self._rep, k - 1) if k
-                             else [{} for _ in range(self.cochain_dim(1))])
+            self._rows[k] = lp_differential(self._rep, k - 1)
         return self._rows[k]
 
     def cocycles(self, k: int) -> Subspace:

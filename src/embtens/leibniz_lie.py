@@ -77,15 +77,15 @@ def require_leibniz_lie(l: LeibnizLie) -> None:
     require(check_leibniz_lie(l), NotLeibnizLie)
 
 
-def _sum_algebra(l: LeibnizLie, name: str | None = None) -> Algebra:
+def _sum_algebra(l: LeibnizLie) -> Algebra:
     """The algebra with bracket x > y + [x, y], built for any triangle, unverified."""
-    return Algebra(name or f"{l.lie.name}_sub", l.lie.dim, table_sum(l.triangle, l.lie.sc), LEIBNIZ)
+    return Algebra(f"{l.lie.name}_sub", l.lie.dim, table_sum(l.triangle, l.lie.sc), LEIBNIZ)
 
 
-def subadjacent(l: LeibnizLie, name: str | None = None) -> Algebra:
+def subadjacent(l: LeibnizLie) -> Algebra:
     """The Leibniz algebra with bracket x > y + [x, y]."""
     require_leibniz_lie(l)
-    return _sum_algebra(l, name)
+    return _sum_algebra(l)
 
 
 def subadjacent_representation(l: LeibnizLie) -> LeibnizRep:

@@ -26,10 +26,10 @@ pairs with the pivot first and each entry an ``int`` when whole.  One
 step, ``_eliminate``, reduces a row for elimination and membership alike
 (a ``Subspace``'s rows have pivot 1, so a residual is never scaled), and
 dense tuples are made only for output (``_dense``).  A kernel costs one
-elimination, on the columns in reverse order.  Nothing here is cached
-across calls: the complexes of ``cohomology`` live on the cached
-verification reports, and ``check_embedding_tensor.cache_clear()`` frees
-them.
+elimination of its rows as given, each pivoting on its last column.
+Nothing here is cached across calls: the complexes of ``cohomology`` live
+on the cached verification reports, and
+``check_embedding_tensor.cache_clear()`` frees them.
 """
 from __future__ import annotations
 
@@ -138,7 +138,9 @@ def accumulate(acc: list[Scalar], c: Scalar, v: Vector) -> None:
 
 
 def combine(x: Vector, vectors, n: int) -> Vector:
-    """The length-n vector sum of x_i vectors[i], skipping zero coefficients."""
+    """The length-n sum of x_i vectors[i], one x_i per vector, skipping zeros."""
+    if len(x) != len(vectors):
+        raise DimensionMismatch(f"{len(x)} coefficients for {len(vectors)} vectors")
     out = [ZERO] * n
     for c, v in zip(x, vectors):
         if c != 0:
@@ -151,8 +153,10 @@ def bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
 
     ``table[i][j]`` holds the coordinates, of length ``dim``, of the
     image of the basis pair (e_i, e_j).  Algebra, triangle and
-    descendent tables all share this format.
+    descendent tables all share this format.  x and y have length ``dim``.
     """
+    if len(x) != dim or len(y) != dim:
+        raise DimensionMismatch(f"vectors of length {len(x)} and {len(y)} in dimension {dim}")
     out = [ZERO] * dim
     for i, xi in enumerate(x):
         if xi == 0:
@@ -293,11 +297,9 @@ class Matrix(Flat):
     def from_rows(cls, rows) -> "Matrix":
         rows = [vector(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
 
     @classmethod
     def from_columns(cls, cols) -> "Matrix":
@@ -456,27 +458,29 @@ def _primitive(row: SparseRow, lead: int = 1) -> SparseRow:
     return row
 
 
-def _sparse_rref(rows) -> tuple[EchelonRow, ...]:
+def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
     """Reduced row echelon form of the span of sparse rows, in canonical form.
 
     The elimination is fraction-free.  Each incoming row is cleared of
     denominators (``_integral``), reduced against the pivot rows found so
-    far, and pivots on the first nonzero column of what is left.  It is made
-    primitive there (gcd 1, pivot entry positive; the pivot is not scaled to
-    1) and clears that column from every earlier pivot row, each of which is
-    made primitive again (its own pivot entry stays positive, as the step
-    scales it only by the new, positive, pivot entry).  The pivot rows stay
+    far, and pivots on the column ``pick`` takes from what is left: the first
+    by default, the last for ``sparse_kernel``.  It is made primitive there
+    (gcd 1, pivot entry positive; the pivot is not scaled to 1) and clears
+    that column from every earlier pivot row, each of which is made
+    primitive again (its own pivot entry stays positive, as the step scales
+    it only by the new, positive, pivot entry).  The pivot rows stay
     zero at every other pivot column throughout, so dividing each by its
     pivot entry at the end, x // a when a divides x and ``frac(x, a)``
-    otherwise, gives the unique RREF of the span: rows sorted by pivot, each
-    as ``(column, entry)`` pairs in column order.  Input is not changed.
+    otherwise, gives the unique RREF of the span for that pivot end: rows
+    sorted by pivot, each as ``(column, entry)`` pairs in column order.
+    Input is not changed.
     """
     by_pivot: dict[int, SparseRow] = {}
     for incoming in rows:
         row = _eliminate(_integral(incoming), by_pivot) if incoming else None
         if not row:
             continue
-        p = min(row)
+        p = pick(row)
         new = {p: _primitive(row, row[p])}
         for other in by_pivot.values():
             if p in other:
@@ -517,10 +521,8 @@ class Subspace(Record):
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
         vecs = [vector(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(
-                    f"spanning vector of length {len(v)} in ambient dim {ambient_dim}")
+        if any(len(v) != ambient_dim for v in vecs):
+            raise DimensionMismatch(f"spanning vectors must have length {ambient_dim}")
         return cls(ambient_dim, _sparse_rref({j: x for j, x in enumerate(v) if x} for v in vecs))
 
     @classmethod
@@ -573,17 +575,16 @@ class Subspace(Record):
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> Subspace:
     """Canonical basis of {v : row . v = 0 for every row}, v in Q^ncols.
 
-    Eliminating with columns reversed (c -> ncols-1-c) puts each pivot p
-    after every other column of its row, so e_f - sum_p R[p][f] e_p leads
-    with 1 at the free column f and vanishes at the others: these vectors
-    are already the kernel's RREF."""
-    last = ncols - 1
+    Eliminating with each pivot on the last column of its row puts every
+    pivot p after the free columns of its row, so e_f - sum_p R[p][f] e_p
+    leads with 1 at the free column f and vanishes at the others: these
+    vectors are already the kernel's RREF, built in column order."""
     vecs = {f: [(f, ONE)] for f in range(ncols)}
-    for (p, _), *rest in _sparse_rref({last - c: x for c, x in row.items()} for row in rows):
-        del vecs[last - p]
+    for *rest, (p, _) in _sparse_rref(rows, max):
+        del vecs[p]
         for c, x in rest:
-            vecs[last - c].append((last - p, -x))
-    return Subspace(ncols, tuple(tuple(sorted(v)) for v in vecs.values()))
+            vecs[c].append((p, -x))
+    return Subspace(ncols, tuple(map(tuple, vecs.values())))
 
 
 def sparse_image(rows: list[SparseRow], ncols: int) -> Subspace:

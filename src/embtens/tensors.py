@@ -35,8 +35,8 @@ from .linalg import (
     Vector,
     ZERO,
     _sparse_rows,
-    accumulate,
     combination,
+    combine,
     vec_sub,
     vector,
 )
@@ -59,11 +59,7 @@ class Action(Record):
 
     def apply(self, x: Vector, u: Vector) -> Vector:
         """rho(x)u without materializing the combined matrix."""
-        out = [ZERO] * self.target.dim
-        for c, m in zip(x, self.rho):
-            if c != 0:
-                accumulate(out, c, m.apply(u))
-        return tuple(out)
+        return combine(x, [m.apply(u) for m in self.rho], self.target.dim)
 
 
 def adjoint_action(a: Algebra) -> Action:
@@ -110,7 +106,7 @@ def check_coherent_action(action: Action) -> CheckReport:
         for r, c, x in entries:
             for row, s in readers[r * n + c]:
                 q, k = divmod(row, n)
-                laws[q // n ** 2][i, *divmod(q % n ** 2, n)][k] += s * x
+                laws[q // n ** 2][(i, *divmod(q % n ** 2, n))][k] += s * x
     homomorphism = defaultdict(Counter)  # (i, j) -> rho([e_i, e_j]) - rho_i rho_j + rho_j rho_i
     for i, j, p, c in g.constants:
         for r, k, x in ops[p]:
@@ -214,11 +210,11 @@ def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,
 # constructions
 # ---------------------------------------------------------------------------
 
-def hemisemidirect(action: Action, name: str | None = None) -> Algebra:
+def hemisemidirect(action: Action) -> Algebra:
     """The Leibniz bracket [x+u, y+v] = [x,y] + rho(x)v + [u,v] on source + target."""
     require_coherent(action)
     g, h = action.source, action.target
-    return Algebra(name or f"{g.name}+{h.name}", g.dim + h.dim,
+    return Algebra(f"{g.name}+{h.name}", g.dim + h.dim,
                    _block_table(g, h, action.rho), LEIBNIZ)
 
 

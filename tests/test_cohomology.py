@@ -1,4 +1,5 @@
 """The tensor complex: induced representation, coboundaries, dimensions."""
+import copy
 import importlib
 import random
 import tracemalloc
@@ -562,11 +563,24 @@ def test_each_query_keeps_its_own_degree_bound(t1):
 def test_complex_starts_with_the_zero_map_out_of_degree_zero(t1, g23_net):
     for t in (t1, g23_net):
         cx = TensorComplex(t, 4)
+        assert cx.rows(0) == [{}] * cx.cochain_dim(1) == lp_differential(cx._rep, -1)
         d0 = cx.differential(0)
         assert (d0.rows, d0.cols, d0.entries) == (cx.cochain_dim(1), 0, ())
         for k in (-1, 5):
             with pytest.raises(DegreeOutOfRange):
                 cx.differential(k)
+
+
+def test_queries_leave_the_rows_of_the_complex_unchanged(t1, tii):
+    """rows(k) feeds both cocycles(k) and image(k + 1), so neither may change
+    it; Tii's 4/3 takes the rows through clearing denominators."""
+    for t in (t1, tii):
+        cx = TensorComplex(t, 4)
+        for k in range(4):
+            before = copy.deepcopy(cx.rows(k))
+            cx.cocycles(k)
+            cx.image(k + 1)
+            assert cx.rows(k) == before and repr(cx.rows(k)) == repr(before)
 
 
 def test_class_equals_reflexive(t1):

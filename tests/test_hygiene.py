@@ -5,8 +5,9 @@ only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
 dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
 calls ``Fraction``, the only module-level caches are the two verification
-caches and ``graded.shuffles``, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``."""
+caches and ``graded.shuffles``, importing the CLI loads neither
+``dataclasses`` nor ``inspect``, and no subscript unpacks a starred item
+outside parentheses (Python 3.11 syntax; the package supports 3.10)."""
 import ast
 import os
 import re
@@ -362,3 +363,26 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def starred_subscripts(source: str) -> list[int]:
+    """Lines where a subscript's key is a tuple holding a starred item and is
+    not parenthesised, as in ``a[i, *b]`` or ``a[*b]``: syntax Python 3.10
+    refuses, though ``ast.parse(..., feature_version=(3, 10))`` accepts it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                  and any(isinstance(e, ast.Starred) for e in node.slice.elts)
+                  and not ast.get_source_segment(source, node.slice).startswith("("))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_starred_subscript(path):
+    """``pyproject.toml`` declares Python 3.10, so a starred key is written
+    ``a[(i, *b)]``."""
+    assert starred_subscripts(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_starred_subscript():
+    source = ("a[1, *b]\nc[(i, *d)]\nx[*a]\ne[f, g]\nh[(*k,)][0]\n"
+              "m[\n  2, *n]\nf(*a)\n[*a, 1]\n")
+    assert starred_subscripts(source) == [1, 3, 6]

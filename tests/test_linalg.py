@@ -1,4 +1,5 @@
 """Exact linear algebra: echelon forms, kernels, subspaces, scalars."""
+import copy
 import json
 import random
 from fractions import Fraction
@@ -22,6 +23,7 @@ from embtens import (
     Subspace,
     adjoint_action,
     check_embedding_tensor,
+    conjugated_tensor,
     kernel_basis,
     parse_scalar,
     quotient_dim,
@@ -30,7 +32,7 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
-from embtens.linalg import Record, column_space, frac
+from embtens.linalg import Record, column_space, frac, sparse_image, sparse_kernel
 from embtens.workspace import matrix_to_json
 from conftest import heisenberg, rand_fraction, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
@@ -465,3 +467,30 @@ def test_empty_columns_keep_their_count():
         Matrix.from_columns([(1, 2), (3,)])
     with pytest.raises(DimensionMismatch, match="ragged"):
         Matrix.from_columns([(1,), (3, 4)])
+
+
+def test_vectors_of_the_wrong_length_are_refused(h3, t1):
+    """A vector is never cut or padded to fit: brackets, adjoints, actions
+    and conjugations refuse one of the wrong length."""
+    ad = adjoint_action(h3)
+    probes = [lambda: h3.bracket((1,), (0, 1)), lambda: h3.bracket((1, 0, 0, 0), (0, 1, 0)),
+              lambda: h3.bracket((1, 0, 0), (0, 1)), lambda: ad.of((1, 2)),
+              lambda: h3.adjoint((1,)), lambda: ad.apply((1, 0, 0, 0), (0, 1, 0)),
+              lambda: conjugated_tensor(t1, (1, 0, 0, 5), 1)]
+    for probe in probes:
+        with pytest.raises(DimensionMismatch):
+            probe()
+    assert h3.bracket((1, 0, 0), (0, 1, 0)) == ad.apply((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+
+
+def test_elimination_leaves_its_input_unchanged():
+    """Kernels, images and spans copy what they eliminate: empty rows and
+    explicit zero entries, as derivation rows hold them, stay as given."""
+    rows = [{}, {0: 2, 2: 0, 3: Fraction(1, 3)}, {1: 0}, {3: 6, 0: 4, 1: -1}, {},
+            {2: Fraction(5, 2), 3: Fraction(0)}]
+    vectors = [[0, 0, 0, 0], [2, 0, 0, Fraction(1, 3)], [4, -1, Fraction(0), 6]]
+    for solve, given in ((sparse_kernel, rows), (sparse_image, rows),
+                         (lambda vs, n: Subspace.from_spanning(n, vs), vectors)):
+        before = copy.deepcopy(given)
+        solve(given, 4)
+        assert given == before and repr(given) == repr(before)
