@@ -261,14 +261,6 @@ def quotient_lie(a: Algebra) -> tuple[Algebra, Matrix]:
 # derivation algebras
 # ---------------------------------------------------------------------------
 
-def flatten_matrix(m: Matrix) -> Vector:
-    return m.entries
-
-
-def matrix_from_flat(n: int, v: Vector) -> Matrix:
-    return Matrix(n, n, tuple(v))
-
-
 def _derivation_rows(a: Algebra, coherent: bool = False) -> list[SparseRow]:
     """Equations D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0 on the dim^2 unknowns,
     one sparse row per coordinate k of each basis pair (i, j), at index

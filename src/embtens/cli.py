@@ -41,12 +41,10 @@ from .workspace import (
     tensor_to_json,
 )
 
-MC_KINDS = ("net", "deform")
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workspace", metavar="PATH", help="workspace JSON file")
+    common.add_argument("--workspace", metavar="PATH", required=True,
+                        help="workspace JSON file")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--output", metavar="PATH",
                         help="write the report here instead of stdout")
@@ -67,18 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--element2", help="second element")
         p.add_argument("--operator", help="matrix rows 'a,b;c,d'")
 
-    p = sub.add_parser("check", parents=[common], help="run a verification")
-    p.add_argument("what", choices=tuple(CHECKS))
-    refs(p)
-
-    p = sub.add_parser("build", parents=[common],
-                       help="run a construction and emit the result")
-    p.add_argument("what", choices=tuple(BUILDS))
-    refs(p)
-
-    p = sub.add_parser("mc", parents=[common], help="Maurer-Cartan style checks")
-    p.add_argument("what", choices=MC_KINDS)
-    refs(p)
+    for name, table, text in (("check", CHECKS, "run a verification"),
+                              ("build", BUILDS, "run a construction and emit the result"),
+                              ("mc", MCS, "Maurer-Cartan style checks")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("what", choices=tuple(table))
+        p.set_defaults(table=table)
+        refs(p)
 
     p = sub.add_parser("cohomology", parents=[common],
                        help="cocycles, coboundaries and their quotient")
@@ -153,6 +146,14 @@ def _entry_check(flag: str, check):
     return run_check
 
 
+def _along_direction(check):
+    """A check of --tensor deformed along --direction; ``check(ws, direction)``."""
+    def run_check(ws: Workspace, args) -> tuple[str, CheckReport]:
+        subject = _need(args, "tensor")
+        return subject, check(ws, _direction(ws, ws.tensor(subject), _need(args, "direction")))
+    return run_check
+
+
 def _check_nijenhuis(ws: Workspace, args) -> tuple[str, CheckReport]:
     subject = _need(args, "tensor")
     t = ws.tensor(subject)
@@ -169,12 +170,6 @@ def _check_nijenhuis_operator(ws: Workspace, args) -> tuple[str, CheckReport]:
     a = ws.algebra(subject)
     op = _parse_operator(_need(args, "operator"), a.dim)
     return subject, defs.check_nijenhuis_operator(a, op)
-
-
-def _check_deform(ws: Workspace, args) -> tuple[str, CheckReport]:
-    subject = _need(args, "tensor")
-    d = _direction(ws, ws.tensor(subject), _need(args, "direction"))
-    return subject, defs.check_linear_deformation(d)
 
 
 def _check_equivalence(ws: Workspace, args) -> tuple[str, CheckReport]:
@@ -202,7 +197,9 @@ def _quotient_json(ws: Workspace, name: str) -> dict:
 
 
 # Dispatch tables; their keys are the parser's choices.  Every library
-# function is looked up by name when the command runs, never bound here.
+# function is looked up by name when the command runs, through a lambda,
+# never bound here: bench/benchtrace.py replaces module attributes, and a
+# function held in a table would escape it.
 CHECKS = {
     "lie": _entry_check("algebra", lambda ws, s: check_lie(ws.algebra(s))),
     "leibniz": _entry_check("algebra", lambda ws, s: check_leibniz(ws.algebra(s))),
@@ -212,8 +209,14 @@ CHECKS = {
         "name", lambda ws, s: check_leibniz_lie(ws.leibniz_lie_structure(s))),
     "nijenhuis": _check_nijenhuis,
     "nijenhuis-operator": _check_nijenhuis_operator,
-    "deform": _check_deform,
+    "deform": _along_direction(lambda ws, d: defs.check_linear_deformation(d)),
     "equivalence": _check_equivalence,
+}
+MCS = {
+    "net": _entry_check("tensor", lambda ws, s: graded.mc_check_tensor(
+        ws.tensor(s), arity_cap=ws.settings.arity_cap)),
+    "deform": _along_direction(lambda ws, d: graded.mc_check_deformation(
+        d.base, d.direction, arity_cap=ws.settings.arity_cap)),
 }
 # build kind -> (flag naming the input, JSON of the result, summary line of that JSON)
 BUILDS = {
@@ -235,30 +238,26 @@ BUILDS = {
 }
 
 
-def _run_check(ws: Workspace, args) -> tuple[int, dict, str]:
-    subject, report = CHECKS[args.what](ws, args)
-    return _report_result(f"check {args.what}", subject, report)
+def _run_report(ws: Workspace, args) -> tuple[int, dict, str]:
+    subject, report = args.table[args.what](ws, args)
+    command = f"{args.command} {args.what}"
+    payload = {"command": command, "subject": subject, "ok": report.ok,
+               "report": report.to_json()}
+    lines = [f"{command} {subject}: {'PASS' if report.ok else 'FAIL'}"]
+    for f in report.failures:
+        where = ",".join(str(i) for i in f.where)
+        lines.append(f"  {f.law} at ({where})")
+    for note in report.notes:
+        lines.append(f"  note: {note}")
+    return (0 if report.ok else 1), payload, "\n".join(lines)
 
 
 def _run_build(ws: Workspace, args) -> tuple[int, dict, str]:
-    flag, build, describe = BUILDS[args.what]
+    flag, build, describe = args.table[args.what]
     subject = _need(args, flag)
     result = build(ws, subject)
     payload = {"command": f"build {args.what}", "subject": subject, "object": result}
     return 0, payload, f"build {args.what} {subject}: {describe(result)}"
-
-
-def _run_mc(ws: Workspace, args) -> tuple[int, dict, str]:
-    what = args.what
-    subject = _need(args, "tensor")
-    t = ws.tensor(subject)
-    cap = ws.settings.arity_cap
-    if what == "net":
-        report = graded.mc_check_tensor(t, arity_cap=cap)
-    else:
-        d = _direction(ws, t, _need(args, "direction"))
-        report = graded.mc_check_deformation(t, d.direction, arity_cap=cap)
-    return _report_result(f"mc {what}", subject, report)
 
 
 def _run_cohomology(ws: Workspace, args) -> tuple[int, dict, str]:
@@ -288,20 +287,8 @@ def _run_class_equals(ws: Workspace, args) -> tuple[int, dict, str]:
     return (0 if equal else 1), payload, line
 
 
-def _report_result(command: str, subject: str, report: CheckReport) -> tuple[int, dict, str]:
-    payload = {"command": command, "subject": subject, "ok": report.ok,
-               "report": report.to_json()}
-    lines = [f"{command} {subject}: {'PASS' if report.ok else 'FAIL'}"]
-    for f in report.failures:
-        where = ",".join(str(i) for i in f.where)
-        lines.append(f"  {f.law} at ({where})")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    return (0 if report.ok else 1), payload, "\n".join(lines)
-
-
 # command -> its runner; the keys are the parser's subcommands
-COMMANDS = {"check": _run_check, "build": _run_build, "mc": _run_mc,
+COMMANDS = {"check": _run_report, "build": _run_build, "mc": _run_report,
             "cohomology": _run_cohomology, "class-equals": _run_class_equals}
 
 
@@ -313,8 +300,6 @@ def run(argv) -> tuple[int, str]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
-        if args.workspace is None:
-            raise _Usage("--workspace PATH is required")
         ws = load_workspace(args.workspace)
         code, payload, text = COMMANDS[args.command](ws, args)
     except (_Usage, WorkspaceError, DegreeOutOfRange, OSError) as exc:

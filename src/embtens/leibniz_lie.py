@@ -16,7 +16,6 @@ from .algebras import (
     _homomorphism_residual,
     _quotient_data,
     coherent_derivation_algebra,
-    flatten_matrix,
     sc_table,
     table_sum,
 )
@@ -128,7 +127,7 @@ def left_multiplication_tensor(l: LeibnizLie) -> EmbeddingTensor:
     dbar = coherent_derivation_algebra(h)
     coords = []
     for i, row in enumerate(l.triangle):
-        c = dbar.coordinates(flatten_matrix(Matrix.from_columns(row)))
+        c = dbar.coordinates(Matrix.from_columns(row).entries)
         if c is None:
             raise NotCoherentDerivation(
                 f"left multiplication by basis vector {i} is not a coherent derivation")

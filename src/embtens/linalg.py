@@ -110,7 +110,15 @@ def zero_vector(n: int) -> Vector:
     return (ZERO,) * n
 
 
+def _index(i: int, n: int) -> int:
+    """i itself, when 0 <= i < n; ``DimensionMismatch`` otherwise."""
+    if not 0 <= i < n:
+        raise DimensionMismatch(f"index {i} out of range for length {n}")
+    return i
+
+
 def unit_vector(n: int, i: int) -> Vector:
+    _index(i, n)
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
@@ -326,13 +334,14 @@ class Matrix(Flat):
         return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
+        return self.entries[_index(i, self.rows) * self.cols + _index(j, self.cols)]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols: (i + 1) * self.cols]
+        start = _index(i, self.rows) * self.cols
+        return self.entries[start: start + self.cols]
 
     def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[_index(j, self.cols)::self.cols]
 
     def nonzero(self) -> list[tuple[int, int, Scalar]]:
         """The nonzero entries as (row, column, entry), in row-major order."""
@@ -345,34 +354,15 @@ class Matrix(Flat):
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [ZERO] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if b != 0:
-                        out[rbase + j] += a * b
-        return Matrix(self.rows, other.cols, tuple(out))
+        rows = [other.row(k) for k in range(other.rows)]
+        return Matrix(self.rows, other.cols, tuple(
+            x for i in range(self.rows) for x in combine(self.row(i), rows, other.cols)))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, v given in column coordinates."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        out = [ZERO] * self.rows
-        for j, x in enumerate(v):
-            if x == 0:
-                continue
-            for i in range(self.rows):
-                e = self.entries[i * self.cols + j]
-                if e != 0:
-                    out[i] += e * x
-        return tuple(out)
+        return combine(v, [self.col(j) for j in range(self.cols)], self.rows)
 
     def try_inverse(self) -> "Matrix | None":
         """Exact inverse, or None when singular."""

@@ -21,8 +21,6 @@ from .algebras import (
     _homomorphism_residual,
     coherent_derivation_algebra,
     direct_sum,
-    flatten_matrix,
-    matrix_from_flat,
     sc_table,
     table_sum,
 )
@@ -231,21 +229,20 @@ def graph_subalgebra_check(t: EmbeddingTensor) -> CheckReport:
                    notes=(f"graph dim {graph.dim} in {g.dim + h.dim}",) if bad else ())
 
 
-def descendent(t: EmbeddingTensor, name: str | None = None) -> Algebra:
+def descendent(t: EmbeddingTensor) -> Algebra:
     """The Leibniz bracket [u,v]_T = rho(Tu)v + [u,v] on the target, kept on t's report."""
-    desc = require_embedding_tensor(t).__dict__["_descendent"]
-    return Algebra(name, desc.dim, desc.sc, LEIBNIZ) if name else desc
+    return require_embedding_tensor(t).__dict__["_descendent"]
 
 
 def algebra_from_matrix_subspace(name: str, sub: Subspace, n: int) -> tuple[Algebra, tuple[Matrix, ...]]:
     """An abstract Lie algebra on the echelon basis of a commutator-closed matrix subspace."""
-    mats = tuple(matrix_from_flat(n, v) for v in sub.basis)
+    mats = tuple(Matrix(n, n, v) for v in sub.basis)
     table = []
     for a in range(len(mats)):
         row = []
         for b in range(len(mats)):
             comm = (mats[a] @ mats[b]) - (mats[b] @ mats[a])
-            coords = sub.coordinates(flatten_matrix(comm))
+            coords = sub.coordinates(comm.entries)
             if coords is None:
                 raise DimensionMismatch(
                     f"subspace behind {name!r} is not closed under commutators")

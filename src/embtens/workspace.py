@@ -2,7 +2,8 @@
 
 A workspace is one JSON document.  Scalars are exact: bare integers or
 "p/q" strings.  Structure tables may omit trailing rows, entries, or
-coordinates, which default to zero.  Cross-references are by name;
+coordinates, which default to zero, as does a null row or entry; a null
+coordinate is an error.  Cross-references are by name;
 built objects emitted by the CLI inline their parts instead, and the
 loader accepts either form wherever a reference can appear.  Algebras
 declaring a flavor are re-verified on load; a declared flavor that
@@ -73,16 +74,20 @@ def _scalar(value, path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _vector(data, length: int, path: str) -> Vector:
+def _padded(data, length: int, path: str, item, omitted) -> tuple:
+    """A JSON list of at most ``length`` items, each read by ``item(x, path)``,
+    filled up to ``length`` with ``omitted``; null reads as the empty list."""
     if data is None:
-        return zero_vector(length)
-    if not isinstance(data, list):
-        raise ParseError(f"{path}: expected a coordinate list")
-    if len(data) > length:
-        raise ParseError(f"{path}: {len(data)} coordinates in dimension {length}")
-    vals = [_scalar(x, f"{path}[{i}]") for i, x in enumerate(data)]
-    vals.extend([parse_scalar(0)] * (length - len(vals)))
-    return tuple(vals)
+        data = []
+    if not isinstance(data, list) or len(data) > length:
+        raise ParseError(f"{path}: expected a list of at most {length} items")
+    read = tuple(item(x, f"{path}[{i}]") for i, x in enumerate(data))
+    return read + (omitted,) * (length - len(data))
+
+
+def _vector(data, length: int, path: str) -> Vector:
+    """Coordinates; omitted ones are 0, and a null coordinate is an error."""
+    return _padded(data, length, path, _scalar, 0)
 
 
 def matrix_from_json(data, rows: int, cols: int, path: str) -> Matrix:
@@ -96,22 +101,11 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def _table(data, dim: int, path: str) -> tuple[tuple[Vector, ...], ...]:
-    """A dim x dim table of coordinate vectors; omitted entries are zero."""
-    if data is None:
-        data = []
-    if not isinstance(data, list) or len(data) > dim:
-        raise ParseError(f"{path}: expected at most {dim} rows")
-    rows = []
-    for i in range(dim):
-        row_data = data[i] if i < len(data) else None
-        if row_data is None:
-            row_data = []
-        if not isinstance(row_data, list) or len(row_data) > dim:
-            raise ParseError(f"{path}[{i}]: expected at most {dim} entries")
-        row = [_vector(row_data[j] if j < len(row_data) else None, dim, f"{path}[{i}][{j}]")
-               for j in range(dim)]
-        rows.append(tuple(row))
-    return tuple(rows)
+    """A dim x dim table of coordinate vectors; omitted or null rows and
+    entries are zero."""
+    zero = zero_vector(dim)
+    return _padded(data, dim, path, lambda row, at: _padded(
+        row, dim, at, lambda v, at: _vector(v, dim, at), zero), (zero,) * dim)
 
 
 def table_to_json(table) -> list:

@@ -42,6 +42,23 @@ def test_check_failure_exit_code(tmp_path, heisenberg_workspace_path):
     assert "FAIL" in out
 
 
+def test_mc_deform_agrees_with_check_deform(tmp_path, heisenberg_workspace_path, capsys):
+    code, out = invoke(heisenberg_workspace_path, "mc", "deform", "--tensor", "T1",
+                       "--direction", "D1")
+    assert code == 0 and out == "mc deform T1: PASS\n"
+    data = json.loads(Path(heisenberg_workspace_path).read_text())
+    data["tensors"]["broken"] = {"action": "ad3",
+                                 "matrix": [[0, 0, 1], [1, 0, 0], [2, 3, 0]]}
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(data))
+    for command in ("check", "mc"):
+        code, out = invoke(ws, command, "deform", "--tensor", "T1", "--direction", "broken")
+        assert code == 1 and out.startswith(f"{command} deform T1: FAIL\n")
+    capsys.readouterr()
+    assert invoke(ws, "mc", "deform", "--tensor", "T1") == (2, "")
+    assert capsys.readouterr().out == ""
+
+
 def test_cohomology_report(heisenberg_workspace_path):
     code, out = invoke(heisenberg_workspace_path,
                        "cohomology", "--tensor", "Tzero", "--degree", "1")

@@ -32,7 +32,7 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
-from embtens.linalg import Record, column_space, frac, sparse_image, sparse_kernel
+from embtens.linalg import Record, column_space, frac, sparse_image, sparse_kernel, vector
 from embtens.workspace import matrix_to_json
 from conftest import heisenberg, rand_fraction, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
@@ -467,6 +467,46 @@ def test_empty_columns_keep_their_count():
         Matrix.from_columns([(1, 2), (3,)])
     with pytest.raises(DimensionMismatch, match="ragged"):
         Matrix.from_columns([(1,), (3, 4)])
+
+
+def test_out_of_range_indices_are_refused(h3):
+    """An index outside 0..n-1, negative ones included, is refused instead
+    of reading a zero, an empty row or another entry."""
+    m, r = Matrix.identity(3), Matrix(2, 3, (1, 2, 3, 4, 5, 6))
+    probes = [lambda: unit_vector(3, 5), lambda: unit_vector(3, -1), lambda: h3.basis_vector(3),
+              lambda: m.row(5), lambda: m.row(-1), lambda: m.entry(0, 5), lambda: m.entry(-1, 0),
+              lambda: m.col(-1), lambda: m.col(3), lambda: r.row(2), lambda: r.entry(0, 3),
+              lambda: r.entry(2, 0), lambda: r.col(3), lambda: Matrix.zero(0, 2).col(2)]
+    for probe in probes:
+        with pytest.raises(DimensionMismatch):
+            probe()
+    assert (unit_vector(3, 2), r.row(1), r.entry(1, 2), r.col(2)) == ((0, 0, 1), (4, 5, 6), 6, (3, 6))
+    assert Matrix.zero(0, 2).col(1) == ()
+
+
+def triple_loop(a: Matrix, b: Matrix) -> list:
+    """a b as plain sums over the row-major entries."""
+    return [[sum((a.entries[i * a.cols + k] * b.entries[k * b.cols + j] for k in range(a.cols)), 0)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def test_products_match_a_triple_loop():
+    """``@`` and ``apply`` against plain sums, on empty shapes too."""
+    rng = random.Random(23)
+
+    def draw(rows, cols):
+        return Matrix(rows, cols, vector(rand_fraction(rng) for _ in range(rows * cols)))
+
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (3, 2, 0), (0, 2, 3)]
+    shapes += [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(40)]
+    for n, k, m in shapes:
+        a, b, v = draw(n, k), draw(k, m), vector(rand_fraction(rng) for _ in range(m))
+        ab = a @ b
+        assert (ab.rows, ab.cols) == (n, m) and ab.to_rows() == triple_loop(a, b)
+        assert list(b.apply(v)) == [row[0] for row in triple_loop(b, Matrix.from_columns([v]))]
+        assert ab.apply(v) == a.apply(b.apply(v))
+    with pytest.raises(DimensionMismatch):
+        draw(2, 3) @ draw(2, 3)
 
 
 def test_vectors_of_the_wrong_length_are_refused(h3, t1):

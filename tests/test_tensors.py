@@ -349,7 +349,6 @@ def test_descendent_reads_the_table_verification_built(t1, monkeypatch):
     desc = descendent(t1)
     assert induced_representation(t1).algebra is desc is descendent(t1)
     assert desc == Algebra("h3_desc", 3, original(t1), LEIBNIZ)
-    assert descendent(t1, "named") == Algebra("named", 3, desc.sc, LEIBNIZ)
     assert len(calls) == 1
     check_embedding_tensor.cache_clear()
     assert descendent(t1) == desc and len(calls) == 2

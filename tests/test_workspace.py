@@ -54,6 +54,24 @@ def test_short_vectors_padded():
     assert ws.algebra("a").sc[1][0] == (Fraction(1, 2), 0)
 
 
+def test_null_rows_and_entries_are_zero_but_a_null_coordinate_is_refused():
+    ws = workspace_from_dict({"algebras": {"a": {"dim": 2, "sc": [None, [None, [1]]]}}})
+    assert ws.algebra("a").sc == (((0, 0), (0, 0)), ((0, 0), (1, 0)))
+    with pytest.raises(ParseError, match=r"algebras\.a\.sc\[0\]\[0\]\[1\]: not a rational"):
+        workspace_from_dict({"algebras": {"a": {"dim": 2, "sc": [[[0, None]]]}}})
+
+
+@pytest.mark.parametrize("sc, path", [
+    ([[], [], []], r"algebras\.a\.sc"),
+    ([[[0], [0], [0]]], r"algebras\.a\.sc\[0\]"),
+    ([[], [None, [0, 1, 0]]], r"algebras\.a\.sc\[1\]\[1\]"),
+    ([5], r"algebras\.a\.sc\[0\]"),
+])
+def test_lists_too_long_or_not_lists_name_their_path(sc, path):
+    with pytest.raises(ParseError, match=path + ": expected a list of at most 2 items"):
+        workspace_from_dict({"algebras": {"a": {"dim": 2, "sc": sc}}})
+
+
 def test_flavor_violation_reports_witness():
     with pytest.raises(FlavorViolation) as err:
         workspace_from_dict({
