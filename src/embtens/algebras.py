@@ -21,6 +21,7 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _index,
     bilinear,
     combination,
     combine,
@@ -71,7 +72,7 @@ class Algebra(Record):
 
     def left(self, i: int, v: Vector) -> Vector:
         """[e_i, v], read from row i of the table."""
-        return combine(v, self.sc[i], self.dim)
+        return combine(v, self.sc[_index(i, self.dim)], self.dim)
 
     @cached_property
     def _columns(self) -> tuple[tuple[Vector, ...], ...]:
@@ -80,7 +81,7 @@ class Algebra(Record):
 
     def right(self, v: Vector, k: int) -> Vector:
         """[v, e_k], read from column k of the table."""
-        return combine(v, self._columns[k], self.dim)
+        return combine(v, self._columns[_index(k, self.dim)], self.dim)
 
     @cached_property
     def constants(self) -> tuple[tuple[int, int, int, Scalar], ...]:

@@ -213,10 +213,8 @@ CHECKS = {
     "equivalence": _check_equivalence,
 }
 MCS = {
-    "net": _entry_check("tensor", lambda ws, s: graded.mc_check_tensor(
-        ws.tensor(s), arity_cap=ws.settings.arity_cap)),
-    "deform": _along_direction(lambda ws, d: graded.mc_check_deformation(
-        d.base, d.direction, arity_cap=ws.settings.arity_cap)),
+    "net": _entry_check("tensor", lambda ws, s: graded.mc_check_tensor(ws.tensor(s))),
+    "deform": _along_direction(lambda ws, d: graded.mc_check_deformation(d.base, d.direction)),
 }
 # build kind -> (flag naming the input, JSON of the result, summary line of that JSON)
 BUILDS = {

@@ -40,7 +40,7 @@ from itertools import product
 
 from .algebras import LeibnizRep
 from .errors import DegreeOutOfRange, DimensionMismatch, NotACocycle
-from .graded import DEFAULT_ARITY_CAP, MultiMap, matrix_as_multimap, twisted_differential
+from .graded import MultiMap, matrix_as_multimap, twisted_differential
 from .linalg import (
     Matrix,
     Record,
@@ -142,8 +142,7 @@ def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
     return f
 
 
-def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
-                      arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
+def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector") -> MultiMap:
     """The coboundary operator of the tensor complex on one cochain.
 
     It is the twisted differential of the controlling DGLA up to sign:
@@ -152,7 +151,7 @@ def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector",
     """
     require_embedding_tensor(t)
     f = _as_cochain(t, f)
-    d_t = twisted_differential(t, f, arity_cap)
+    d_t = twisted_differential(t, f)
     return d_t if f.arity % 2 else -d_t
 
 

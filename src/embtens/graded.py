@@ -20,8 +20,9 @@ Conventions, fixed once for the whole package:
   the test suite against the composition-bracket route on the direct
   sum, which is where they come from.
 
-Dense coefficient tables make the arity cap (default 4) a hard guard
-against the n^p blow-up; the cap is a runtime argument everywhere.
+Dense coefficient tables make the fixed arity cap ``ARITY_CAP`` a hard
+guard against the n^p blow-up; ``MultiMap.from_function``, which fills
+every table, is the one place that checks it.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .linalg import (
     Scalar,
     Vector,
     ZERO,
+    _index,
     accumulate,
     combine,
     frac,
@@ -53,7 +55,7 @@ from .tensors import (
     require_embedding_tensor,
 )
 
-DEFAULT_ARITY_CAP = 4
+ARITY_CAP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,8 @@ class MultiMap(Flat):
 
     @classmethod
     def from_function(cls, arity: int, domain_dim: int, codomain_dim: int, fn) -> "MultiMap":
+        if arity > ARITY_CAP:
+            raise ArityCapExceeded(f"result arity {arity} above cap {ARITY_CAP}")
         coeffs: list[Scalar] = []
         for idxs in product(range(domain_dim), repeat=arity):
             v = fn(idxs)
@@ -97,9 +101,11 @@ class MultiMap(Flat):
                    (ZERO,) * ((domain_dim ** arity) * codomain_dim))
 
     def value(self, idxs: tuple[int, ...]) -> Vector:
+        if len(idxs) != self.arity:
+            raise DimensionMismatch(f"{len(idxs)} indices for a map of arity {self.arity}")
         off = 0
         for i in idxs:
-            off = off * self.domain_dim + i
+            off = off * self.domain_dim + _index(i, self.domain_dim)
         off *= self.codomain_dim
         return self.coeffs[off: off + self.codomain_dim]
 
@@ -193,7 +199,7 @@ def _circ(p: MultiMap, q: MultiMap) -> MultiMap:
     return MultiMap.from_function(p.arity + qdeg, n, n, entry)
 
 
-def balavoine(p: MultiMap, q: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
+def balavoine(p: MultiMap, q: MultiMap) -> MultiMap:
     """The graded bracket [P, Q] = P o Q - (-1)^{pq} Q o P on self-maps."""
     if p.domain_dim != p.codomain_dim or q.domain_dim != q.codomain_dim:
         raise DimensionMismatch("the bracket needs maps of a space into itself")
@@ -202,9 +208,6 @@ def balavoine(p: MultiMap, q: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> M
     if p.arity < 1 or q.arity < 1:
         raise DimensionMismatch("the bracket needs maps of arity at least 1")
     pdeg, qdeg = p.arity - 1, q.arity - 1
-    res_arity = pdeg + qdeg + 1
-    if res_arity > arity_cap:
-        raise ArityCapExceeded(f"result arity {res_arity} above cap {arity_cap}")
     first = _circ(p, q)
     second = _circ(q, p)
     if (pdeg * qdeg) % 2:
@@ -212,7 +215,7 @@ def balavoine(p: MultiMap, q: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> M
     return first - second
 
 
-def mc_check_leibniz(omega: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:
+def mc_check_leibniz(omega: MultiMap) -> CheckReport:
     """Whether an arity-2 table squares to zero under the composition bracket.
 
     Zero bracket square is exactly the Leibniz identity for the product
@@ -221,7 +224,7 @@ def mc_check_leibniz(omega: MultiMap, arity_cap: int = DEFAULT_ARITY_CAP) -> Che
     if omega.arity != 2:
         raise DimensionMismatch("a candidate product has arity 2")
     return verdict("maurer-cartan-leibniz",
-                   _entries(balavoine(omega, omega, arity_cap=arity_cap), "bracket-square"))
+                   _entries(balavoine(omega, omega), "bracket-square"))
 
 
 def _entries(f: MultiMap, law: str):
@@ -254,8 +257,7 @@ def _check_cochain(f: MultiMap, action: Action) -> None:
             f"{action.source.dim}-dim one")
 
 
-def bracket_differential(f: MultiMap, h: Algebra,
-                         arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
+def bracket_differential(f: MultiMap, h: Algebra) -> MultiMap:
     """The degree-one differential inserting the bracket of h pairwise.
 
     (df)(v_1..v_{n+1}) = sum_{i<j} (-1)^{n-1+i}
@@ -265,8 +267,6 @@ def bracket_differential(f: MultiMap, h: Algebra,
     if f.domain_dim != h.dim:
         raise DimensionMismatch("map domain and algebra dimension differ")
     n = f.arity
-    if n + 1 > arity_cap:
-        raise ArityCapExceeded(f"result arity {n + 1} above cap {arity_cap}")
 
     def entry(idxs: tuple[int, ...]) -> Vector:
         acc = [ZERO] * f.codomain_dim
@@ -276,8 +276,7 @@ def bracket_differential(f: MultiMap, h: Algebra,
     return MultiMap.from_function(n + 1, f.domain_dim, f.codomain_dim, entry)
 
 
-def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
-                    arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
+def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action) -> MultiMap:
     """The graded bracket on maps h -> g twisted by the action.
 
     Sum of three shuffle groups: the action of phi-values inserted into
@@ -289,8 +288,6 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action,
     g, h = action.source, action.target
     m, n = theta.arity, phi.arity
     total = m + n
-    if total > arity_cap:
-        raise ArityCapExceeded(f"result arity {total} above cap {arity_cap}")
 
     columns = [[op.col(b) for op in action.rho] for b in range(h.dim)]
 
@@ -339,13 +336,13 @@ class GradedContext(Record):
                    multimap_from_algebra(direct_sum(abelian_algebra(g.name, g.dim), h,
                                                     f"{g.name}+{h.name}")))
 
-    def check(self, arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:
+    def check(self) -> CheckReport:
         """The three vanishing brackets that make the nested route work."""
         pairs = (("mu-g-square", self.mu_g, self.mu_g),
                  ("mu-h-square", self.mu_h, self.mu_h),
                  ("mu-g-mu-h", self.mu_g, self.mu_h))
         return first_failure("graded-context", chain.from_iterable(
-            _entries(balavoine(a, b, arity_cap=arity_cap), law) for law, a, b in pairs))
+            _entries(balavoine(a, b), law) for law, a, b in pairs))
 
 
 def embed_cochain(f: MultiMap, action: Action) -> MultiMap:
@@ -380,11 +377,10 @@ def restrict_cochain(big: MultiMap, action: Action) -> MultiMap:
     return MultiMap.from_function(big.arity, nh, ng, entry)
 
 
-def derived_bracket_nested(theta: MultiMap, phi: MultiMap, ctx: GradedContext,
-                           arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
+def derived_bracket_nested(theta: MultiMap, phi: MultiMap, ctx: GradedContext) -> MultiMap:
     """The derived bracket computed as (-1)^{m-1} [[mu_g, theta], phi] upstairs."""
-    inner = balavoine(ctx.mu_g, embed_cochain(theta, ctx.action), arity_cap=arity_cap)
-    outer = balavoine(inner, embed_cochain(phi, ctx.action), arity_cap=arity_cap)
+    inner = balavoine(ctx.mu_g, embed_cochain(theta, ctx.action))
+    outer = balavoine(inner, embed_cochain(phi, ctx.action))
     restricted = restrict_cochain(outer, ctx.action)
     if (theta.arity - 1) % 2:
         return -restricted
@@ -395,39 +391,36 @@ def derived_bracket_nested(theta: MultiMap, phi: MultiMap, ctx: GradedContext,
 # Maurer-Cartan checks for tensors and their deformations
 # ---------------------------------------------------------------------------
 
-def _mc_residual(t_map: MultiMap, action: Action, arity_cap: int) -> MultiMap:
-    return bracket_differential(t_map, action.target, arity_cap=arity_cap) + \
-        derived_bracket(t_map, t_map, action, arity_cap=arity_cap).scale(frac(1, 2))
+def _mc_residual(t_map: MultiMap, action: Action) -> MultiMap:
+    return bracket_differential(t_map, action.target) + \
+        derived_bracket(t_map, t_map, action).scale(frac(1, 2))
 
 
-def mc_check_tensor(t: EmbeddingTensor, arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:
+def mc_check_tensor(t: EmbeddingTensor) -> CheckReport:
     """Whether d T + [T,T]/2 vanishes; agrees with the direct tensor check."""
     require_coherent(t.action)
-    residual = _mc_residual(tensor_as_multimap(t), t.action, arity_cap)
+    residual = _mc_residual(tensor_as_multimap(t), t.action)
     return verdict("maurer-cartan-tensor", _entries(residual, "maurer-cartan"))
 
 
-def twisted_differential(t: EmbeddingTensor, f: MultiMap,
-                         arity_cap: int = DEFAULT_ARITY_CAP) -> MultiMap:
+def twisted_differential(t: EmbeddingTensor, f: MultiMap) -> MultiMap:
     """The differential twisted by a verified tensor: d f + [T, f]."""
     require_embedding_tensor(t)
-    return bracket_differential(f, t.action.target, arity_cap=arity_cap) + \
-        derived_bracket(tensor_as_multimap(t), f, t.action, arity_cap=arity_cap)
+    return bracket_differential(f, t.action.target) + \
+        derived_bracket(tensor_as_multimap(t), f, t.action)
 
 
-def deformation_terms(t: EmbeddingTensor, t_prime: Matrix,
-                      arity_cap: int = DEFAULT_ARITY_CAP) -> tuple[MultiMap, MultiMap]:
+def deformation_terms(t: EmbeddingTensor, t_prime: Matrix) -> tuple[MultiMap, MultiMap]:
     """The s- and s^2-coefficients d_T T' and [T',T']/2 of the residual of T + sT'.
 
     The constant term is the residual of the verified tensor T, so it is zero.
     """
     tp = matrix_as_multimap(t_prime)
-    return (twisted_differential(t, tp, arity_cap=arity_cap),
-            derived_bracket(tp, tp, t.action, arity_cap=arity_cap).scale(frac(1, 2)))
+    return (twisted_differential(t, tp),
+            derived_bracket(tp, tp, t.action).scale(frac(1, 2)))
 
 
-def mc_check_deformation(t: EmbeddingTensor, t_prime: Matrix,
-                         arity_cap: int = DEFAULT_ARITY_CAP) -> CheckReport:
+def mc_check_deformation(t: EmbeddingTensor, t_prime: Matrix) -> CheckReport:
     """Whether d_T T' + [T',T']/2 vanishes; agrees with checking T + T'."""
-    linear, quadratic = deformation_terms(t, t_prime, arity_cap)
+    linear, quadratic = deformation_terms(t, t_prime)
     return verdict("maurer-cartan-deformation", _entries(linear + quadratic, "maurer-cartan"))

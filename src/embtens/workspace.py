@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     UnresolvedReference,
 )
-from .graded import DEFAULT_ARITY_CAP, MultiMap
+from .graded import MultiMap
 from .leibniz_lie import LeibnizLie
 from .linalg import Matrix, Record, Vector, parse_scalar, vector_to_json, zero_vector
 from .reports import require
@@ -31,7 +31,6 @@ from .tensors import Action, EmbeddingTensor
 
 class Settings(Record):
     max_degree: int = DEFAULT_MAX_DEGREE
-    arity_cap: int = DEFAULT_ARITY_CAP
 
 
 class Workspace:
@@ -247,10 +246,8 @@ def workspace_from_dict(data) -> Workspace:
     ws = Workspace()
     settings = data.get("settings", {})
     _object(settings, "settings")
-    ws.settings = Settings(
-        max_degree=_int_at_least(1, settings.get("maxDegree", DEFAULT_MAX_DEGREE), "settings.maxDegree"),
-        arity_cap=_int_at_least(1, settings.get("arityCap", DEFAULT_ARITY_CAP), "settings.arityCap"),
-    )
+    ws.settings = Settings(max_degree=_int_at_least(
+        1, settings.get("maxDegree", DEFAULT_MAX_DEGREE), "settings.maxDegree"))
     for section, loader, store in (
             ("algebras", None, ws.algebras),
             ("actions", action_from_json, ws.actions),

@@ -31,6 +31,17 @@ def test_check_and_mc_agree(heisenberg_workspace_path, tmp_path):
     assert direct == mc == 1
 
 
+def test_arity_cap_setting_is_ignored(tmp_path, heisenberg_workspace_path):
+    """The cap is the constant ``graded.ARITY_CAP``: a workspace's ``arityCap``
+    still loads, and even 1, below the arity 2 of every MC residual, changes nothing."""
+    data = json.loads(Path(heisenberg_workspace_path).read_text())
+    data["settings"]["arityCap"] = 1
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(data))
+    assert invoke(ws, "check", "net", "--tensor", "T1") == (0, "check net T1: PASS\n")
+    assert invoke(ws, "mc", "net", "--tensor", "T1") == (0, "mc net T1: PASS\n")
+
+
 def test_check_failure_exit_code(tmp_path, heisenberg_workspace_path):
     data = json.loads(Path(heisenberg_workspace_path).read_text())
     data["tensors"]["broken"] = {"action": "ad3",

@@ -24,6 +24,7 @@ from embtens import (
     mc_check_tensor,
     shuffles,
     tensor_as_multimap,
+    tensor_coboundary,
     twisted_differential,
 )
 from embtens.graded import algebra_from_multimap, embed_cochain, restrict_cochain
@@ -147,12 +148,47 @@ def test_hemisemidirect_bracket_squares_to_zero(ad3):
     assert mc_check_leibniz(table).ok
 
 
-def test_arity_cap_enforced():
+def test_arity_cap_enforced(ad3, t1):
+    """Each operation that fills a table refuses a result above arity 4 with
+    the message of ``MultiMap.from_function``, and builds one of arity 4."""
     rng = random.Random(46)
-    p = rand_multimap(rng, 3, 2)
-    with pytest.raises(ArityCapExceeded):
-        balavoine(p, p)
-    assert balavoine(p, p, arity_cap=5).arity == 5
+    p2, p3 = rand_multimap(rng, 2, 2), rand_multimap(rng, 3, 2)
+    c2, c3 = rand_cochain(rng, 2, ad3), rand_cochain(rng, 3, ad3)
+    cases = [(lambda: balavoine(p3, p3), lambda: balavoine(p3, p2)),
+             (lambda: bracket_differential(MultiMap.zero(4, 3, 3), ad3.target),
+              lambda: bracket_differential(c3, ad3.target)),
+             (lambda: derived_bracket(c2, c3, ad3), lambda: derived_bracket(c2, c2, ad3)),
+             (lambda: tensor_coboundary(t1, MultiMap.zero(4, 3, 3)),
+              lambda: tensor_coboundary(t1, c3)),
+             (lambda: embed_cochain(MultiMap.zero(5, 3, 3), ad3),
+              lambda: embed_cochain(MultiMap.zero(4, 3, 3), ad3))]
+    for above, at in cases:
+        with pytest.raises(ArityCapExceeded, match=r"^result arity 5 above cap 4$"):
+            above()
+        assert at().arity == 4
+
+
+def test_arity_cap_is_checked_before_any_entry():
+    calls = []
+    with pytest.raises(ArityCapExceeded, match=r"^result arity 5 above cap 4$"):
+        MultiMap.from_function(5, 1, 1, lambda idxs: calls.append(idxs) or (0,))
+    assert calls == []
+    assert MultiMap.from_function(4, 1, 1, lambda idxs: calls.append(idxs) or (0,)).arity == 4
+    assert calls == [(0, 0, 0, 0)]
+
+
+def test_multimap_and_algebra_indices_are_refused(h3):
+    """As in ``linalg``, an index outside 0..n-1, negative ones included, and
+    a wrong number of indices are refused instead of reading another entry."""
+    f, v = MultiMap(1, 3, 3, tuple(range(9))), (1, 2, 3)
+    probes = [lambda: f.value((5,)), lambda: f.value((-1,)), lambda: f.value((0, 0)),
+              lambda: f.value(()), lambda: h3.left(-1, v), lambda: h3.left(5, v),
+              lambda: h3.right(v, -1), lambda: h3.right(v, 3)]
+    for probe in probes:
+        with pytest.raises(DimensionMismatch):
+            probe()
+    assert f.value((2,)) == (6, 7, 8)
+    assert (h3.left(0, v), h3.right(v, 1)) == (h3.bracket((1, 0, 0), v), h3.bracket(v, (0, 1, 0)))
 
 
 def test_arity_zero_map_is_one_vector():
@@ -284,7 +320,7 @@ def test_mc_residual_closed_form(ad3, h3):
     for _ in range(10):
         m = rand_matrix(rng, 3, 3, -2, 2, dens=(1,))
         t = EmbeddingTensor(ad3, m)
-        res = _mc_residual(tensor_as_multimap(t), ad3, 4)
+        res = _mc_residual(tensor_as_multimap(t), ad3)
         for i, j in product(range(3), repeat=2):
             expected = tuple(
                 a - b - c for a, b, c in zip(

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, every
 top-level definition of the package and of the test oracles, and every
 non-dunder method of a top-level class, is used somewhere, only ``reports`` builds a ``Failure``,
-only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
+only ``MultiMap.from_function`` raises ``ArityCapExceeded`` and nothing takes an
+``arity_cap``, only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
 dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
 calls ``Fraction``, the only module-level caches are the two verification
@@ -131,6 +132,49 @@ def test_detects_a_failure_built_outside_reports():
               "def f(res) -> Failure:\n    return Failure('law', (0,), res)\n"
               "g = reports.Failure('law', ())\n")
     assert failure_calls(source) == [3, 4]
+
+
+def arity_cap_sites(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing ``Class.function``, line) of each call of
+    ``ArityCapExceeded``, bare or qualified, the place '' outside any; and
+    ('arity_cap', line) of each name, attribute, argument or keyword so spelled."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Call) and _callee(node.func) == "ArityCapExceeded":
+            found.append((where, node.lineno))
+        elif "arity_cap" in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "arg", None)):
+            found.append(("arity_cap", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda site: site[1])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_arity_guard(path):
+    """The arity cap is the constant ``graded.ARITY_CAP``, checked where every
+    dense table is filled: only ``MultiMap.from_function`` raises
+    ``ArityCapExceeded``, and no function takes or passes an ``arity_cap``."""
+    found = [where for where, _ in arity_cap_sites(path.read_text(encoding="utf-8"))]
+    assert found == (["MultiMap.from_function"] if path.name == "graded.py" else [])
+
+
+def test_detects_an_arity_guard_outside_from_function():
+    source = ("from x import ArityCapExceeded, errors\n"
+              "class MultiMap:\n    @classmethod\n    def from_function(cls, arity):\n"
+              "        raise ArityCapExceeded('cap')\n\n"
+              "def bracket(p, arity_cap=4):\n    if p > arity_cap:\n"
+              "        raise errors.ArityCapExceeded('cap')\n\n"
+              "cap = ws.settings.arity_cap\nr = bracket(p, arity_cap=5)\n"
+              "ok = isinstance(e, ArityCapExceeded)\n")
+    assert arity_cap_sites(source) == [("MultiMap.from_function", 5), ("arity_cap", 7),
+                                       ("arity_cap", 8), ("bracket", 9), ("arity_cap", 11),
+                                       ("arity_cap", 12)]
 
 
 ARITHMETIC = ("__add__", "__sub__", "__neg__", "scale", "is_zero")

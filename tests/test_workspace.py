@@ -27,7 +27,6 @@ def test_load_heisenberg_workspace(heisenberg_workspace_path, h3):
     assert check_lie(ws.algebra("h3")).ok
     assert ws.tensor("T1").matrix.to_rows()[2] == [2, 3, 0]
     assert ws.settings.max_degree == 4
-    assert ws.settings.arity_cap == 4
     tri = ws.leibniz_lie_structure("ll3").triangle
     assert tri[0][0] == (0, 0, Fraction(-1))
 
@@ -159,8 +158,8 @@ def test_leibniz_lie_json_round_trip(ll3):
 def test_settings_validation():
     with pytest.raises(ParseError):
         workspace_from_dict({"settings": {"maxDegree": 0}})
-    with pytest.raises(ParseError):
-        workspace_from_dict({"settings": {"arityCap": "four"}})
+    # arityCap is not a setting: the cap is the constant graded.ARITY_CAP
+    assert workspace_from_dict({"settings": {"arityCap": "four"}}).settings.max_degree == 4
 
 
 def test_multimap_json_round_trip():
