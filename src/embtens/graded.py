@@ -20,9 +20,10 @@ Conventions, fixed once for the whole package:
   the test suite against the composition-bracket route on the direct
   sum, which is where they come from.
 
-Dense coefficient tables make the fixed arity cap ``ARITY_CAP`` a hard
-guard against the n^p blow-up; ``MultiMap.from_function``, which fills
-every table, is the one place that checks it.
+Every table is filled by ``MultiMap._from_terms`` from a lazy stream of
+terms, so a bracket costs the nonzero terms of its inputs times shuffles.
+A table still holds n^p entries: ``_from_terms`` checks the fixed arity
+cap ``ARITY_CAP`` against that blow-up before it reads any term.
 """
 from __future__ import annotations
 
@@ -39,14 +40,11 @@ from .linalg import (
     Vector,
     ZERO,
     _index,
-    accumulate,
-    combine,
     frac,
-    is_zero_vector,
     vector,
     vector_to_json,
 )
-from .reports import CheckReport, first_failure, scan, verdict
+from .reports import CheckReport, first_failure, scan_sparse, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
@@ -84,16 +82,18 @@ class MultiMap(Flat):
                 f"coefficient table needs {expected} entries, got {len(self.coeffs)}")
 
     @classmethod
-    def from_function(cls, arity: int, domain_dim: int, codomain_dim: int, fn) -> "MultiMap":
+    def _from_terms(cls, arity: int, n: int, m: int, terms) -> "MultiMap":
+        """The map whose table sums the ``(argument indices, output index,
+        entry)`` terms, each at its flat offset; the cap is checked first."""
         if arity > ARITY_CAP:
             raise ArityCapExceeded(f"result arity {arity} above cap {ARITY_CAP}")
-        coeffs: list[Scalar] = []
-        for idxs in product(range(domain_dim), repeat=arity):
-            v = fn(idxs)
-            if len(v) != codomain_dim:
-                raise DimensionMismatch("value of the wrong dimension")
-            coeffs.extend(v)
-        return cls(arity, domain_dim, codomain_dim, tuple(coeffs))
+        coeffs = [ZERO] * ((n ** arity) * m)
+        for idxs, j, x in terms:
+            off = 0
+            for i in idxs:
+                off = off * n + i
+            coeffs[off * m + j] += x
+        return cls(arity, n, m, tuple(coeffs))
 
     @classmethod
     def zero(cls, arity: int, domain_dim: int, codomain_dim: int) -> "MultiMap":
@@ -109,14 +109,12 @@ class MultiMap(Flat):
         off *= self.codomain_dim
         return self.coeffs[off: off + self.codomain_dim]
 
-    def value_with_vector(self, pre: tuple[int, ...], vec: Vector,
-                          post: tuple[int, ...]) -> Vector:
-        """Evaluate with one argument slot holding a vector, the rest basis."""
-        out = [ZERO] * self.codomain_dim
-        for m, c in enumerate(vec):
-            if c != 0:
-                accumulate(out, c, self.value(pre + (m,) + post))
-        return tuple(out)
+    def terms(self):
+        """The nonzero coefficients as (argument indices, output index, entry),
+        in flat order."""
+        m = self.codomain_dim
+        tuples = list(product(range(self.domain_dim), repeat=self.arity))
+        return ((tuples[off // m], off % m, x) for off, x in enumerate(self.coeffs) if x)
 
     def to_nested(self):
         def build(prefix: tuple[int, ...], depth: int):
@@ -133,13 +131,14 @@ def tensor_as_multimap(t: EmbeddingTensor) -> MultiMap:
 
 def matrix_as_multimap(m: Matrix) -> MultiMap:
     """A matrix seen as an arity-1 map, column u giving the value on e_u."""
-    return MultiMap.from_function(1, m.cols, m.rows, lambda idxs: m.col(idxs[0]))
+    return MultiMap._from_terms(1, m.cols, m.rows, (((c,), r, x) for r, c, x in m.nonzero()))
 
 
 def multimap_as_matrix(f: MultiMap) -> Matrix:
     if f.arity != 1:
         raise DimensionMismatch("only arity-1 maps are matrices")
-    return Matrix.from_columns([f.value((i,)) for i in range(f.domain_dim)])
+    m = f.codomain_dim
+    return Matrix(m, f.domain_dim, vector(x for r in range(m) for x in f.coeffs[r::m]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +171,41 @@ def shuffles(i: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 # the composition bracket
 # ---------------------------------------------------------------------------
 
-def _insertions(acc: list, outer: MultiMap, block: int, inner, idxs: tuple[int, ...],
-                const: int) -> None:
-    """Add const times the o_k sums above, over every slot k of outer, to acc,
-    with inner(block arguments, next index) in the place of Q(..)."""
-    for k in range(1, outer.arity + 1):
-        ksign = -const if ((k - 1) * block) % 2 else const
-        for perm, s in shuffles(k - 1, block):
-            shuffled = tuple(idxs[perm[t]] for t in range(k - 1 + block))
-            val = inner(shuffled[k - 1:], idxs[k - 1 + block])
-            if is_zero_vector(val):
-                continue
-            accumulate(acc, ksign * s,
-                       outer.value_with_vector(shuffled[:k - 1], val, idxs[k + block:]))
+def _grouped(entries) -> dict:
+    """The entries (key, *rest) as {key: [rest, ..]}, each list in order."""
+    out: dict = {}
+    for key, *rest in entries:
+        out.setdefault(key, []).append(rest)
+    return out
 
 
-def _circ(p: MultiMap, q: MultiMap) -> MultiMap:
-    n = p.domain_dim
-    qdeg = q.arity - 1
+def _placements(i: int, k: int):
+    """The (i, k)-shuffles as (order, sign): the shuffle read backwards takes
+    args to tuple(map(args.__getitem__, order)), whose entry perm[t] is args[t]."""
+    return [(tuple(sorted(range(i + k), key=perm.__getitem__)), s) for perm, s in shuffles(i, k)]
 
-    def entry(idxs: tuple[int, ...]) -> Vector:
-        acc = [ZERO] * n
-        _insertions(acc, p, qdeg, lambda args, last: q.value(args + (last,)), idxs, 1)
-        return tuple(acc)
 
-    return MultiMap.from_function(p.arity + qdeg, n, n, entry)
+def _insertions(outer: MultiMap, block: int, inner: dict, const: int):
+    """The terms of const times the o_k sums above, over every slot k of outer,
+    where inner[a] lists the (block arguments, next index, entry) at which the
+    inserted map has coordinate a: each nonzero term of outer meets each of
+    inner's at its slot, and goes to every output tuple a shuffle places."""
+    slots = [(k, -const if (k * block) % 2 else const, _placements(k, block))
+             for k in range(outer.arity)]
+    for args, row in _grouped(outer.terms()).items():
+        for k, ksign, orders in slots:
+            for bargs, last, y in inner.get(args[k], ()):
+                head, tail, e = args[:k] + bargs, (last,) + args[k + 1:], ksign * y
+                for order, s in orders:
+                    idxs, c = tuple(map(head.__getitem__, order)) + tail, s * e
+                    for j, x in row:
+                        yield idxs, j, c * x
+
+
+def _circ(p: MultiMap, q: MultiMap, const: int):
+    """The terms of const times P o Q."""
+    inner = _grouped((a, args[:-1], args[-1], y) for args, a, y in q.terms())
+    return _insertions(p, q.arity - 1, inner, const)
 
 
 def balavoine(p: MultiMap, q: MultiMap) -> MultiMap:
@@ -207,12 +216,9 @@ def balavoine(p: MultiMap, q: MultiMap) -> MultiMap:
         raise DimensionMismatch("the two maps live on different spaces")
     if p.arity < 1 or q.arity < 1:
         raise DimensionMismatch("the bracket needs maps of arity at least 1")
-    pdeg, qdeg = p.arity - 1, q.arity - 1
-    first = _circ(p, q)
-    second = _circ(q, p)
-    if (pdeg * qdeg) % 2:
-        return first + second
-    return first - second
+    pdeg, qdeg, n = p.arity - 1, q.arity - 1, p.domain_dim
+    return MultiMap._from_terms(p.arity + qdeg, n, n, chain(
+        _circ(p, q, 1), _circ(q, p, 1 if (pdeg * qdeg) % 2 else -1)))
 
 
 def mc_check_leibniz(omega: MultiMap) -> CheckReport:
@@ -228,22 +234,22 @@ def mc_check_leibniz(omega: MultiMap) -> CheckReport:
 
 
 def _entries(f: MultiMap, law: str):
-    """Scan every value of f, in flat coefficient order, as the residual of
-    law, through ``frac``: the sums that make a residual leave whole ``Fraction``s."""
-    return scan(product(range(f.domain_dim), repeat=f.arity),
-                (law, lambda *idxs: vector(f.value(idxs))))
+    """Scan the nonzero values of f, in flat coefficient order, as the residual
+    of law, through ``frac``: the sums that make a residual leave whole ``Fraction``s."""
+    rows = _grouped((idxs, j, frac(x)) for idxs, j, x in f.terms())
+    return scan_sparse(law, {w: dict(row) for w, row in rows.items()}, f.codomain_dim)
 
 
 def multimap_from_algebra(a: Algebra) -> MultiMap:
-    return MultiMap.from_function(2, a.dim, a.dim, lambda ij: a.sc[ij[0]][ij[1]])
+    return MultiMap._from_terms(2, a.dim, a.dim, (((i, j), k, c) for i, j, k, c in a.constants))
 
 
 def algebra_from_multimap(omega: MultiMap, name: str, flavor: str = "unchecked") -> Algebra:
     if omega.arity != 2 or omega.domain_dim != omega.codomain_dim:
         raise DimensionMismatch("an algebra table is a square arity-2 map")
-    n = omega.domain_dim
-    table = tuple(tuple(omega.value((i, j)) for j in range(n)) for i in range(n))
-    return Algebra(name, n, table, flavor)
+    n, c = omega.domain_dim, omega.coeffs
+    values = [c[k * n:(k + 1) * n] for k in range(n * n)]
+    return Algebra(name, n, tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n)), flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +272,9 @@ def bracket_differential(f: MultiMap, h: Algebra) -> MultiMap:
     """
     if f.domain_dim != h.dim:
         raise DimensionMismatch("map domain and algebra dimension differ")
-    n = f.arity
-
-    def entry(idxs: tuple[int, ...]) -> Vector:
-        acc = [ZERO] * f.codomain_dim
-        _insertions(acc, f, 1, lambda args, last: h.sc[args[0]][last], idxs, -1 if n % 2 else 1)
-        return tuple(acc)
-
-    return MultiMap.from_function(n + 1, f.domain_dim, f.codomain_dim, entry)
+    inner = _grouped((c, (a,), b, y) for a, b, c, y in h.constants)
+    return MultiMap._from_terms(f.arity + 1, f.domain_dim, f.codomain_dim,
+                                _insertions(f, 1, inner, -1 if f.arity % 2 else 1))
 
 
 def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action) -> MultiMap:
@@ -287,29 +288,25 @@ def derived_bracket(theta: MultiMap, phi: MultiMap, action: Action) -> MultiMap:
     _check_cochain(phi, action)
     g, h = action.source, action.target
     m, n = theta.arity, phi.arity
-    total = m + n
+    ops = [op.nonzero() for op in action.rho]
 
-    columns = [[op.col(b) for op in action.rho] for b in range(h.dim)]
+    def acting(f: MultiMap) -> dict:  # coordinate a of rho(f(..)) e_b: sum_i f_i rho_i[a][b]
+        return _grouped((a, args, b, x * y) for args, i, x in f.terms() for a, b, y in ops[i])
 
-    def acting(f: MultiMap):  # the action of f(block) on the next basis vector
-        return lambda args, last: combine(f.value(args), columns[last], h.dim)
+    def paired():  # [theta(..), phi(..)] over the (m, n)-shuffles, from nonzero terms only
+        base, orders = -1 if (m * n + 1) % 2 else 1, _placements(m, n)
+        constants = _grouped(g.constants)
+        values = _grouped((j, args, y) for args, j, y in phi.terms())
+        for targs, i, x in theta.terms():
+            for j, k, c in constants.get(i, ()):
+                for pargs, y in values.get(j, ()):
+                    args, e = targs + pargs, base * x * y * c
+                    for order, s in orders:
+                        yield tuple(map(args.__getitem__, order)), k, s * e
 
-    def entry(idxs: tuple[int, ...]) -> Vector:
-        acc = [ZERO] * g.dim
-        _insertions(acc, theta, n, acting(phi), idxs, -1)
-        base = -1 if (m * n + 1) % 2 else 1
-        for perm, s in shuffles(m, n):
-            a = theta.value(tuple(idxs[perm[t]] for t in range(m)))
-            if is_zero_vector(a):
-                continue
-            b = phi.value(tuple(idxs[perm[t]] for t in range(m, total)))
-            if is_zero_vector(b):
-                continue
-            accumulate(acc, base * s, g.bracket(a, b))
-        _insertions(acc, phi, m, acting(theta), idxs, -1 if (m * n) % 2 else 1)
-        return tuple(acc)
-
-    return MultiMap.from_function(total, h.dim, g.dim, entry)
+    return MultiMap._from_terms(m + n, h.dim, g.dim, chain(
+        _insertions(theta, n, acting(phi), -1), paired(),
+        _insertions(phi, m, acting(theta), -1 if (m * n) % 2 else 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +345,9 @@ class GradedContext(Record):
 def embed_cochain(f: MultiMap, action: Action) -> MultiMap:
     """Zero-extension of a map h -> g to a self-map of the direct sum."""
     _check_cochain(f, action)
-    ng, nh = action.source.dim, action.target.dim
-    ntot = ng + nh
-
-    def entry(idxs: tuple[int, ...]) -> Vector:
-        if any(i < ng for i in idxs):
-            return (ZERO,) * ntot
-        inner = f.value(tuple(i - ng for i in idxs))
-        return inner + (ZERO,) * nh
-
-    return MultiMap.from_function(f.arity, ntot, ntot, entry)
+    ng, ntot = action.source.dim, action.source.dim + action.target.dim
+    return MultiMap._from_terms(f.arity, ntot, ntot, (
+        (tuple(i + ng for i in idxs), j, x) for idxs, j, x in f.terms()))
 
 
 def restrict_cochain(big: MultiMap, action: Action) -> MultiMap:
@@ -367,14 +357,17 @@ def restrict_cochain(big: MultiMap, action: Action) -> MultiMap:
     means the map does not come from the embedded subspace.
     """
     ng, nh = action.source.dim, action.target.dim
+    if big.domain_dim != ng + nh or big.codomain_dim != ng + nh:
+        raise DimensionMismatch(f"expected a self-map of the {ng + nh}-dim direct sum")
 
-    def entry(idxs: tuple[int, ...]) -> Vector:
-        v = big.value(tuple(i + ng for i in idxs))
-        if not is_zero_vector(v[ng:]):
-            raise DimensionMismatch("map does not restrict to a map into the source")
-        return v[:ng]
+    def restricted():
+        for idxs, j, x in big.terms():
+            if min(idxs, default=ng) >= ng:
+                if j >= ng:
+                    raise DimensionMismatch("map does not restrict to a map into the source")
+                yield tuple(i - ng for i in idxs), j, x
 
-    return MultiMap.from_function(big.arity, nh, ng, entry)
+    return MultiMap._from_terms(big.arity, nh, ng, restricted())
 
 
 def derived_bracket_nested(theta: MultiMap, phi: MultiMap, ctx: GradedContext) -> MultiMap:

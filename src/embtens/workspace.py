@@ -219,7 +219,7 @@ def multimap_from_json(data, path: str = "multimap") -> MultiMap:
     _object(data, path, "arity", "domainDim", "codomainDim", "coeffs")
     arity = _int_at_least(0, data["arity"], f"{path}.arity")
     n, m = data["domainDim"], data["codomainDim"]
-    if type(n) is not int or type(m) is not int or n < 1 or m < 0:
+    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
         raise ParseError(f"{path}: bad dimensions")
     flat: list = []
 

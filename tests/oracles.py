@@ -8,10 +8,12 @@ bilinear maps from a plain triple sum over a structure table, the
 Heisenberg tensor family from its closed polynomial system, the
 Loday-Pirashvili coboundary and the two coefficient equations of a
 linear deformation entry by entry from matrix entries and structure
-constants, and the induced representation of a tensor, the residuals
-of a coherent action and of the tensor identity, and the linear system
-of the derivations from brackets of unit vectors.  Nothing here imports
-the package.
+constants, the induced representation of a tensor, the residuals of a
+coherent action and of the tensor identity, and the linear system of the
+derivations from brackets of unit vectors, and the graded brackets, the
+differential and the direct-sum embedding and restriction output tuple
+by output tuple, each tuple walking all its shuffles.  Nothing here
+imports the package.
 """
 from __future__ import annotations
 
@@ -143,6 +145,131 @@ def shuffles_by_filter(i: int, k: int):
             inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
             out.append((perm, -1 if inv % 2 else 1))
     return out
+
+
+def _value(f, idxs) -> tuple:
+    """f(e_{i_1}, .., e_{i_p}) read from a multilinear map's flat table."""
+    off = 0
+    for i in idxs:
+        off = off * f.domain_dim + i
+    return f.coeffs[off * f.codomain_dim:(off + 1) * f.codomain_dim]
+
+
+def _value_with_vector(f, pre, vec, post) -> list:
+    """f with one argument slot holding a vector, the rest basis vectors."""
+    out = [0] * f.codomain_dim
+    for c, x in enumerate(vec):
+        if x:
+            for r, y in enumerate(_value(f, pre + (c,) + post)):
+                out[r] += x * y
+    return out
+
+
+def _insertions(acc, outer, block, inner, idxs, const) -> None:
+    """Add to acc, at one output tuple, const times the insertions of a map
+    into every slot k of outer, inner(block arguments, next index) standing
+    for the inserted map's value:
+
+        sum over (k-1, block)-shuffles s of (-1)^{(k-1) block} sgn(s)
+            outer(x_{s(1)}.., inner(x_{s(k)}.., x_{k+block}), x_{k+block+1}..)."""
+    for k in range(1, outer.arity + 1):
+        ksign = -const if ((k - 1) * block) % 2 else const
+        for perm, s in shuffles_by_filter(k - 1, block):
+            shuffled = tuple(idxs[perm[t]] for t in range(k - 1 + block))
+            val = inner(shuffled[k - 1:], idxs[k - 1 + block])
+            for r, y in enumerate(_value_with_vector(outer, shuffled[:k - 1], val,
+                                                     idxs[k + block:])):
+                acc[r] += ksign * s * y
+
+
+def _table(f, arity: int, n: int, m: int, entry):
+    """A map of f's own class filled tuple by tuple from entry(tuple)."""
+    coeffs = []
+    for idxs in product(range(n), repeat=arity):
+        coeffs.extend(entry(idxs))
+    return type(f)(arity, n, m, tuple(coeffs))
+
+
+def dense_balavoine(p, q):
+    """The composition bracket [P, Q] = P o Q - (-1)^{pq} Q o P of two
+    self-maps, output tuple by output tuple."""
+    n, sign = p.domain_dim, 1 if ((p.arity - 1) * (q.arity - 1)) % 2 else -1
+
+    def circ(a, b, idxs) -> list:
+        acc = [0] * n
+        _insertions(acc, a, b.arity - 1, lambda args, last: _value(b, args + (last,)), idxs, 1)
+        return acc
+
+    return _table(p, p.arity + q.arity - 1, n, n, lambda idxs: [
+        x + sign * y for x, y in zip(circ(p, q, idxs), circ(q, p, idxs))])
+
+
+def dense_bracket_differential(f, h):
+    """(-1)^p times the insertions of the bracket of h into a map f of arity p."""
+    def entry(idxs) -> list:
+        acc = [0] * f.codomain_dim
+        _insertions(acc, f, 1, lambda args, last: h.sc[args[0]][last], idxs,
+                    -1 if f.arity % 2 else 1)
+        return acc
+
+    return _table(f, f.arity + 1, f.domain_dim, f.codomain_dim, entry)
+
+
+def dense_derived_bracket(theta, phi, action):
+    """The derived bracket of two maps h -> g, tuple by tuple: the action of
+    phi-values inserted into theta, the bracket of g on theta- and
+    phi-values over the (m, n)-shuffles, and the action of theta-values
+    inserted into phi."""
+    g, h, rho = action.source, action.target, action.rho
+    m, n = theta.arity, phi.arity
+
+    columns = [[_mat_col(op, b) for op in rho] for b in range(h.dim)]
+
+    def acting(f):  # rho(f(args)) e_last
+        return lambda args, last: [sum((x * col[r] for x, col in
+                                        zip(_value(f, args), columns[last])), Fraction(0))
+                                   for r in range(h.dim)]
+
+    def entry(idxs) -> list:
+        acc = [0] * g.dim
+        _insertions(acc, theta, n, acting(phi), idxs, -1)
+        for perm, s in shuffles_by_filter(m, n):
+            a = _value(theta, tuple(idxs[perm[t]] for t in range(m)))
+            b = _value(phi, tuple(idxs[perm[t]] for t in range(m, m + n)))
+            for r, y in enumerate(bilinear_oracle(g.sc, a, b)):
+                acc[r] += (-1 if (m * n + 1) % 2 else 1) * s * y
+        _insertions(acc, phi, m, acting(theta), idxs, -1 if (m * n) % 2 else 1)
+        return acc
+
+    return _table(theta, m + n, h.dim, g.dim, entry)
+
+
+def dense_embed_cochain(f, ng: int):
+    """The zero-extension of a map h -> g to the direct sum g + h, on which
+    the first ng basis vectors span g."""
+    ntot = ng + f.domain_dim
+
+    def entry(idxs) -> list:
+        if any(i < ng for i in idxs):
+            return [0] * ntot
+        return list(_value(f, tuple(i - ng for i in idxs))) + [0] * f.domain_dim
+
+    return _table(f, f.arity, ntot, ntot, entry)
+
+
+def dense_restrict_cochain(big, ng: int):
+    """The restriction of a self-map of g + h to a map h -> g, or None when
+    some h-only tuple has a nonzero h-component."""
+    def entry(idxs) -> tuple:
+        v = _value(big, tuple(i + ng for i in idxs))
+        if any(v[ng:]):
+            raise ValueError(idxs)
+        return v[:ng]
+
+    try:
+        return _table(big, big.arity, big.domain_dim - ng, ng, entry)
+    except ValueError:
+        return None
 
 
 def heisenberg_net_system(rows) -> bool:

@@ -167,9 +167,8 @@ def test_derived_bracket_two_routes(ad3, g23):
         nh, ng = action.target.dim, action.source.dim
 
         def rand_cochain(arity):
-            return MultiMap.from_function(
-                arity, nh, ng,
-                lambda idxs: tuple(Fraction(rng.randint(-2, 2)) for _ in range(ng)))
+            return MultiMap(arity, nh, ng,
+                            tuple(Fraction(rng.randint(-2, 2)) for _ in range(nh ** arity * ng)))
 
         rounds = 12 if action is g23 else 6
         for _ in range(rounds):
@@ -189,9 +188,8 @@ def test_complex_identities(t1, tzero, tii, tab, g23_net, toy_tensor):
         h = t.action.target
 
         def rand_cochain(arity):
-            return MultiMap.from_function(
-                arity, nh, ng,
-                lambda idxs: tuple(Fraction(rng.randint(-2, 2)) for _ in range(ng)))
+            return MultiMap(arity, nh, ng,
+                            tuple(Fraction(rng.randint(-2, 2)) for _ in range(nh ** arity * ng)))
 
         from embtens import bracket_differential
 

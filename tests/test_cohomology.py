@@ -64,8 +64,8 @@ from oracles import bareiss_rank, induced_representation_by_brackets, loday_pira
 
 def rand_cochain(rng, arity, t):
     nh, ng = t.action.target.dim, t.action.source.dim
-    return MultiMap.from_function(
-        arity, nh, ng, lambda idxs: tuple(Fraction(rng.randint(-2, 2)) for _ in range(ng)))
+    return MultiMap(arity, nh, ng,
+                    tuple(Fraction(rng.randint(-2, 2)) for _ in range(nh ** arity * ng)))
 
 
 def test_induced_representation_passes(t1, tii, g23_net):
@@ -92,7 +92,7 @@ def test_lp_coboundary_of_zero_representation():
 
     a = abelian_algebra("flat", 2)
     rep = LeibnizRep(a, 2, (Matrix.zero(2, 2),) * 2, (Matrix.zero(2, 2),) * 2)
-    f = MultiMap.from_function(1, 2, 2, lambda i: (Fraction(1), Fraction(-2)))
+    f = MultiMap(1, 2, 2, (Fraction(1), Fraction(-2)) * 2)
     assert loday_pirashvili_coboundary(rep, f).is_zero()
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from embtens import (
+    Action,
     DeformationDirection,
     EmbeddingTensor,
     Matrix,
@@ -12,6 +13,7 @@ from embtens import (
     NotNijenhuis,
     RoutesDisagree,
     ToolkitError,
+    abelian_algebra,
     check_embedding_tensor,
     check_equivalence,
     check_linear_deformation,
@@ -25,7 +27,7 @@ from embtens import (
     zero_direction,
 )
 from conftest import rand_matrix
-from embtens.graded import deformation_terms
+from embtens.graded import deformation_terms, matrix_as_multimap, multimap_as_matrix
 from oracles import linear_deformation_equations
 
 
@@ -166,6 +168,17 @@ def test_trivial_deformation_suite(t1, tab):
 def test_trivial_deformation_of_zero_element_is_zero(t1):
     d = trivial_deformation(NijenhuisCandidate(t1, (0, 0, 0)))
     assert d.direction.is_zero()
+
+
+def test_trivial_deformation_into_a_zero_dim_target():
+    """A zero-width cochain keeps its rows: the arity-1 map of a 3 x 0 matrix
+    reads back 3 x 0, so the direction of a 2 x 0 tensor is 2 x 0."""
+    assert multimap_as_matrix(matrix_as_multimap(Matrix(3, 0, ()))) == Matrix(3, 0, ())
+    g, z = abelian_algebra("g", 2), abelian_algebra("z", 0)
+    c = NijenhuisCandidate(EmbeddingTensor(Action(g, z, (Matrix(0, 0, ()),) * 2),
+                                           Matrix(2, 0, ())), (1, 0))
+    assert check_nijenhuis_element(c).ok
+    assert trivial_deformation(c).direction == Matrix(2, 0, ())
 
 
 def test_trivial_deformation_rejects_non_nijenhuis():

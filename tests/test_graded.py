@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from embtens import (
     ArityCapExceeded,
@@ -13,12 +14,14 @@ from embtens import (
     Matrix,
     MultiMap,
     abelian_algebra,
+    adjoint_action,
     balavoine,
     bracket_differential,
     check_embedding_tensor,
     check_leibniz,
     derived_bracket,
     derived_bracket_nested,
+    graph_subalgebra_check,
     mc_check_deformation,
     mc_check_leibniz,
     mc_check_tensor,
@@ -27,15 +30,17 @@ from embtens import (
     tensor_coboundary,
     twisted_differential,
 )
+from embtens import graded
 from embtens.graded import algebra_from_multimap, embed_cochain, restrict_cochain
-from conftest import family_i_matrix, heisenberg, rand_matrix
-from oracles import shuffles_by_filter
+from conftest import family_i_matrix, g2h3_action, heisenberg, heisenberg_of, rand_matrix
+from oracles import (dense_balavoine, dense_bracket_differential, dense_derived_bracket,
+                     dense_embed_cochain, dense_restrict_cochain, shuffles_by_filter)
 
 
 def rand_multimap(rng, arity, n, m=None):
     m = n if m is None else m
-    return MultiMap.from_function(
-        arity, n, m, lambda idxs: tuple(Fraction(rng.randint(-2, 2)) for _ in range(m)))
+    return MultiMap(arity, n, m,
+                    tuple(Fraction(rng.randint(-2, 2)) for _ in range(n ** arity * m)))
 
 
 def rand_cochain(rng, arity, action):
@@ -82,19 +87,14 @@ def test_bracket_with_zero_map_is_zero():
 
 
 def test_half_square_expansion():
-    # [W,W]/2 (x1,x2,x3) = W(W(x1,x2),x3) - W(x1,W(x2,x3)) + W(x2,W(x1,x3))
+    # [W,W]/2 (x1,x2,x3) = W(W(x1,x2),x3) - W(x1,W(x2,x3)) + W(x2,W(x1,x3)),
+    # minus the left Leibniz residual of the product W
     rng = random.Random(42)
     for _ in range(10):
         om = rand_multimap(rng, 2, 3)
-        sq = balavoine(om, om)
+        sq, a = balavoine(om, om), algebra_from_multimap(om, "w")
         for idxs in product(range(3), repeat=3):
-            i, j, k = idxs
-            direct = tuple(
-                a - b + c for a, b, c in zip(
-                    om.value_with_vector((), om.value((i, j)), (k,)),
-                    om.value_with_vector((i,), om.value((j, k)), ()),
-                    om.value_with_vector((j,), om.value((i, k)), ())))
-            assert sq.value(idxs) == tuple(2 * x for x in direct)
+            assert sq.value(idxs) == tuple(-2 * x for x in a.leibniz_residual(*idxs))
 
 
 def test_graded_antisymmetry():
@@ -150,7 +150,7 @@ def test_hemisemidirect_bracket_squares_to_zero(ad3):
 
 def test_arity_cap_enforced(ad3, t1):
     """Each operation that fills a table refuses a result above arity 4 with
-    the message of ``MultiMap.from_function``, and builds one of arity 4."""
+    the message of ``MultiMap._from_terms``, and builds one of arity 4."""
     rng = random.Random(46)
     p2, p3 = rand_multimap(rng, 2, 2), rand_multimap(rng, 3, 2)
     c2, c3 = rand_cochain(rng, 2, ad3), rand_cochain(rng, 3, ad3)
@@ -169,12 +169,43 @@ def test_arity_cap_enforced(ad3, t1):
 
 
 def test_arity_cap_is_checked_before_any_entry():
+    """``_from_terms`` refuses arity 5 without advancing its term iterator."""
     calls = []
+
+    def terms(arity):
+        for idxs in product(range(1), repeat=arity):
+            calls.append(idxs)
+            yield idxs, 0, 1
+
     with pytest.raises(ArityCapExceeded, match=r"^result arity 5 above cap 4$"):
-        MultiMap.from_function(5, 1, 1, lambda idxs: calls.append(idxs) or (0,))
+        MultiMap._from_terms(5, 1, 1, terms(5))
     assert calls == []
-    assert MultiMap.from_function(4, 1, 1, lambda idxs: calls.append(idxs) or (0,)).arity == 4
+    assert MultiMap._from_terms(4, 1, 1, terms(4)).coeffs == (1,)
     assert calls == [(0, 0, 0, 0)]
+
+
+def test_arity_cap_is_checked_before_any_shuffle(monkeypatch):
+    """Each bracket above the cap is refused before its terms are made: on ad h7,
+    with dense inputs, not one shuffle is looked up."""
+    calls = []
+
+    def counted(i, k):
+        calls.append((i, k))
+        return shuffles(i, k)
+
+    rng = random.Random(59)
+    ad7 = adjoint_action(heisenberg_of(7))
+    p3, f4 = rand_multimap(rng, 3, 7), rand_cochain(rng, 4, ad7)
+    c2, c3 = rand_cochain(rng, 2, ad7), rand_cochain(rng, 3, ad7)
+    t7 = EmbeddingTensor(ad7, Matrix.zero(7, 7))
+    monkeypatch.setattr(graded, "shuffles", counted)
+    for above in (lambda: balavoine(p3, p3), lambda: bracket_differential(f4, ad7.target),
+                  lambda: derived_bracket(c2, c3, ad7), lambda: tensor_coboundary(t7, f4)):
+        with pytest.raises(ArityCapExceeded, match=r"^result arity 5 above cap 4$"):
+            above()
+    assert calls == []
+    assert balavoine(rand_multimap(rng, 2, 2), rand_multimap(rng, 2, 2)).arity == 3
+    assert calls
 
 
 def test_multimap_and_algebra_indices_are_refused(h3):
@@ -193,7 +224,7 @@ def test_multimap_and_algebra_indices_are_refused(h3):
 
 def test_arity_zero_map_is_one_vector():
     f = MultiMap(0, 3, 2, (Fraction(1), Fraction(-2)))
-    assert f.value(()) == f.coeffs == MultiMap.from_function(0, 3, 2, lambda idxs: f.coeffs).coeffs
+    assert f.value(()) == f.coeffs == MultiMap._from_terms(0, 3, 2, f.terms()).coeffs
     with pytest.raises(DimensionMismatch):
         MultiMap(-1, 3, 2, ())
 
@@ -391,3 +422,119 @@ def test_mc_residuals_keep_whole_values_int(t1):
     residuals = [x for f in report.failures for x in f.residual]
     assert Fraction(2) in residuals
     assert not [x for x in residuals if type(x) is Fraction and x.denominator == 1]
+
+
+# ---------------------------------------------------------------------------
+# properties against the per-tuple route and the other verification routes
+# ---------------------------------------------------------------------------
+
+ORACLE_ACTIONS = (adjoint_action(heisenberg()), g2h3_action(), adjoint_action(heisenberg_of(5)))
+# no shrink phase, as in the other properties: a failure is reported as drawn
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None,
+                    phases=[Phase.generate])
+
+
+def drawn_map(draw, arity, n, m):
+    """A dense map with entries in -2..2, or a sparse one with at most three
+    nonzero entries, some of them fractions."""
+    rng, size = random.Random(draw(st.integers(0, 10 ** 6))), n ** arity * m
+    if draw(st.booleans()):
+        return MultiMap(arity, n, m, tuple(rng.randint(-2, 2) for _ in range(size)))
+    coeffs = [0] * size
+    for _ in range(rng.randint(0, 3)):
+        coeffs[rng.randrange(size)] = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+    return MultiMap(arity, n, m, tuple(coeffs))
+
+
+def drawn_action(draw):
+    """One of ad h3, g2 -> h3 and ad h5, with the largest result arity its
+    per-tuple route is drawn to: 4, or 3 on h5."""
+    action = draw(st.sampled_from(ORACLE_ACTIONS))
+    return action, 3 if action.target.dim == 5 else 4
+
+
+def drawn_arities(draw, low: int, top: int, shift: int):
+    """Two arities of at least low whose result arity, their sum less shift,
+    is at most top, all such pairs equally likely."""
+    return draw(st.sampled_from([(a, b) for a in range(low, top + 1) for b in range(low, top + 1)
+                                 if a + b - shift <= top]))
+
+
+@PROPERTY
+@given(st.data())
+def test_balavoine_matches_the_dense_route(data):
+    """[P, Q] from nonzero terms equals the per-tuple route, on self-maps of
+    the source or of the target of each action, at result arities 1-4."""
+    action, top = drawn_action(data.draw)
+    n = data.draw(st.sampled_from((action.source.dim, action.target.dim)))
+    p, q = (drawn_map(data.draw, arity, n, n) for arity in drawn_arities(data.draw, 1, top, 1))
+    assert balavoine(p, q) == dense_balavoine(p, q)
+
+
+@PROPERTY
+@given(st.data())
+def test_bracket_differential_matches_the_dense_route(data):
+    """At cochain arities 0-3 (0-2 on h5)."""
+    action, top = drawn_action(data.draw)
+    f = drawn_map(data.draw, data.draw(st.integers(0, top - 1)), action.target.dim,
+                  action.source.dim)
+    assert bracket_differential(f, action.target) == dense_bracket_differential(f, action.target)
+
+
+@PROPERTY
+@given(st.data())
+def test_derived_bracket_matches_the_dense_route(data):
+    """Every pair of arities with sum at most 4 (3 on h5), arity 0 included."""
+    action, top = drawn_action(data.draw)
+    theta, phi = (drawn_map(data.draw, arity, action.target.dim, action.source.dim)
+                  for arity in drawn_arities(data.draw, 0, top, 0))
+    assert derived_bracket(theta, phi, action) == dense_derived_bracket(theta, phi, action)
+
+
+@PROPERTY
+@given(st.data())
+def test_embed_and_restrict_match_the_dense_route(data):
+    """Zero-extension equals the per-tuple route, and restriction of the
+    extension, with or without added entries, either equals the per-tuple
+    restriction or is refused where the per-tuple route finds an h-component."""
+    action, top = drawn_action(data.draw)
+    ng, nh = action.source.dim, action.target.dim
+    arity = data.draw(st.integers(0, top))
+    f = drawn_map(data.draw, arity, nh, ng)
+    big = embed_cochain(f, action)
+    assert big == dense_embed_cochain(f, ng)
+    if data.draw(st.booleans()):
+        big = big + drawn_map(data.draw, arity, ng + nh, ng + nh)
+    expected = dense_restrict_cochain(big, ng)
+    if expected is None:
+        with pytest.raises(DimensionMismatch, match="does not restrict"):
+            restrict_cochain(big, action)
+    else:
+        assert restrict_cochain(big, action) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_three_verification_routes_agree(data):
+    """``check_embedding_tensor``, ``mc_check_tensor`` and
+    ``graph_subalgebra_check`` agree on tensors of ad h3 and of the g2 -> h3
+    action, on those with one entry perturbed, and on random matrices."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    action = data.draw(st.sampled_from(ORACLE_ACTIONS[:2]))
+    kind = data.draw(st.sampled_from(("tensor", "perturbed", "random")))
+    rows, cols = action.source.dim, action.target.dim
+    if kind == "random":
+        m = rand_matrix(rng, rows, cols, -2, 2, dens=(1, 2))
+    elif action.source.dim == 3:
+        m = family_i_matrix(rng, rng.randrange(2))
+    else:  # any matrix with a zero last column is a tensor over the g2 action
+        m = Matrix(rows, cols, tuple(0 if e % cols == cols - 1 else x for e, x in
+                                     enumerate(rand_matrix(rng, rows, cols).entries)))
+    if kind == "perturbed":
+        entries = list(m.entries)
+        entries[rng.randrange(len(entries))] += rng.choice((1, -1, Fraction(1, 2)))
+        m = Matrix(rows, cols, tuple(entries))
+    t = EmbeddingTensor(action, m)
+    verdict = check_embedding_tensor(t).ok
+    assert mc_check_tensor(t).ok == verdict == graph_subalgebra_check(t).ok
+    assert verdict or kind != "tensor"

@@ -1,7 +1,7 @@
 """Source hygiene: no package module imports a name it never uses, every
 top-level definition of the package and of the test oracles, and every
 non-dunder method of a top-level class, is used somewhere, only ``reports`` builds a ``Failure``,
-only ``MultiMap.from_function`` raises ``ArityCapExceeded`` and nothing takes an
+only ``MultiMap._from_terms`` raises ``ArityCapExceeded`` and nothing takes an
 ``arity_cap``, only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
 dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
@@ -158,21 +158,21 @@ def arity_cap_sites(source: str) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_one_arity_guard(path):
     """The arity cap is the constant ``graded.ARITY_CAP``, checked where every
-    dense table is filled: only ``MultiMap.from_function`` raises
+    dense table is filled: only ``MultiMap._from_terms`` raises
     ``ArityCapExceeded``, and no function takes or passes an ``arity_cap``."""
     found = [where for where, _ in arity_cap_sites(path.read_text(encoding="utf-8"))]
-    assert found == (["MultiMap.from_function"] if path.name == "graded.py" else [])
+    assert found == (["MultiMap._from_terms"] if path.name == "graded.py" else [])
 
 
-def test_detects_an_arity_guard_outside_from_function():
+def test_detects_an_arity_guard_outside_from_terms():
     source = ("from x import ArityCapExceeded, errors\n"
-              "class MultiMap:\n    @classmethod\n    def from_function(cls, arity):\n"
+              "class MultiMap:\n    @classmethod\n    def _from_terms(cls, arity):\n"
               "        raise ArityCapExceeded('cap')\n\n"
               "def bracket(p, arity_cap=4):\n    if p > arity_cap:\n"
               "        raise errors.ArityCapExceeded('cap')\n\n"
               "cap = ws.settings.arity_cap\nr = bracket(p, arity_cap=5)\n"
               "ok = isinstance(e, ArityCapExceeded)\n")
-    assert arity_cap_sites(source) == [("MultiMap.from_function", 5), ("arity_cap", 7),
+    assert arity_cap_sites(source) == [("MultiMap._from_terms", 5), ("arity_cap", 7),
                                        ("arity_cap", 8), ("bracket", 9), ("arity_cap", 11),
                                        ("arity_cap", 12)]
 

@@ -1,6 +1,7 @@
 """Workspace loading: schemas, omission defaults, reference resolution."""
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -166,8 +167,8 @@ def test_multimap_json_round_trip():
     from embtens import MultiMap
     from embtens.workspace import multimap_from_json, multimap_to_json
 
-    f = MultiMap.from_function(
-        2, 2, 3, lambda idxs: (Fraction(idxs[0]), Fraction(1, 2), Fraction(-idxs[1])))
+    f = MultiMap(2, 2, 3, tuple(x for i, j in product(range(2), repeat=2)
+                                for x in (Fraction(i), Fraction(1, 2), Fraction(-j))))
     data = multimap_to_json(f)
     assert data["arity"] == 2 and data["domainDim"] == 2 and data["codomainDim"] == 3
     assert multimap_from_json(data) == f
@@ -177,9 +178,11 @@ def test_multimap_json_round_trips_byte_identically_from_arity_zero():
     from embtens import MultiMap
     from embtens.workspace import multimap_from_json, multimap_to_json
 
-    for arity in range(4):
-        f = MultiMap.from_function(arity, 2, 3, lambda idxs: (
-            Fraction(sum(idxs) + 1, 2), Fraction(-len(idxs)), Fraction(0)))
+    maps = [MultiMap(arity, 2, 3, tuple(
+        x for idxs in product(range(2), repeat=arity)
+        for x in (Fraction(sum(idxs) + 1, 2), Fraction(-len(idxs)), Fraction(0))))
+        for arity in range(4)]
+    for f in maps + [MultiMap(0, 0, 2, (1, 2)), MultiMap(2, 0, 3, ())]:
         text = json.dumps(multimap_to_json(f))
         back = multimap_from_json(json.loads(text))
         assert back == f
