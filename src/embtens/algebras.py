@@ -125,8 +125,8 @@ def _check_operators(ops: tuple[Matrix, ...], count: int, n: int) -> None:
     """One n x n operator for each of count basis vectors."""
     if len(ops) != count:
         raise DimensionMismatch("one operator per basis vector is required")
-    if any(m.rows != n or m.cols != n for m in ops):
-        raise DimensionMismatch(f"operators must be {n}x{n}")
+    for m in ops:
+        m.require_shape(n, n, "operators")
 
 
 def abelian_algebra(name: str, dim: int) -> Algebra:

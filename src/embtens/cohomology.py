@@ -40,7 +40,7 @@ from itertools import product
 
 from .algebras import LeibnizRep
 from .errors import DegreeOutOfRange, DimensionMismatch, NotACocycle
-from .graded import MultiMap, matrix_as_multimap, twisted_differential
+from .graded import MultiMap, _check_cochain, matrix_as_multimap, twisted_differential
 from .linalg import (
     Matrix,
     Record,
@@ -129,16 +129,14 @@ def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
 def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
     """A cochain of t as a map: a vector is arity 0, a Matrix arity 1; every
     coefficient goes through ``frac``, so whole ``Fraction``s enter as ``int``s."""
-    g, h = t.action.source, t.action.target
     if isinstance(f, Matrix):
         f = matrix_as_multimap(f)
     if isinstance(f, MultiMap):
         f = MultiMap(f.arity, f.domain_dim, f.codomain_dim, vector(f.coeffs))
     else:
         v = vector(f)
-        f = MultiMap(0, h.dim, len(v), v)
-    if f.domain_dim != h.dim or f.codomain_dim != g.dim:
-        raise DimensionMismatch("cochain shape does not match the tensor")
+        f = MultiMap(0, t.action.target.dim, len(v), v)
+    _check_cochain(f, t.action)
     return f
 
 

@@ -24,9 +24,7 @@ class DeformationDirection(Record):
     direction: Matrix
 
     def __post_init__(self):
-        if self.direction.rows != self.base.matrix.rows or \
-                self.direction.cols != self.base.matrix.cols:
-            raise DimensionMismatch("direction must have the shape of the tensor matrix")
+        self.direction.require_shape(self.base.matrix.rows, self.base.matrix.cols, "direction")
 
     def at(self, t) -> EmbeddingTensor:
         """The deformed tensor T + t * direction."""
@@ -156,8 +154,7 @@ def conjugated_tensor(t: EmbeddingTensor, x: Vector, tval) -> EmbeddingTensor | 
 
 def check_nijenhuis_operator(a: Algebra, n: Matrix) -> CheckReport:
     """[Nu, Nv] = N([Nu, v] + [u, Nv] - N[u, v]) on all basis pairs."""
-    if n.rows != a.dim or n.cols != a.dim:
-        raise DimensionMismatch("operator must be square of the algebra dimension")
+    n.require_shape(a.dim, a.dim, "operator")
 
     def residual(i: int, j: int) -> Vector:
         ni, nj = n.col(i), n.col(j)

@@ -42,7 +42,6 @@ from .linalg import (
     _index,
     frac,
     vector,
-    vector_to_json,
 )
 from .reports import CheckReport, first_failure, scan_sparse, verdict
 from .tensors import (
@@ -97,8 +96,7 @@ class MultiMap(Flat):
 
     @classmethod
     def zero(cls, arity: int, domain_dim: int, codomain_dim: int) -> "MultiMap":
-        return cls(arity, domain_dim, codomain_dim,
-                   (ZERO,) * ((domain_dim ** arity) * codomain_dim))
+        return cls._from_terms(arity, domain_dim, codomain_dim, ())
 
     def value(self, idxs: tuple[int, ...]) -> Vector:
         if len(idxs) != self.arity:
@@ -115,14 +113,6 @@ class MultiMap(Flat):
         m = self.codomain_dim
         tuples = list(product(range(self.domain_dim), repeat=self.arity))
         return ((tuples[off // m], off % m, x) for off, x in enumerate(self.coeffs) if x)
-
-    def to_nested(self):
-        def build(prefix: tuple[int, ...], depth: int):
-            if depth == self.arity:
-                return vector_to_json(self.value(prefix))
-            return [build(prefix + (i,), depth + 1) for i in range(self.domain_dim)]
-
-        return build((), 0)
 
 
 def tensor_as_multimap(t: EmbeddingTensor) -> MultiMap:

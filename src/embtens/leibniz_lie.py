@@ -19,7 +19,7 @@ from .algebras import (
     sc_table,
     table_sum,
 )
-from .errors import ActionIllDefined, DimensionMismatch, NotCoherentDerivation, NotLeibnizLie
+from .errors import ActionIllDefined, NotCoherentDerivation, NotLeibnizLie
 from .linalg import Matrix, Record, Vector, is_zero_vector, vec_sub
 from .reports import CheckReport, first_failure, require, scan, verdict
 from .tensors import (
@@ -143,8 +143,7 @@ def check_leibniz_lie_homomorphism(src: LeibnizLie, dst: LeibnizLie, phi: Matrix
     The two properties are reported separately: a failure lists which
     one broke, and the notes say which held.
     """
-    if phi.rows != dst.lie.dim or phi.cols != src.lie.dim:
-        raise DimensionMismatch("phi has the wrong shape")
+    phi.require_shape(dst.lie.dim, src.lie.dim, "phi")
     laws = (("triangle-product", _homomorphism_residual(phi, src._algebra, dst._algebra)),
             ("lie-bracket", _homomorphism_residual(phi, src.lie, dst.lie)))
     fails = [f for law in laws for f in islice(scan(product(range(src.lie.dim), repeat=2), law), 1)]

@@ -333,6 +333,12 @@ class Matrix(Flat):
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
 
+    def require_shape(self, rows: int, cols: int, what: str) -> None:
+        """``DimensionMismatch`` naming ``what`` unless the matrix is rows x cols.
+        Every shape check outside this module is one."""
+        if self.rows != rows or self.cols != cols:
+            raise DimensionMismatch(f"{what} must be {rows}x{cols}, not {self.rows}x{self.cols}")
+
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[_index(i, self.rows) * self.cols + _index(j, self.cols)]
 

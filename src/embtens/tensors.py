@@ -72,9 +72,7 @@ class EmbeddingTensor(Record):
     matrix: Matrix
 
     def __post_init__(self):
-        if self.matrix.rows != self.action.source.dim or self.matrix.cols != self.action.target.dim:
-            raise DimensionMismatch(
-                f"tensor matrix must be {self.action.source.dim}x{self.action.target.dim}")
+        self.matrix.require_shape(self.action.source.dim, self.action.target.dim, "tensor matrix")
 
     def apply(self, u: Vector) -> Vector:
         return self.matrix.apply(u)
@@ -189,10 +187,8 @@ def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,
     if t.action != t_prime.action:
         raise DimensionMismatch("the two tensors must share one action")
     g, h = t.action.source, t.action.target
-    if phi_g.rows != g.dim or phi_g.cols != g.dim:
-        raise DimensionMismatch("phi_g has the wrong shape")
-    if phi_h.rows != h.dim or phi_h.cols != h.dim:
-        raise DimensionMismatch("phi_h has the wrong shape")
+    phi_g.require_shape(g.dim, g.dim, "phi_g")
+    phi_h.require_shape(h.dim, h.dim, "phi_h")
     return first_failure(
         "tensor-homomorphism",
         scan(product(range(g.dim), repeat=2),

@@ -89,14 +89,32 @@ def _vector(data, length: int, path: str) -> Vector:
     return _padded(data, length, path, _scalar, 0)
 
 
+def _flat(data, depth: int, n: int, m: int, path: str) -> Vector:
+    """The flat row-major coefficients of a table nested ``depth`` lists deep:
+    each of those lists holds exactly n items, and each leaf is a vector of at
+    most m coordinates."""
+    if depth == 0:
+        return _vector(data, m, path)
+    if not isinstance(data, list) or len(data) != n:
+        raise ParseError(f"{path}: expected a list of {n} items")
+    return tuple(x for i, item in enumerate(data)
+                 for x in _flat(item, depth - 1, n, m, f"{path}[{i}]"))
+
+
+def _nested(flat, depth: int, n: int, m: int) -> list:
+    """The nested JSON lists ``_flat`` reads back into the flat table."""
+    if depth == 0:
+        return vector_to_json(flat)
+    step = n ** (depth - 1) * m
+    return [_nested(flat[i * step:(i + 1) * step], depth - 1, n, m) for i in range(n)]
+
+
 def matrix_from_json(data, rows: int, cols: int, path: str) -> Matrix:
-    if not isinstance(data, list) or len(data) != rows:
-        raise ParseError(f"{path}: expected {rows} rows")
-    return Matrix.from_rows([_vector(r, cols, f"{path}[{i}]") for i, r in enumerate(data)])
+    return Matrix(rows, cols, _flat(data, 1, rows, cols, path))
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [vector_to_json(m.row(i)) for i in range(m.rows)]
+    return _nested(m.entries, 1, m.rows, m.cols)
 
 
 def _table(data, dim: int, path: str) -> tuple[tuple[Vector, ...], ...]:
@@ -211,29 +229,15 @@ def multimap_to_json(f: MultiMap) -> dict:
         "arity": f.arity,
         "domainDim": f.domain_dim,
         "codomainDim": f.codomain_dim,
-        "coeffs": f.to_nested(),
+        "coeffs": _nested(f.coeffs, f.arity, f.domain_dim, f.codomain_dim),
     }
 
 
 def multimap_from_json(data, path: str = "multimap") -> MultiMap:
     _object(data, path, "arity", "domainDim", "codomainDim", "coeffs")
-    arity = _int_at_least(0, data["arity"], f"{path}.arity")
-    n, m = data["domainDim"], data["codomainDim"]
-    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
-        raise ParseError(f"{path}: bad dimensions")
-    flat: list = []
-
-    def walk(node, depth: int, at: str) -> None:
-        if depth == arity:
-            flat.extend(_vector(node, m, at))
-            return
-        if not isinstance(node, list) or len(node) != n:
-            raise ParseError(f"{at}: expected {n} entries")
-        for i, child in enumerate(node):
-            walk(child, depth + 1, f"{at}[{i}]")
-
-    walk(data["coeffs"], 0, f"{path}.coeffs")
-    return MultiMap(arity, n, m, tuple(flat))
+    arity, n, m = (_int_at_least(0, data[key], f"{path}.{key}")
+                   for key in ("arity", "domainDim", "codomainDim"))
+    return MultiMap(arity, n, m, _flat(data["coeffs"], arity, n, m, f"{path}.coeffs"))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,8 @@ def workspace_from_dict(data) -> Workspace:
     ws = Workspace()
     settings = data.get("settings", {})
     _object(settings, "settings")
+    if unknown := [key for key in settings if key not in ("maxDegree", "arityCap")]:
+        raise ParseError(f"settings.{unknown[0]}: unknown setting")
     ws.settings = Settings(max_degree=_int_at_least(
         1, settings.get("maxDegree", DEFAULT_MAX_DEGREE), "settings.maxDegree"))
     for section, loader, store in (

@@ -11,6 +11,7 @@ from embtens import (
     LIE,
     LeibnizRep,
     Matrix,
+    Subspace,
     abelian_algebra,
     check_leibniz,
     check_leibniz_rep,
@@ -178,6 +179,18 @@ def test_leibniz_kernel_matches_brute_force_closure(ad3, t1):
         assert ours.dim == len(oracle)
         for v in oracle:
             assert ours.contains(tuple(v))
+
+
+def test_leibniz_kernel_closes_its_seed_span():
+    """[e0, e1] = -e0, [e1, e2] = e1, [e2, e1] = e2: the squares span e0 and
+    e1 + e2, and [e1, e1 + e2] = e1 adds a third dimension, as the oracle's
+    closure does."""
+    a = Algebra("grows", 3, sc_table([[Z3, (-1, 0, 0), Z3], [Z3, Z3, (0, 1, 0)],
+                                      [Z3, (0, 0, 1), Z3]]))
+    seeds = [a.sc[0][0], a.sc[1][1], a.sc[2][2]] + [
+        tuple(x + y for x, y in zip(a.sc[i][j], a.sc[j][i])) for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert Subspace.from_spanning(3, seeds).dim == 2
+    assert leibniz_kernel(a).dim == len(close_ideal(a.bracket, 3, seeds)) == 3
 
 
 def test_leibniz_kernel_nontrivial_for_asymmetric_descendent(t1):

@@ -2,6 +2,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from embtens import workspace_from_dict
 from embtens.cli import main, run
 
@@ -230,3 +232,41 @@ def test_main_entry_point(heisenberg_workspace_path, capsys):
                  "--workspace", str(heisenberg_workspace_path)])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("check", "nijenhuis", "--tensor", "T1", "--element", "1,0"),
+     "--element: expected 3 comma-separated coordinates"),
+    (("check", "nijenhuis", "--tensor", "T1", "--element", "1,x,0"),
+     "--element: not a rational scalar: 'x'"),
+    (("check", "nijenhuis-operator", "--algebra", "h3", "--operator", "1,0,0;0,1,0"),
+     "--operator: expected 3 rows separated by ';'"),
+    (("check", "deform", "--tensor", "T1", "--direction", "Ttoy"),
+     "direction tensor 'Ttoy' lives over a different action"),
+    (("check", "equivalence", "--tensor", "T1", "--direction", "D1", "--direction2", "Dzero",
+      "--element", " ; "), "--element: at least one candidate witness is required"),
+], ids=["coordinate-count", "bad-scalar", "operator-rows", "foreign-direction",
+        "no-candidates"])
+def test_typed_input_errors_exit_2(heisenberg_workspace_path, capsys, argv, message):
+    assert invoke(heisenberg_workspace_path, *argv) == (2, "")
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_unknown_setting_is_a_usage_error(tmp_path, heisenberg_workspace_path, capsys):
+    data = json.loads(Path(heisenberg_workspace_path).read_text())
+    data["settings"]["maxdegree"] = 2
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps(data))
+    assert invoke(ws, "check", "net", "--tensor", "T1") == (2, "")
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: settings.maxdegree: unknown setting\n")
+
+
+def test_class_equals_of_source_elements(heisenberg_workspace_path):
+    """Degree-one cochains given as --element/--element2 coordinates: every
+    vector is a cocycle of the zero tensor, and no nonzero one a coboundary."""
+    for element2, code, verdict in (("1,0,0", 0, "EQUAL"), ("0,1,0", 1, "DIFFERENT")):
+        assert invoke(heisenberg_workspace_path, "class-equals", "--tensor", "Tzero",
+                      "--degree", "1", "--element", "1,0,0", "--element2", element2) == \
+            (code, f"class-equals Tzero degree 1: {verdict}\n")

@@ -488,6 +488,39 @@ def test_cohomology_dims_match_fraction_free_oracle(t1, tii):
             assert report.coboundary_basis.is_subspace_of(report.cocycle_basis)
 
 
+def random_rung(kind: str, rng: random.Random) -> tuple[EmbeddingTensor, int]:
+    """A random tensor of one complex-ladder kind, with the top degree it is checked to."""
+    if kind == "h5-central":
+        row = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4)] + [0]
+        return EmbeddingTensor(adjoint_action(heisenberg5()),
+                               Matrix.from_rows([[0] * 5] * 4 + [row])), 2
+    if kind == "g2-h3":
+        rows = [[rand_fraction(rng), rand_fraction(rng), 0] for _ in range(2)]
+        return EmbeddingTensor(g2h3_action(rng.randint(0, 50)), Matrix.from_rows(rows)), 3
+    ad3 = adjoint_action(heisenberg())
+    if kind == "family-i":
+        return EmbeddingTensor(ad3, family_i_matrix(rng, rng.randint(0, 1))), 3
+    r = rng.choice((1, 2, -2, 3))
+    return EmbeddingTensor(ad3, family_ii_matrix(rng, Fraction(r), Fraction(r * r, r + 1))), 3
+
+
+@pytest.mark.parametrize("kind", ["family-i", "family-ii", "g2-h3", "h5-central"])
+@settings(derandomize=True, database=None, max_examples=15, deadline=None,
+          phases=[Phase.generate])
+@given(seed=st.integers(0, 2 ** 16))
+def test_random_cohomology_dims_are_bareiss_ranks(kind, seed):
+    """dim Z^k = columns - rank d_k and dim B^k = rank d_(k-1), each rank by
+    fraction-free elimination of the densified d_k."""
+    t, top = random_rung(kind, random.Random(seed))
+    assert check_embedding_tensor(t).ok
+    cx = TensorComplex(t, 4)
+    for k in range(1, top + 1):
+        report = cohomology(t, k)
+        z = cx.cochain_dim(k) - bareiss_rank(cx.differential(k).to_rows())
+        b = bareiss_rank(cx.differential(k - 1).to_rows())
+        assert (report.dim_z, report.dim_b, report.dim_h) == (z, b, z - b)
+
+
 def test_degree_out_of_range(t1):
     with pytest.raises(DegreeOutOfRange):
         cohomology(t1, 0)

@@ -1,12 +1,15 @@
 """Linear deformations, equivalences, Nijenhuis elements and operators."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from embtens import (
     Action,
+    Algebra,
     DeformationDirection,
+    DimensionMismatch,
     EmbeddingTensor,
     Matrix,
     NijenhuisCandidate,
@@ -14,6 +17,7 @@ from embtens import (
     RoutesDisagree,
     ToolkitError,
     abelian_algebra,
+    adjoint_action,
     check_embedding_tensor,
     check_equivalence,
     check_linear_deformation,
@@ -22,6 +26,7 @@ from embtens import (
     class_equals,
     conjugated_tensor,
     descendent,
+    sc_table,
     trivial_deformation,
     unit_vector,
     zero_direction,
@@ -278,3 +283,25 @@ def test_curved_family_members_pass_at_rational_points(tab, ad3):
         assert r11 * r11 - t * r11 - t == 0
         member = Matrix.from_rows([[r11, 0, 0], [0, r11, 0], [a, b, t]])
         assert check_embedding_tensor(tab.with_matrix(member)).ok
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda t1, tzero: check_equivalence(zero_direction(t1), zero_direction(tzero), (0, 0, 0)),
+     "directions must deform the same base tensor"),
+    (lambda t1, tzero: NijenhuisCandidate(t1, (1, 0)), "the element lives in the source algebra"),
+    (lambda t1, tzero: DeformationDirection(t1, Matrix.zero(2, 3)), "direction must be 3x3, not 2x3"),
+    (lambda t1, tzero: check_nijenhuis_operator(t1.action.target, Matrix.zero(3, 2)),
+     "operator must be 3x3, not 3x2"),
+], ids=["two-bases", "element-length", "direction-shape", "operator-shape"])
+def test_typed_input_errors(t1, tzero, probe, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        probe(t1, tzero)
+
+
+def test_conjugation_by_a_singular_map_is_none():
+    """On the 2-dim Lie algebra [e0, e1] = e1, Id + t ad_e0 = diag(1, 1 + t) is
+    singular at t = -1 alone."""
+    a = Algebra("aff", 2, sc_table([[(0, 0), (0, 1)], [(0, -1), (0, 0)]]), "lie")
+    t = EmbeddingTensor(adjoint_action(a), Matrix.zero(2, 2))
+    assert conjugated_tensor(t, (1, 0), -1) is None
+    assert conjugated_tensor(t, (1, 0), 1) == t

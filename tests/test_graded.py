@@ -1,5 +1,6 @@
 """Shuffles, the composition bracket, derived brackets, differentials."""
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -31,7 +32,8 @@ from embtens import (
     twisted_differential,
 )
 from embtens import graded
-from embtens.graded import algebra_from_multimap, embed_cochain, restrict_cochain
+from embtens.graded import (algebra_from_multimap, embed_cochain, multimap_as_matrix,
+                            restrict_cochain)
 from conftest import family_i_matrix, g2h3_action, heisenberg, heisenberg_of, rand_matrix
 from oracles import (dense_balavoine, dense_bracket_differential, dense_derived_bracket,
                      dense_embed_cochain, dense_restrict_cochain, shuffles_by_filter)
@@ -160,7 +162,7 @@ def test_arity_cap_enforced(ad3, t1):
              (lambda: derived_bracket(c2, c3, ad3), lambda: derived_bracket(c2, c2, ad3)),
              (lambda: tensor_coboundary(t1, MultiMap.zero(4, 3, 3)),
               lambda: tensor_coboundary(t1, c3)),
-             (lambda: embed_cochain(MultiMap.zero(5, 3, 3), ad3),
+             (lambda: embed_cochain(MultiMap(5, 3, 3, (0,) * 729), ad3),
               lambda: embed_cochain(MultiMap.zero(4, 3, 3), ad3))]
     for above, at in cases:
         with pytest.raises(ArityCapExceeded, match=r"^result arity 5 above cap 4$"):
@@ -538,3 +540,38 @@ def test_three_verification_routes_agree(data):
     verdict = check_embedding_tensor(t).ok
     assert mc_check_tensor(t).ok == verdict == graph_subalgebra_check(t).ok
     assert verdict or kind != "tensor"
+
+
+def _map(arity, n, m):
+    return MultiMap(arity, n, m, (0,) * (n ** arity * m))
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    (lambda ad3: balavoine(_map(1, 2, 3), _map(1, 2, 3)), DimensionMismatch,
+     "the bracket needs maps of a space into itself"),
+    (lambda ad3: balavoine(_map(1, 2, 2), _map(1, 3, 3)), DimensionMismatch,
+     "the two maps live on different spaces"),
+    (lambda ad3: mc_check_leibniz(_map(1, 2, 2)), DimensionMismatch,
+     "a candidate product has arity 2"),
+    (lambda ad3: bracket_differential(_map(1, 2, 3), ad3.target), DimensionMismatch,
+     "map domain and algebra dimension differ"),
+    (lambda ad3: derived_bracket(_map(1, 3, 2), _map(1, 3, 3), ad3), DimensionMismatch,
+     "expected a map from the 3-dim space into the 3-dim one"),
+    (lambda ad3: restrict_cochain(_map(1, 5, 5), ad3), DimensionMismatch,
+     "expected a self-map of the 6-dim direct sum"),
+    (lambda ad3: multimap_as_matrix(_map(2, 2, 2)), DimensionMismatch,
+     "only arity-1 maps are matrices"),
+    (lambda ad3: algebra_from_multimap(_map(1, 2, 2), "a"), DimensionMismatch,
+     "an algebra table is a square arity-2 map"),
+    (lambda ad3: algebra_from_multimap(_map(2, 2, 3), "a"), DimensionMismatch,
+     "an algebra table is a square arity-2 map"),
+    (lambda ad3: shuffles(-1, 2), DimensionMismatch, "shuffle block sizes must be nonnegative"),
+    (lambda ad3: MultiMap(1, 2, 2, (0,)), DimensionMismatch,
+     "coefficient table needs 4 entries, got 1"),
+    (lambda ad3: MultiMap.zero(5, 3, 3), ArityCapExceeded, "result arity 5 above cap 4"),
+], ids=["not-self-maps", "two-spaces", "leibniz-arity", "differential-domain", "cochain-shape",
+        "restrict-size", "matrix-arity", "table-arity", "table-square", "shuffle-sizes",
+        "table-length", "zero-above-cap"])
+def test_typed_input_errors(ad3, probe, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        probe(ad3)

@@ -2,7 +2,9 @@
 top-level definition of the package and of the test oracles, and every
 non-dunder method of a top-level class, is used somewhere, only ``reports`` builds a ``Failure``,
 only ``MultiMap._from_terms`` raises ``ArityCapExceeded`` and nothing takes an
-``arity_cap``, only ``linalg.Flat`` defines entrywise arithmetic, only ``algebras``
+``arity_cap``, only ``linalg`` compares a ``.rows`` or ``.cols`` (every other
+shape check is ``Matrix.require_shape``), only ``linalg.Flat`` defines entrywise
+arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
 dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
 calls ``Fraction``, the only module-level caches are the two verification
@@ -175,6 +177,33 @@ def test_detects_an_arity_guard_outside_from_terms():
     assert arity_cap_sites(source) == [("MultiMap._from_terms", 5), ("arity_cap", 7),
                                        ("arity_cap", 8), ("bracket", 9), ("arity_cap", 11),
                                        ("arity_cap", 12)]
+
+
+def shape_comparisons(source: str) -> list[int]:
+    """Lines where a comparison reads a ``.rows`` or ``.cols`` attribute
+    anywhere in its operands."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Compare) for operand in (node.left, *node.comparators)
+                   for sub in ast.walk(operand)
+                   if isinstance(sub, ast.Attribute) and sub.attr in ("rows", "cols")})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_shapes_are_checked_by_require_shape(path):
+    """A matrix shape is checked in one place, ``Matrix.require_shape``, so
+    every shape error reads ``<what> must be RxC, not rxc``."""
+    assert shape_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_a_shape_comparison():
+    source = ("if m.rows != n or m.cols != n:\n    raise E\n"
+              "m.require_shape(t.matrix.rows, t.matrix.cols, 'm')\n"
+              "ok = n == len(sub.rows)\n"
+              "z = Matrix.zero(m.rows, m.cols)\n"
+              "same = (a.rows,\n        b.rows) == c\n"
+              "x = m.rows > 0 if m else 0\n")
+    assert shape_comparisons(source) == [1, 4, 6, 8]
 
 
 ARITHMETIC = ("__add__", "__sub__", "__neg__", "scale", "is_zero")

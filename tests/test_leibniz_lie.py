@@ -204,3 +204,8 @@ def test_left_multiplication_tensor_into_zero_derivations():
     t = left_multiplication_tensor(make_leibniz_lie(sl2, [[Z3] * 3] * 3))
     assert (t.action.source.dim, t.matrix) == (0, Matrix.zero(0, 3))
     assert check_embedding_tensor(t).ok
+
+
+def test_homomorphism_shape_is_checked(ll3):
+    with pytest.raises(DimensionMismatch, match=r"^phi must be 3x3, not 3x2$"):
+        check_leibniz_lie_homomorphism(ll3, ll3, Matrix.zero(3, 2))

@@ -2,6 +2,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -534,3 +535,26 @@ def test_elimination_leaves_its_input_unchanged():
         before = copy.deepcopy(given)
         solve(given, 4)
         assert given == before and repr(given) == repr(before)
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    (lambda: frac(0.5), ParseError, "refusing inexact scalar 0.5; use 'p/q' strings"),
+    (lambda: Matrix.from_rows([(1, 2), (3,)]), DimensionMismatch, "ragged rows"),
+    (lambda: Matrix.identity(2).apply((1, 2, 3)), DimensionMismatch,
+     "vector of length 3 against 2 columns"),
+    (lambda: Subspace.from_spanning(2, [(1, 2, 3)]), DimensionMismatch,
+     "spanning vectors must have length 2"),
+    (lambda: Subspace.full(2).is_subspace_of(Subspace.full(3)), DimensionMismatch,
+     "ambient dimensions differ"),
+    (lambda: Matrix.zero(2, 3).require_shape(3, 2, "the map"), DimensionMismatch,
+     "the map must be 3x2, not 2x3"),
+], ids=["float", "ragged-rows", "apply-length", "spanning-length", "ambients", "shape"])
+def test_typed_input_errors(probe, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        probe()
+
+
+def test_non_square_or_singular_matrices_have_no_inverse():
+    assert Matrix.zero(2, 3).try_inverse() is None
+    assert Matrix(2, 2, (1, 2, 2, 4)).try_inverse() is None
+    assert Matrix.zero(0, 0).try_inverse() == Matrix.zero(0, 0)

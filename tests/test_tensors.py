@@ -1,6 +1,7 @@
 """Coherent actions, tensor verification, and the induced constructions."""
 import importlib
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -11,10 +12,12 @@ from embtens import (
     LEIBNIZ,
     Action,
     Algebra,
+    DimensionMismatch,
     EmbeddingTensor,
     Matrix,
     NotAnEmbeddingTensor,
     NotCoherentAction,
+    Subspace,
     abelian_algebra,
     adjoint_action,
     check_coherent_action,
@@ -352,3 +355,22 @@ def test_descendent_reads_the_table_verification_built(t1, monkeypatch):
     assert len(calls) == 1
     check_embedding_tensor.cache_clear()
     assert descendent(t1) == desc and len(calls) == 2
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda t1, g23_net: check_tensor_homomorphism(t1, g23_net, Matrix.identity(3),
+                                                   Matrix.identity(3)),
+     "the two tensors must share one action"),
+    (lambda t1, g23_net: check_tensor_homomorphism(t1, t1, Matrix.identity(2), Matrix.identity(3)),
+     "phi_g must be 3x3, not 2x2"),
+    (lambda t1, g23_net: check_tensor_homomorphism(t1, t1, Matrix.identity(3), Matrix.zero(3, 2)),
+     "phi_h must be 3x3, not 3x2"),
+    (lambda t1, g23_net: EmbeddingTensor(g23_net.action, Matrix.zero(3, 3)),
+     "tensor matrix must be 2x3, not 3x3"),
+    (lambda t1, g23_net: algebra_from_matrix_subspace(
+        "e01+e10", Subspace.from_spanning(4, [(0, 1, 0, 0), (0, 0, 1, 0)]), 2),
+     "subspace behind 'e01+e10' is not closed under commutators"),
+], ids=["two-actions", "phi-g-shape", "phi-h-shape", "tensor-shape", "not-closed"])
+def test_typed_input_errors(t1, g23_net, probe, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        probe(t1, g23_net)
