@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FlavorViolation
 from .linalg import (
     Matrix,
     Record,
@@ -57,7 +57,7 @@ class Algebra(Record):
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+            raise FlavorViolation(f"unknown flavor {self.flavor!r}")
         if len(self.sc) != self.dim or any(len(row) != self.dim for row in self.sc):
             raise DimensionMismatch(f"structure table of {self.name!r} is not {self.dim}x{self.dim}")
         for row in self.sc:

@@ -67,4 +67,4 @@ class UnresolvedReference(WorkspaceError):
 
 
 class FlavorViolation(WorkspaceError):
-    """A declared algebra flavor fails its axiom check on load."""
+    """A declared algebra flavor is unknown, or fails its axiom check on load."""

@@ -4,8 +4,10 @@ Scalars are exact rationals: a Python ``int`` when the value is whole
 and a ``fractions.Fraction`` otherwise, so integral data runs on
 machine-speed ints.  ``frac`` is the one normaliser that makes them, and
 ``frac(p, q)`` is the one exact quotient; no floats ever enter, and the
-package has no ``/`` operator.  An ``int`` and the ``Fraction`` of the
-same value compare and hash equal, so mixing them changes no result.
+package has no ``/`` operator.  An ``int`` passes ``frac`` as it is, and an
+exact ``Fraction`` (not a subclass) in one ``as_integer_ratio()`` call: its
+numerator when whole, itself otherwise.  An ``int`` and the ``Fraction`` of
+the same value compare and hash equal, so mixing them changes no result.
 Vectors are plain tuples of scalars, matrices are immutable row-major
 ``Flat`` records, and a subspace is held by its reduced row echelon rows,
 so subspace equality is literal equality of canonical rows.  ``Record`` is
@@ -20,13 +22,17 @@ and ``Subspace.from_spanning`` convert their dense input, and
 elimination runs on integers, fraction-free: each row is cleared of
 denominators once, pivot rows are kept primitive (gcd 1, pivot entry
 positive, not scaled to 1), and rationals are made once, at output, where
-each row is divided by its pivot entry.  The RREF of a row space is
-unique; it comes out as the rows a ``Subspace`` keeps, ``(column, entry)``
-pairs with the pivot first and each entry an ``int`` when whole.  One
-step, ``_eliminate``, reduces a row for elimination and membership alike
-(a ``Subspace``'s rows have pivot 1, so a residual is never scaled), and
-dense tuples are made only for output (``_dense``).  A kernel costs one
-elimination of its rows as given, each pivoting on its last column.
+each row is divided by its pivot entry.  The earlier pivot rows a new
+pivot is cleared from are found by column, not by a scan of every pivot
+row.  The RREF of a row space is unique; it comes out as the rows a
+``Subspace`` keeps, ``(column, entry)`` pairs with the pivot first and each
+entry an ``int`` when whole.  One step, ``_eliminate``, reduces a row for
+elimination and membership alike (a ``Subspace``'s rows have pivot 1, so a
+residual is never scaled), and dense tuples are made only for output
+(``_dense``): ``Subspace.contains`` asks only whether the sparse residual
+is empty, since ``_eliminate`` drops every entry that cancels, and
+``reduce`` alone makes the residual dense.  A kernel costs one elimination
+of its rows as given, each pivoting on its last column.
 Nothing here is cached across calls: the complexes of ``cohomology`` live
 on the cached verification reports, and
 ``check_embedding_tensor.cache_clear()`` frees them.
@@ -57,8 +63,13 @@ def frac(value: int | str | Fraction, den: Scalar | None = None) -> Scalar:
     """The exact rational value / den (den defaults to 1), as an ``int`` when
     it is whole and a ``Fraction`` otherwise; floats are deliberately
     rejected."""
-    if den is None and type(value) is int:
-        return value
+    if den is None:
+        kind = type(value)
+        if kind is int:
+            return value
+        if kind is Fraction:
+            num, q = value.as_integer_ratio()
+            return num if q == 1 else value
     if isinstance(value, float):
         raise ParseError(f"refusing inexact scalar {value!r}; use 'p/q' strings")
     if den is not None:
@@ -462,9 +473,13 @@ def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
     far, and pivots on the column ``pick`` takes from what is left: the first
     by default, the last for ``sparse_kernel``.  It is made primitive there
     (gcd 1, pivot entry positive; the pivot is not scaled to 1) and clears
-    that column from every earlier pivot row, each of which is made
-    primitive again (its own pivot entry stays positive, as the step scales
-    it only by the new, positive, pivot entry).  The pivot rows stay
+    that column from every earlier pivot row that holds it, each of which is
+    made primitive again (its own pivot entry stays positive, as the step
+    scales it only by the new, positive, pivot entry).  Those rows are found
+    by column: ``held`` lists, per column that is not yet a pivot, the pivots
+    whose rows have held it, appended to when a row is added or cleared into
+    and dropped when the column becomes a pivot; an entry whose column has
+    since cancelled from its row is skipped.  The pivot rows stay
     zero at every other pivot column throughout, so dividing each by its
     pivot entry at the end, x // a when a divides x and ``frac(x, a)``
     otherwise, gives the unique RREF of the span for that pivot end: rows
@@ -472,15 +487,26 @@ def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
     Input is not changed.
     """
     by_pivot: dict[int, SparseRow] = {}
+    held: dict[int, list[int]] = {}  # free column -> pivots whose rows have held it
     for incoming in rows:
         row = _eliminate(_integral(incoming), by_pivot) if incoming else None
         if not row:
             continue
         p = pick(row)
         new = {p: _primitive(row, row[p])}
-        for other in by_pivot.values():
-            if p in other:
+        holders = held.pop(p, ())
+        for c in row:
+            if c in held:
+                held[c].append(p)
+            elif c != p:
+                held[c] = [p]
+        for q in holders:
+            other = by_pivot[q]
+            if p in other:  # else p has cancelled from that row since
                 _primitive(_eliminate(other, new))
+                for c in row:
+                    if c != p:
+                        held[c].append(q)
         by_pivot[p] = row
     out = []
     for p in sorted(by_pivot):
@@ -545,15 +571,20 @@ class Subspace(Record):
     def _by_pivot(self) -> dict[int, SparseRow]:
         return {row[0][0]: dict(row) for row in self.rows}
 
-    def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating against the echelon rows."""
+    def _residual(self, v: Vector) -> SparseRow:
+        """The nonzero entries of v's residual against the echelon rows."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        row = _eliminate({j: x for j, x in enumerate(v) if x}, self._by_pivot)
-        return _dense(row.items(), self.ambient_dim)
+        return _eliminate({j: x for j, x in enumerate(v) if x}, self._by_pivot)
+
+    def reduce(self, v: Vector) -> Vector:
+        """Residual of v after eliminating against the echelon rows."""
+        return _dense(self._residual(v).items(), self.ambient_dim)
 
     def contains(self, v: Vector) -> bool:
-        return not any(self.reduce(v))
+        """Whether v lies in the subspace: ``_eliminate`` drops every entry
+        that cancels, so the residual is zero exactly when it is empty."""
+        return not self._residual(v)
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v on the echelon basis, or None if outside."""

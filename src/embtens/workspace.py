@@ -297,4 +297,6 @@ def load_workspace(path: str | Path) -> Workspace:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     return workspace_from_dict(data)

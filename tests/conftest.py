@@ -146,6 +146,16 @@ def heisenberg_workspace_path() -> Path:
     return DATA / "heisenberg.json"
 
 
+@pytest.fixture
+def huge_integer_workspace_path(tmp_path, heisenberg_workspace_path) -> Path:
+    """The Heisenberg workspace with [e_0, e_1] = 10^4999 e_2: one integer of
+    5,000 digits, past the 4,300 that ``json.loads`` converts."""
+    text = heisenberg_workspace_path.read_text(encoding="utf-8")
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace("[0, 0, 1]", f"[0, 0, 1{'0' * 4999}]", 1), encoding="utf-8")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------

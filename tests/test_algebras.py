@@ -8,6 +8,7 @@ from embtens import (
     Action,
     Algebra,
     DimensionMismatch,
+    FlavorViolation,
     LIE,
     LeibnizRep,
     Matrix,
@@ -318,6 +319,11 @@ def test_adjoint_operators_are_coherent_for_two_step_nilpotent():
 def test_algebra_shape_validation():
     with pytest.raises(DimensionMismatch):
         Algebra("bad", 2, sc_table([[Z3, Z3], [Z3, Z3]]), "unchecked")
+
+
+def test_unknown_flavor_is_a_typed_error():
+    with pytest.raises(FlavorViolation, match=r"^unknown flavor 'jordan'$"):
+        Algebra("j", 1, sc_table([[(0,)]]), "jordan")
 
 
 def test_empty_sides_keep_their_shapes():

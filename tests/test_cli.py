@@ -253,6 +253,14 @@ def test_typed_input_errors_exit_2(heisenberg_workspace_path, capsys, argv, mess
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_huge_integer_is_a_usage_error(huge_integer_workspace_path, capsys):
+    assert invoke(huge_integer_workspace_path, "check", "lie", "--algebra", "h3") == (2, "")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {huge_integer_workspace_path}: Exceeds the limit")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_unknown_setting_is_a_usage_error(tmp_path, heisenberg_workspace_path, capsys):
     data = json.loads(Path(heisenberg_workspace_path).read_text())
     data["settings"]["maxdegree"] = 2

@@ -662,6 +662,59 @@ def test_class_equals_names_the_non_cocycle(t1, which, monkeypatch):
     assert kernels == [(9,), (9,)]
 
 
+def class_equals_by_bareiss(cx: TensorComplex, k: int, f, g):
+    """What ``class_equals`` must answer: the cochain it must refuse, "first"
+    or "second", when d_k, applied entry by entry, does not kill it; else
+    whether f - g lies in the column space of d_(k-1), by Bareiss ranks."""
+    for name, v in (("first", f), ("second", g)):
+        if any(sum(a * x for a, x in zip(row, v)) for row in cx.differential(k).to_rows()):
+            return name
+    d = cx.differential(k - 1)
+    cols = [d.col(j) for j in range(d.cols)]
+    return bareiss_rank(cols + [[a - b for a, b in zip(f, g)]]) == bareiss_rank(cols)
+
+
+@pytest.mark.parametrize("kind", ["family-i", "family-ii", "g2-h3", "h5-central"])
+@settings(derandomize=True, database=None, max_examples=12, deadline=None,
+          phases=[Phase.generate])
+@given(seed=st.integers(0, 2 ** 16), exact=st.booleans(),
+       broken=st.sampled_from(((), ("first",), ("second",), ("first", "second"))))
+def test_class_equals_agrees_with_bareiss(kind, seed, exact, broken):
+    """Random cocycles f and g = f + d y (``exact``) or g another cocycle,
+    each perhaps moved off the cocycles by a random cochain: the answer, or
+    the cochain refused, is the oracle's, the first named whenever both fail."""
+    rng = random.Random(seed)
+    t, top = random_rung(kind, rng)
+    k = rng.randint(2, top)
+    cx, (n, m) = TensorComplex(t, top), (t.action.target.dim, t.action.source.dim)
+    basis = cohomology(t, k).cocycle_basis.basis
+
+    def cocycle() -> list:
+        out = [Fraction(0)] * cx.cochain_dim(k)
+        for b in basis:
+            c = rng.randint(-2, 2)
+            out = [x + c * y for x, y in zip(out, b)]
+        return out
+
+    f = cocycle()
+    if exact:
+        y = MultiMap(k - 2, n, m,
+                     tuple(Fraction(rng.randint(-2, 2)) for _ in range(n ** (k - 2) * m)))
+        g = [a + b for a, b in zip(f, tensor_coboundary(t, y).coeffs)]
+    else:
+        g = cocycle()
+    f, g = ([x + rng.randint(-1, 1) for x in v] if name in broken else v
+            for name, v in (("first", f), ("second", g)))
+    expected = class_equals_by_bareiss(cx, k, f, g)
+    assert expected is True or not exact or broken
+    f, g = (MultiMap(k - 1, n, m, tuple(v)) for v in (f, g))
+    if isinstance(expected, str):
+        with pytest.raises(NotACocycle, match=f"^the {expected} cochain is not a cocycle"):
+            class_equals(t, f, g, k)
+    else:
+        assert class_equals(t, f, g, k) is expected
+
+
 def test_class_equals_rejects_non_cocycle(t1):
     non_cocycle = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     cx = TensorComplex(t1, 4)

@@ -7,11 +7,13 @@ shape check is ``Matrix.require_shape``), only ``linalg.Flat`` defines entrywise
 arithmetic, only ``algebras``
 evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
 dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
-calls ``Fraction``, the only module-level caches are the two verification
-caches and ``graded.shuffles``, importing the CLI loads neither
+calls ``Fraction``, no module raises a builtin exception class but the
+protocol methods of ``linalg.Record``, the only module-level caches are the
+two verification caches and ``graded.shuffles``, importing the CLI loads neither
 ``dataclasses`` nor ``inspect``, and no subscript unpacks a starred item
 outside parentheses (Python 3.11 syntax; the package supports 3.10)."""
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -349,6 +351,52 @@ def test_detects_a_fraction_call_outside_frac():
               "class Q:\n    def make(self):\n        return [fractions.Fraction(1) for _ in ()]\n\n"
               "ONE = Fraction(1)\nok = isinstance(ONE, Fraction)\n")
     assert fraction_calls(source) == [("frac", 4), ("half", 7), ("make", 11), ("", 13)]
+
+
+BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+# ``Record`` answers Python's own object protocol with Python's own errors.
+ALLOWED_BUILTIN_RAISES = {"linalg.py": {"Record._complete": "TypeError",
+                                        "Record.__setattr__": "AttributeError",
+                                        "Record.__delattr__": "AttributeError"}}
+
+
+def builtin_raises(source: str) -> list[tuple[str, str, int]]:
+    """(innermost enclosing ``Class.function``, exception, line) of each
+    ``raise`` of a builtin exception class, bare or called, in line order;
+    the place is '' outside any."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Raise) and _callee(node.exc) in BUILTIN_EXCEPTIONS:
+            found.append((where, _callee(node.exc), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda site: site[2])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_errors_are_typed(path):
+    """Every error the package raises is a ``ToolkitError``, so a caller's
+    ``except ToolkitError``, as in ``cli.run``, catches each of them."""
+    allowed = ALLOWED_BUILTIN_RAISES.get(path.name, {})
+    found = builtin_raises(path.read_text(encoding="utf-8"))
+    assert [site for site in found if allowed.get(site[0]) != site[1]] == []
+
+
+def test_detects_a_builtin_raise():
+    source = ("import builtins\n"
+              "class Record:\n    def _complete(self):\n        raise TypeError('x')\n\n"
+              "def load(x):\n    try:\n        return x[0]\n    except KeyError as exc:\n"
+              "        raise ParseError('p') from exc\n    finally:\n        raise ValueError\n\n"
+              "def f():\n    raise builtins.LookupError('y')\n\n"
+              "def g(e):\n    raise e\n\ndef h():\n    raise\n")
+    assert builtin_raises(source) == [("Record._complete", "TypeError", 4),
+                                      ("load", "ValueError", 12), ("f", "LookupError", 15)]
 
 
 CACHE_DECORATORS = ("lru_cache", "cache")

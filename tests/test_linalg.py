@@ -157,6 +157,37 @@ def test_scalar_rejects_floats_and_junk():
         parse_scalar("1/0")
 
 
+class Ratio(Fraction):
+    """A ``Fraction`` subclass, which ``frac`` takes by its general route."""
+
+
+def frac_by_fraction(value, den=None):
+    """``frac``'s answer by the general route alone: one ``Fraction`` of the
+    arguments, then its numerator when it is whole."""
+    if den is not None:
+        value = Fraction(value, den)
+    elif not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+@pytest.mark.parametrize("args", [
+    (Fraction(6, 3),), (Fraction(-3, 6),), (Fraction(0),), (Ratio(4, 2),), (Ratio(1, 2),),
+    (True,), (False,), ("6/4",), ("-4/2",), (7,), (6, 3), (Fraction(1, 2), 2),
+    (Fraction(4, 3), Fraction(2, 3)), (Ratio(1, 3), 3)])
+def test_frac_matches_the_general_route(args):
+    got, want = frac(*args), frac_by_fraction(*args)
+    assert (got, type(got)) == (want, type(want))
+
+
+def test_frac_takes_whole_fractions_to_ints():
+    whole, proper = Fraction(6, 3), Fraction(-3, 6)
+    assert type(frac(whole)) is int and frac(whole) == 2
+    assert frac(proper) is proper
+    with pytest.raises(ParseError, match="^refusing inexact scalar 2.0;"):
+        frac(2.0)
+
+
 def test_exactness_of_products():
     rng = random.Random(17)
     for _ in range(50):
@@ -288,6 +319,29 @@ def test_sparse_elimination_matches_dense_oracle(nrows, ncols, data):
     assert quotient_dim(span, part) == bareiss_rank(rows) - bareiss_rank(rows[:cut])
     again = Subspace.from_spanning(ncols, rows[::-1] + [combo])
     assert again == span and hash(again) == hash(span)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(0, 5), st.integers(1, 6), st.data())
+def test_membership_is_a_zero_residual(nrows, ncols, data):
+    """``contains`` reads the sparse residual: it says yes exactly when the
+    dense residual ``reduce`` returns is zero, and it refuses a vector of the
+    wrong length as ``reduce`` does."""
+    rows = [data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    span = Subspace.from_spanning(ncols, rows)
+    coeffs = data.draw(st.lists(SPARSE, min_size=nrows, max_size=nrows))
+    combo = tuple(sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0))
+                  for j in range(ncols))
+    free = tuple(data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols)))
+    units = (unit_vector(ncols, j) for j in range(ncols))
+    for v in (combo, free, vector(free), *units):
+        assert span.contains(v) is not any(span.reduce(v))
+    assert span.contains(combo)
+    for n in (ncols - 1, ncols + 1):
+        for probe in (span.contains, span.reduce):
+            with pytest.raises(DimensionMismatch, match="^vector/ambient dimension mismatch$"):
+                probe((Fraction(1),) * n)
 
 
 def test_coefficient_growth_matches_the_oracles():

@@ -118,6 +118,15 @@ def test_parse_error_reports_position(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_huge_integer_is_a_parse_error(huge_integer_workspace_path):
+    """``json.loads`` refuses an integer past Python's int-string digit limit
+    with a plain ``ValueError``; the loader reports it, naming the file."""
+    with pytest.raises(ParseError) as err:
+        load_workspace(huge_integer_workspace_path)
+    assert str(err.value).startswith(f"{huge_integer_workspace_path}: Exceeds the limit")
+    assert type(err.value.__cause__) is ValueError
+
+
 def test_duplicate_names_rejected(tmp_path):
     bad = tmp_path / "dup.json"
     bad.write_text(
