@@ -22,7 +22,6 @@ from .linalg import (
     Vector,
     ZERO,
     _index,
-    bilinear,
     combination,
     combine,
     sparse_kernel,
@@ -67,8 +66,12 @@ class Algebra(Record):
                         f"structure vector of length {len(v)} in algebra {self.name!r} of dim {self.dim}")
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bilinear extension of the structure table."""
-        return bilinear(self.sc, x, y, self.dim)
+        """Bilinear extension of the structure table: the combination, by x, of
+        the rows [e_i, y], each made only when x_i is nonzero."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise DimensionMismatch(f"vectors of length {len(x)} and {len(y)} in dimension {n}")
+        return combine(x, [combine(y, row, n) if c else () for c, row in zip(x, self.sc)], n)
 
     def left(self, i: int, v: Vector) -> Vector:
         """[e_i, v], read from row i of the table."""

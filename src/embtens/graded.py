@@ -73,8 +73,8 @@ class MultiMap(Flat):
     coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise DimensionMismatch("arity must be nonnegative")
+        if min(self.arity, self.domain_dim, self.codomain_dim) < 0:
+            raise DimensionMismatch("arity and dimensions must be nonnegative")
         expected = (self.domain_dim ** self.arity) * self.codomain_dim
         if len(self.coeffs) != expected:
             raise DimensionMismatch(
@@ -234,12 +234,12 @@ def multimap_from_algebra(a: Algebra) -> MultiMap:
     return MultiMap._from_terms(2, a.dim, a.dim, (((i, j), k, c) for i, j, k, c in a.constants))
 
 
-def algebra_from_multimap(omega: MultiMap, name: str, flavor: str = "unchecked") -> Algebra:
+def algebra_from_multimap(omega: MultiMap, name: str) -> Algebra:
     if omega.arity != 2 or omega.domain_dim != omega.codomain_dim:
         raise DimensionMismatch("an algebra table is a square arity-2 map")
     n, c = omega.domain_dim, omega.coeffs
     values = [c[k * n:(k + 1) * n] for k in range(n * n)]
-    return Algebra(name, n, tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n)), flavor)
+    return Algebra(name, n, tuple(tuple(values[i * n:(i + 1) * n]) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -149,41 +149,18 @@ def vector_to_json(v: Vector) -> list:
     return [scalar_to_json(x) for x in v]
 
 
-def accumulate(acc: list[Scalar], c: Scalar, v: Vector) -> None:
-    """acc += c * v in place, skipping the zero coordinates of v."""
-    for k, x in enumerate(v):
-        if x != 0:
-            acc[k] += c * x
-
-
 def combine(x: Vector, vectors, n: int) -> Vector:
-    """The length-n sum of x_i vectors[i], one x_i per vector, skipping zeros."""
+    """The length-n sum of x_i vectors[i], one x_i per vector: every table and
+    operator combination accumulates here.  A vector whose coefficient is zero
+    is not read."""
     if len(x) != len(vectors):
         raise DimensionMismatch(f"{len(x)} coefficients for {len(vectors)} vectors")
     out = [ZERO] * n
     for c, v in zip(x, vectors):
         if c != 0:
-            accumulate(out, c, v)
-    return tuple(out)
-
-
-def bilinear(table, x: Vector, y: Vector, dim: int) -> Vector:
-    """Bilinear extension of a structure table: sum of x_i y_j table[i][j].
-
-    ``table[i][j]`` holds the coordinates, of length ``dim``, of the
-    image of the basis pair (e_i, e_j).  Algebra, triangle and
-    descendent tables all share this format.  x and y have length ``dim``.
-    """
-    if len(x) != dim or len(y) != dim:
-        raise DimensionMismatch(f"vectors of length {len(x)} and {len(y)} in dimension {dim}")
-    out = [ZERO] * dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if yj != 0:
-                accumulate(out, xi * yj, row[j])
+            for k, y in enumerate(v):
+                if y != 0:
+                    out[k] += c * y
     return tuple(out)
 
 
@@ -306,6 +283,8 @@ class Matrix(Flat):
     entries: tuple[Scalar, ...]
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise DimensionMismatch(f"matrix {self.rows}x{self.cols} has a negative dimension")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"matrix {self.rows}x{self.cols} needs {self.rows * self.cols} "

@@ -1,5 +1,6 @@
 """Axiom checkers, the ideal of squares, quotients, derivation algebras."""
 import random
+import re
 from itertools import product
 
 import pytest
@@ -319,6 +320,18 @@ def test_adjoint_operators_are_coherent_for_two_step_nilpotent():
 def test_algebra_shape_validation():
     with pytest.raises(DimensionMismatch):
         Algebra("bad", 2, sc_table([[Z3, Z3], [Z3, Z3]]), "unchecked")
+
+
+@pytest.mark.parametrize("x, y", [((1, 0, 0), (1, 0)), ((1, 0), (1, 0, 0)), ((0, 0, 0), (1,)),
+                                  ((), (1,))],
+                         ids=["short-y", "short-x", "zero-x", "zero-dim"])
+def test_bracket_refuses_wrong_lengths(h3, x, y):
+    # with x zero, or in dimension 0, no row is combined: the length check
+    # in ``bracket`` is the only guard
+    a = h3 if x else abelian_algebra("z", 0)
+    message = f"vectors of length {len(x)} and {len(y)} in dimension {a.dim}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        a.bracket(x, y)
 
 
 def test_unknown_flavor_is_a_typed_error():

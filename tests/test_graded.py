@@ -569,9 +569,16 @@ def _map(arity, n, m):
     (lambda ad3: MultiMap(1, 2, 2, (0,)), DimensionMismatch,
      "coefficient table needs 4 entries, got 1"),
     (lambda ad3: MultiMap.zero(5, 3, 3), ArityCapExceeded, "result arity 5 above cap 4"),
+    (lambda ad3: MultiMap(2, -1, 1, (5,)), DimensionMismatch,
+     "arity and dimensions must be nonnegative"),
+    (lambda ad3: MultiMap(1, 2, -1, ()), DimensionMismatch,
+     "arity and dimensions must be nonnegative"),
+    (lambda ad3: MultiMap(-1, 2, 2, (0,)), DimensionMismatch,
+     "arity and dimensions must be nonnegative"),
 ], ids=["not-self-maps", "two-spaces", "leibniz-arity", "differential-domain", "cochain-shape",
         "restrict-size", "matrix-arity", "table-arity", "table-square", "shuffle-sizes",
-        "table-length", "zero-above-cap"])
+        "table-length", "zero-above-cap", "negative-domain", "negative-codomain",
+        "negative-arity"])
 def test_typed_input_errors(ad3, probe, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         probe(ad3)

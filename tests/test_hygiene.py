@@ -4,12 +4,11 @@ non-dunder method of a top-level class, is used somewhere, only ``reports`` buil
 only ``MultiMap._from_terms`` raises ``ArityCapExceeded`` and nothing takes an
 ``arity_cap``, only ``linalg`` compares a ``.rows`` or ``.cols`` (every other
 shape check is ``Matrix.require_shape``), only ``linalg.Flat`` defines entrywise
-arithmetic, only ``algebras``
-evaluates a table through ``linalg.bilinear``, only ``linalg`` calls the
-dense-matrix solvers, no module divides with ``/``, only ``linalg.frac``
-calls ``Fraction``, no module raises a builtin exception class but the
-protocol methods of ``linalg.Record``, the only module-level caches are the
-two verification caches and ``graded.shuffles``, importing the CLI loads neither
+arithmetic, only ``linalg`` calls the dense-matrix solvers, no module
+divides with ``/``, only ``linalg.frac`` calls ``Fraction``, no module
+raises a builtin exception class but the protocol methods of
+``linalg.Record``, the only module-level caches are the two verification
+caches and ``graded.shuffles``, importing the CLI loads neither
 ``dataclasses`` nor ``inspect``, and no subscript unpacks a starred item
 outside parentheses (Python 3.11 syntax; the package supports 3.10)."""
 import ast
@@ -233,38 +232,6 @@ def test_detects_entrywise_arithmetic_outside_flat():
               "    async def is_zero(self):\n        return True\n\n"
               "def scale(x):\n    return x\n")
     assert arithmetic_definitions(source) == ["Flat.scale", "Table.__add__", "Table.is_zero"]
-
-
-def bilinear_uses(source: str) -> list[int]:
-    """Lines where a syntax tree imports ``bilinear`` from a ``linalg`` module
-    or reads it as ``linalg.bilinear``."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
-            lines += [node.lineno for alias in node.names if alias.name == "bilinear"]
-        elif isinstance(node, ast.Attribute) and node.attr == "bilinear" and \
-                getattr(node.value, "id", getattr(node.value, "attr", None)) == "linalg":
-            lines.append(node.lineno)
-    return sorted(lines)
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_tables_are_evaluated_behind_algebra(path):
-    """Table evaluation lives behind ``Algebra``: its ``bracket`` is the one
-    caller of ``linalg.bilinear``, and every other module reads rows and
-    columns through ``left``, ``right`` and the tables themselves."""
-    uses = bilinear_uses(path.read_text(encoding="utf-8"))
-    assert bool(uses) == (path.name == "algebras.py"), uses
-
-
-def test_detects_a_bilinear_import():
-    source = ("from .linalg import Matrix, bilinear\n"
-              "from embtens.linalg import bilinear as b\n"
-              "from .graded import bilinear\n"
-              "from . import linalg\n"
-              "v = linalg.bilinear(t, x, y, 2)\n"
-              "w = embtens.linalg.bilinear(t, x, y, 2)\n")
-    assert bilinear_uses(source) == [1, 2, 5, 6]
 
 
 DENSE_SOLVERS = ("kernel_basis", "column_space", "rref")

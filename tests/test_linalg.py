@@ -602,7 +602,11 @@ def test_elimination_leaves_its_input_unchanged():
      "ambient dimensions differ"),
     (lambda: Matrix.zero(2, 3).require_shape(3, 2, "the map"), DimensionMismatch,
      "the map must be 3x2, not 2x3"),
-], ids=["float", "ragged-rows", "apply-length", "spanning-length", "ambients", "shape"])
+    (lambda: Matrix.zero(-2, -3), DimensionMismatch, "matrix -2x-3 has a negative dimension"),
+    (lambda: Matrix(-1, -1, (0,)), DimensionMismatch, "matrix -1x-1 has a negative dimension"),
+    (lambda: Matrix(0, -1, ()), DimensionMismatch, "matrix 0x-1 has a negative dimension"),
+], ids=["float", "ragged-rows", "apply-length", "spanning-length", "ambients", "shape",
+        "negative-zero", "negative-square", "negative-cols"])
 def test_typed_input_errors(probe, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         probe()
