@@ -261,8 +261,9 @@ def _run_build(ws: Workspace, args) -> tuple[int, dict, str]:
 def _run_cohomology(ws: Workspace, args) -> tuple[int, dict, str]:
     t = ws.tensor(args.tensor)
     report = cohomology(t, args.degree, max_degree=ws.settings.max_degree)
-    payload = {"command": "cohomology", "subject": args.tensor,
-               "degree": args.degree, "report": report.to_json()}
+    payload = {"command": "cohomology", "subject": args.tensor, "degree": args.degree}
+    if args.format == "json":  # the dense bases cost far more than the query itself
+        payload["report"] = report.to_json()
     line = (f"cohomology {args.tensor} degree {args.degree}: "
             f"dimZ={report.dim_z} dimB={report.dim_b} dimH={report.dim_h}")
     return 0, payload, line

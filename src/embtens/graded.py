@@ -224,10 +224,9 @@ def mc_check_leibniz(omega: MultiMap) -> CheckReport:
 
 
 def _entries(f: MultiMap, law: str):
-    """Scan the nonzero values of f, in flat coefficient order, as the residual
-    of law, through ``frac``: the sums that make a residual leave whole ``Fraction``s."""
-    rows = _grouped((idxs, j, frac(x)) for idxs, j, x in f.terms())
-    return scan_sparse(law, {w: dict(row) for w, row in rows.items()}, f.codomain_dim)
+    """Scan the nonzero values of f, in flat coefficient order, as the residual of law."""
+    rows = _grouped(f.terms())
+    return scan_sparse(f.codomain_dim, (law, {w: dict(row) for w, row in rows.items()}))
 
 
 def multimap_from_algebra(a: Algebra) -> MultiMap:

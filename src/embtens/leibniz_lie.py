@@ -13,6 +13,7 @@ from .algebras import (
     Algebra,
     LEIBNIZ,
     LeibnizRep,
+    _derivation_residuals,
     _homomorphism_residual,
     _quotient_data,
     coherent_derivation_algebra,
@@ -20,8 +21,8 @@ from .algebras import (
     table_sum,
 )
 from .errors import ActionIllDefined, NotCoherentDerivation, NotLeibnizLie
-from .linalg import Matrix, Record, Vector, is_zero_vector, vec_sub
-from .reports import CheckReport, first_failure, require, scan, verdict
+from .linalg import Matrix, Record, Vector, is_zero_vector
+from .reports import CheckReport, first_failure, require, scan, scan_sparse, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
@@ -62,14 +63,16 @@ def make_leibniz_lie(lie: Algebra, triangle) -> LeibnizLie:
 
 
 def check_leibniz_lie(l: LeibnizLie) -> CheckReport:
-    """Both compatibility axiom families on all basis triples."""
+    """Both compatibility axiom families on basis triples, as laws of left multiplications."""
     h, tri = l.lie, l._algebra
-    return first_failure("leibniz-lie", scan(
-        product(range(h.dim), repeat=3),
-        ("product-identity",
-         lambda i, j, k: vec_sub(tri.leibniz_residual(i, j, k), tri.right(h.sc[i][j], k))),
-        ("product-kills-brackets", lambda i, j, k: tri.left(i, h.sc[j][k])),
-        ("products-are-central", lambda i, j, k: h.right(l.triangle[i][j], k))))
+    identity = _derivation_residuals(tri)[0]  # e_i > . derives > up to [[e_i, e_j], e_k]_>
+    for w, res in _derivation_residuals(tri, h.constants)[1].items():
+        identity[w].subtract(res)
+    op = Algebra("op", h.dim, tuple(zip(*l.triangle)))  # x > [y, z] = [[y, z], x]_op
+    kills = {(i, j, k): r for (j, k, i), r in _derivation_residuals(op, h.constants)[1].items()}
+    return first_failure("leibniz-lie", scan_sparse(
+        h.dim, ("product-identity", identity), ("product-kills-brackets", kills),
+        ("products-are-central", _derivation_residuals(h, tri.constants)[1])))
 
 
 def require_leibniz_lie(l: LeibnizLie) -> None:

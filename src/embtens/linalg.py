@@ -519,6 +519,10 @@ class Subspace(Record):
     ambient_dim: int
     rows: tuple[EchelonRow, ...]
 
+    def __post_init__(self):
+        if self.ambient_dim < 0:
+            raise DimensionMismatch(f"subspace of negative ambient dimension {self.ambient_dim}")
+
     @classmethod
     def from_spanning(cls, ambient_dim: int, vectors) -> "Subspace":
         vecs = [vector(v) for v in vectors]
@@ -575,7 +579,7 @@ class Subspace(Record):
         return not any(_eliminate(dict(row), other._by_pivot) for row in self.rows)
 
     def to_json(self) -> list:
-        return [vector_to_json(row) for row in self.basis]
+        return [vector_to_json(_dense(row, self.ambient_dim)) for row in self.rows]
 
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> Subspace:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .linalg import Record, Vector, is_zero_vector, vector_to_json
+from .linalg import Record, Vector, _dense, is_zero_vector, vector_to_json
 
 
 class Failure(Record):
@@ -66,11 +66,12 @@ def scan(tuples, *laws):
                 yield Failure(law, where, res)
 
 
-def scan_sparse(law: str, residuals: dict, size: int):
-    """``scan`` over the tuples, in order, where a sparse walk found a nonzero
-    residual ``{coordinate: entry}``, each made dense of length ``size``."""
-    found = sorted(w for w, res in residuals.items() if any(res.values()))
-    return scan(found, (law, lambda *w: tuple(residuals[w].get(k, 0) for k in range(size))))
+def scan_sparse(size: int, *laws):
+    """``scan``, in order, of the tuples where a law (name, {where: {k: entry}}) is nonzero,
+    each residual made dense through ``frac``, as the sums that make one leave whole Fractions."""
+    found = sorted({w for _, r in laws for w, res in r.items() if any(res.values())})
+    return scan(found, *((law, lambda *w, r=r: _dense(r.get(w, {}).items(), size))
+                         for law, r in laws))
 
 
 def verdict(check: str, failures, notes: tuple[str, ...] = ()) -> CheckReport:

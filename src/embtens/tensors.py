@@ -17,7 +17,7 @@ from .algebras import (
     ScTable,
     _block_table,
     _check_operators,
-    _derivation_rows,
+    _derivation_residuals,
     _homomorphism_residual,
     coherent_derivation_algebra,
     direct_sum,
@@ -88,21 +88,12 @@ class EmbeddingTensor(Record):
 def check_coherent_action(action: Action) -> CheckReport:
     """Derivation property, homomorphism property, and coherence, on basis tuples.
 
-    Derivation and coherence are the rows of ``_derivation_rows(h, coherent=True)``
-    at each flat rho_i, homomorphism comes from sparse operator products, and the
-    witness is the first of a scan over the tuples found nonzero."""
+    Derivation and coherence are ``_derivation_residuals`` of the target at the rho_i,
+    homomorphism comes from sparse operator products; the witness is the first found."""
     g, n = action.source, action.target.dim
     ops, by_row = [op.nonzero() for op in action.rho], [_sparse_rows(op) for op in action.rho]
-    readers = defaultdict(list)  # unknown r*n + c -> [(row, coefficient)]
-    for r, row in enumerate(_derivation_rows(action.target, coherent=True)):
-        for c, s in row.items():
-            readers[c].append((r, s))
-    laws = (defaultdict(Counter), defaultdict(Counter))  # derivation, coherence
-    for i, entries in enumerate(ops):
-        for r, c, x in entries:
-            for row, s in readers[r * n + c]:
-                q, k = divmod(row, n)
-                laws[q // n ** 2][(i, *divmod(q % n ** 2, n))][k] += s * x
+    derivation, coherence = _derivation_residuals(action.target, [
+        (i, c, r, x) for i, entries in enumerate(ops) for r, c, x in entries])
     homomorphism = defaultdict(Counter)  # (i, j) -> rho([e_i, e_j]) - rho_i rho_j + rho_j rho_i
     for i, j, p, c in g.constants:
         for r, k, x in ops[p]:
@@ -112,9 +103,9 @@ def check_coherent_action(action: Action) -> CheckReport:
             for col, y in rows[k].items():
                 homomorphism[i, j][r * n + col] -= x * y
                 homomorphism[j, i][r * n + col] += x * y
-    return first_failure("coherent-action", scan_sparse("derivation", laws[0], n),
-                         scan_sparse("homomorphism", homomorphism, n * n),
-                         scan_sparse("coherence", laws[1], n))
+    return first_failure("coherent-action", scan_sparse(n, ("derivation", derivation)),
+                         scan_sparse(n * n, ("homomorphism", homomorphism)),
+                         scan_sparse(n, ("coherence", coherence)))
 
 
 def require_coherent(action: Action) -> None:
@@ -163,7 +154,7 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
     for u, v, q, c in desc.constants:
         for a, x in cols[q].items():
             found[u, v][a] -= c * x
-    report = verdict("embedding-tensor", scan_sparse("tensor-identity", found, g.dim))
+    report = verdict("embedding-tensor", scan_sparse(g.dim, ("tensor-identity", found)))
     if report.ok:
         report.__dict__["_descendent"] = desc
     return report

@@ -4,16 +4,16 @@ Everything here deliberately avoids the package's own linear algebra:
 ranks come from fraction-free integer elimination, echelon forms from
 dense column-by-column Gauss-Jordan elimination, ideal closures from
 a plain Gaussian span, shuffles from filtering full permutation groups,
-bilinear maps from a plain triple sum over a structure table, the
-Heisenberg tensor family from its closed polynomial system, the
-Loday-Pirashvili coboundary and the two coefficient equations of a
-linear deformation entry by entry from matrix entries and structure
-constants, the induced representation of a tensor, the residuals of a
-coherent action and of the tensor identity, and the linear system of the
-derivations from brackets of unit vectors, and the graded brackets, the
-differential and the direct-sum embedding and restriction output tuple
-by output tuple, each tuple walking all its shuffles.  Nothing here
-imports the package.
+bilinear maps and the Leibniz residual from plain triple sums over a
+structure table, the Heisenberg tensor family from its closed
+polynomial system, the Loday-Pirashvili coboundary and the two
+coefficient equations of a linear deformation entry by entry from
+matrix entries and structure constants, the induced representation of
+a tensor, the residuals of a coherent action and of the tensor
+identity, and the linear system of the derivations from brackets of
+unit vectors, and the graded brackets, the differential and the
+direct-sum embedding and restriction output tuple by output tuple, each
+tuple walking all its shuffles.  Nothing here imports the package.
 """
 from __future__ import annotations
 
@@ -131,6 +131,18 @@ def bilinear_oracle(table, x, y) -> tuple:
                 for k in range(out_dim):
                     out[k] += c * Fraction(table[i][j][k])
     return tuple(out)
+
+
+def leibniz_residual_oracle(table, i: int, j: int, k: int) -> tuple:
+    """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] on a structure table,
+    each bracket a plain triple sum: the left Leibniz identity, and under
+    antisymmetry the Jacobi identity."""
+    def br(x, y):
+        return bilinear_oracle(table, x, y)
+
+    units = _units(len(table))
+    ei, ej, ek = units[i], units[j], units[k]
+    return _sub(_sub(br(ei, br(ej, ek)), br(br(ei, ej), ek)), br(ej, br(ei, ek)))
 
 
 def shuffles_by_filter(i: int, k: int):

@@ -1,9 +1,11 @@
 """Axiom checkers, the ideal of squares, quotients, derivation algebras."""
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from embtens import (
     Action,
@@ -11,11 +13,13 @@ from embtens import (
     DimensionMismatch,
     FlavorViolation,
     LIE,
+    LeibnizLie,
     LeibnizRep,
     Matrix,
     Subspace,
     abelian_algebra,
     check_leibniz,
+    check_leibniz_lie,
     check_leibniz_rep,
     check_lie,
     check_two_step_nilpotent,
@@ -27,8 +31,15 @@ from embtens import (
     sc_table,
     unit_vector,
 )
+from embtens.algebras import _derivation_residuals
 from conftest import heisenberg, heisenberg5, rand_fraction
-from oracles import bareiss_rank, bilinear_oracle, close_ideal, derivation_system
+from oracles import (
+    bareiss_rank,
+    bilinear_oracle,
+    close_ideal,
+    derivation_system,
+    leibniz_residual_oracle,
+)
 
 Z3 = (0, 0, 0)
 
@@ -58,10 +69,9 @@ def test_table_reads_match_triple_sum_oracle(seed):
     for i in range(n):
         assert a.left(i, v) == br(units[i], v)
         assert a.right(v, i) == br(v, units[i])
-    for i, j, k in product(range(n), repeat=3):
-        ei, ej, ek = units[i], units[j], units[k]
-        terms = zip(br(ei, br(ej, ek)), br(br(ei, ej), ek), br(ej, br(ei, ek)))
-        assert a.leibniz_residual(i, j, k) == tuple(p - q - r for p, q, r in terms)
+    leibniz = _derivation_residuals(a, a.constants)[0]
+    for w in product(range(n), repeat=3):
+        assert dense(leibniz, w, n) == leibniz_residual_oracle(a.sc, *w)
 
 
 def test_check_lie_heisenberg_and_abelian():
@@ -136,6 +146,95 @@ def test_two_step_nilpotent():
     assert check_two_step_nilpotent(abelian_algebra("a3", 3)).ok
     report = check_two_step_nilpotent(sl2_like())
     assert not report.ok
+
+
+SPARSE = st.sampled_from((0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+RARE = st.sampled_from((0,) * 12 + (1, -1, Fraction(1, 2)))
+
+
+def random_table(draw, n: int) -> list:
+    """An n x n table of length-n vectors: sparse, rarer, or with one nonzero
+    entry, so that each law of a checker may be the first to fail."""
+    entries = draw(st.sampled_from((SPARSE, RARE, None)))
+    if entries is None:
+        spot = tuple(draw(st.integers(0, max(n - 1, 0))) for _ in range(3))
+        c = draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+        return [[[c if (i, j, k) == spot else 0 for k in range(n)] for j in range(n)]
+                for i in range(n)]
+    return [[[draw(entries) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+
+def dense(residuals, where, n: int) -> tuple:
+    """The residual a sparse walk found at ``where``, made dense of length n."""
+    return tuple(residuals.get(where, {}).get(k, 0) for k in range(n))
+
+
+def first_witness(*scans):
+    """(law, where, residual) of the first nonzero residual of dense scans
+    (tuples, (law, residual), ...) taken in turn, tuple by tuple and law by
+    law within a tuple; None when every residual vanishes."""
+    for tuples, *laws in scans:
+        for w in tuples:
+            for law, residual in laws:
+                if any(res := residual(*w)):
+                    return law, w, res
+    return None
+
+
+def witness(report):
+    """(law, where, residual) of a report's one failure, or None when it passes."""
+    assert len(report.failures) == (0 if report.ok else 1)
+    w = report.witness
+    return w and (w.law, w.where, tuple(w.residual))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.data())
+def test_sparse_checkers_match_dense_oracle_scans(data):
+    """Random rational tables of dimension 0-5, antisymmetric or not, and a
+    random product on them: the row evaluator equals the oracle's Leibniz
+    residual and double bracket at every triple, and ``check_lie``,
+    ``check_leibniz``, ``check_two_step_nilpotent`` and ``check_leibniz_lie``
+    report the first witness of a dense scan of the oracle."""
+    draw = data.draw
+    n, antisymmetric = draw(st.integers(0, 5)), draw(st.booleans())
+    table = random_table(draw, n)
+    if antisymmetric:
+        for i, j in product(range(n), repeat=2):
+            table[i][j] = [-x for x in table[j][i]] if i > j else [0] * n if i == j else table[i][j]
+    a, tri = Algebra("rand", n, sc_table(table)), sc_table(random_table(draw, n))
+    units = [unit_vector(n, i) for i in range(n)]
+
+    def br(x, y, t=a.sc):
+        return bilinear_oracle(t, x, y)
+
+    def double(i, j, k, inner=a.sc, outer=a.sc):  # [[e_i, e_j]_inner, e_k]_outer
+        return br(br(units[i], units[j], inner), units[k], outer)
+
+    def antisymmetry(i, j):  # [e_i, e_j] + [e_j, e_i]
+        return tuple(x + y for x, y in zip(br(units[i], units[j]), br(units[j], units[i])))
+
+    def leibniz(i, j, k, t=a.sc):
+        return leibniz_residual_oracle(t, i, j, k)
+
+    def product_identity(i, j, k):  # the Leibniz residual of >, less [[e_i, e_j], e_k]_>
+        return tuple(p - q for p, q in zip(leibniz(i, j, k, tri), double(i, j, k, a.sc, tri)))
+
+    pairs, triples = list(product(range(n), repeat=2)), list(product(range(n), repeat=3))
+    derivation, coherence = _derivation_residuals(a, a.constants)
+    for w in triples:
+        assert dense(derivation, w, n) == leibniz(*w)
+        assert dense(coherence, w, n) == double(*w)
+    assert witness(check_lie(a)) == first_witness((pairs, ("antisymmetry", antisymmetry)),
+                                                  (triples, ("jacobi", leibniz)))
+    assert witness(check_leibniz(a)) == first_witness((triples, ("leibniz", leibniz)))
+    assert witness(check_two_step_nilpotent(a)) == first_witness(
+        (triples, ("double-bracket", double)))
+    assert witness(check_leibniz_lie(LeibnizLie(a, tri))) == first_witness((
+        triples, ("product-identity", product_identity),
+        ("product-kills-brackets", lambda i, j, k: br(units[i], br(units[j], units[k]), tri)),
+        ("products-are-central", lambda i, j, k: double(i, j, k, tri, a.sc))))
 
 
 def test_leibniz_rep_zero_maps(h3):

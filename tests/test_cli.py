@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from embtens import workspace_from_dict
+from embtens import CohomologyReport, workspace_from_dict
 from embtens.cli import main, run
 
 
@@ -87,6 +87,20 @@ def test_cohomology_json_shape(heisenberg_workspace_path):
     assert payload["report"]["dimB"] == 0
     assert payload["report"]["dimH"] == 3
     assert payload["report"]["cocycleBasis"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_cohomology_text_builds_no_json(heisenberg_workspace_path, monkeypatch):
+    """Under ``--format text`` the report's dense bases are never written:
+    with ``CohomologyReport.to_json`` raising, the text reads the same bytes."""
+    argv = ("cohomology", "--tensor", "T1", "--degree", "2")
+    before = invoke(heisenberg_workspace_path, *argv)
+
+    def refuse(self):
+        raise AssertionError("the text format built the JSON payload")
+
+    monkeypatch.setattr(CohomologyReport, "to_json", refuse)
+    assert invoke(heisenberg_workspace_path, *argv) == before
+    assert before == (0, "cohomology T1 degree 2: dimZ=5 dimB=1 dimH=4\n")
 
 
 def test_unknown_name_is_usage_error(heisenberg_workspace_path):

@@ -7,7 +7,8 @@ shape check is ``Matrix.require_shape``), only ``linalg.Flat`` defines entrywise
 arithmetic, only ``linalg`` calls the dense-matrix solvers, no module
 divides with ``/``, only ``linalg.frac`` calls ``Fraction``, no module
 raises a builtin exception class but the protocol methods of
-``linalg.Record``, the only module-level caches are the two verification
+``linalg.Record``, only ``algebras`` reads ``_derivation_rows`` and no module
+defines a ``leibniz_residual``, the only module-level caches are the two verification
 caches and ``graded.shuffles``, importing the CLI loads neither
 ``dataclasses`` nor ``inspect``, and no subscript unpacks a starred item
 outside parentheses (Python 3.11 syntax; the package supports 3.10)."""
@@ -178,6 +179,49 @@ def test_detects_an_arity_guard_outside_from_terms():
     assert arity_cap_sites(source) == [("MultiMap._from_terms", 5), ("arity_cap", 7),
                                        ("arity_cap", 8), ("bracket", 9), ("arity_cap", 11),
                                        ("arity_cap", 12)]
+
+
+def derivation_law_sites(source: str) -> list[tuple[str, int]]:
+    """(innermost enclosing ``Class.function``, line) of each name, attribute or
+    import of ``_derivation_rows``, the place '' outside any, and
+    ('leibniz_residual', line) of each function or class so named."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "leibniz_residual":
+                found.append(("leibniz_residual", node.lineno))
+            where = f"{where}.{node.name}" if where else node.name
+        elif "_derivation_rows" in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+                isinstance(node, ast.alias) and node.name == "_derivation_rows"):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda site: site[1])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_evaluation_of_the_derivation_law(path):
+    """The derivation law is written once, as the rows of ``algebras._derivation_rows``:
+    only the two derivation algebras, which solve them, and ``_derivation_residuals``,
+    which evaluates them at operators, read them, and no module defines a
+    ``leibniz_residual`` of its own."""
+    found = [where for where, _ in derivation_law_sites(path.read_text(encoding="utf-8"))]
+    assert found == (["_derivation_residuals", "derivation_algebra",
+                      "coherent_derivation_algebra"] if path.name == "algebras.py" else [])
+
+
+def test_detects_a_second_evaluation_of_the_derivation_law():
+    source = ("from .algebras import _derivation_rows as rows, Algebra\n"
+              "import algebras\n"
+              "class Algebra:\n    def leibniz_residual(self, i, j, k):\n        return 0\n\n"
+              "def check(a):\n    return algebras._derivation_rows(a)\n\n"
+              "def leibniz_residual(a):\n    return a\n\n"
+              "table = _derivation_rows\nok = derivation_rows(a)\n")
+    assert derivation_law_sites(source) == [("", 1), ("leibniz_residual", 4), ("check", 8),
+                                            ("leibniz_residual", 10), ("", 13)]
 
 
 def shape_comparisons(source: str) -> list[int]:

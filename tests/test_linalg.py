@@ -33,7 +33,8 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
-from embtens.linalg import Record, column_space, frac, sparse_image, sparse_kernel, vector
+from embtens.linalg import (Record, column_space, frac, sparse_image, sparse_kernel, vector,
+                            vector_to_json)
 from embtens.workspace import matrix_to_json
 from conftest import heisenberg, rand_fraction, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
@@ -112,6 +113,15 @@ def test_subspace_membership_and_coordinates():
     assert coords == (Fraction(2), Fraction(3))
     assert not s.contains((1, 0, 0))
     assert s.coordinates((1, 0, 0)) is None
+
+
+def test_subspace_json_leaves_the_basis_unbuilt():
+    """``to_json`` makes each echelon row dense as it writes it: a cached
+    subspace keeps no dense basis afterwards, and the rows read the same."""
+    s = Subspace.from_spanning(4, [(2, 0, 1, 0), (0, 3, 0, Fraction(1, 2))])
+    text = s.to_json()
+    assert "basis" not in s.__dict__
+    assert text == [[1, 0, "1/2", 0], [0, 1, 0, "1/6"]] == [vector_to_json(v) for v in s.basis]
 
 
 def test_coordinates_check_the_length_first():
@@ -605,8 +615,13 @@ def test_elimination_leaves_its_input_unchanged():
     (lambda: Matrix.zero(-2, -3), DimensionMismatch, "matrix -2x-3 has a negative dimension"),
     (lambda: Matrix(-1, -1, (0,)), DimensionMismatch, "matrix -1x-1 has a negative dimension"),
     (lambda: Matrix(0, -1, ()), DimensionMismatch, "matrix 0x-1 has a negative dimension"),
+    (lambda: Subspace.zero(-1), DimensionMismatch, "subspace of negative ambient dimension -1"),
+    (lambda: Subspace.full(-2), DimensionMismatch, "subspace of negative ambient dimension -2"),
+    (lambda: Subspace.from_spanning(-3, []), DimensionMismatch,
+     "subspace of negative ambient dimension -3"),
 ], ids=["float", "ragged-rows", "apply-length", "spanning-length", "ambients", "shape",
-        "negative-zero", "negative-square", "negative-cols"])
+        "negative-zero", "negative-square", "negative-cols", "subspace-zero-negative",
+        "subspace-full-negative", "subspace-spanning-negative"])
 def test_typed_input_errors(probe, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         probe()
