@@ -87,7 +87,7 @@ class Algebra(Record):
     def constants(self) -> tuple[tuple[int, int, int, Scalar], ...]:
         """The nonzero constants (i, j, k, [e_i, e_j]_k), in lexicographic order."""
         return tuple((i, j, k, c) for i, row in enumerate(self.sc) for j, v in enumerate(row)
-                     for k, c in enumerate(v) if c)
+                     if any(v) for k, c in enumerate(v) if c)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)

@@ -32,7 +32,8 @@ residual is never scaled), and dense tuples are made only for output
 (``_dense``): ``Subspace.contains`` asks only whether the sparse residual
 is empty, since ``_eliminate`` drops every entry that cancels, and
 ``reduce`` alone makes the residual dense.  A kernel costs one elimination
-of its rows as given, each pivoting on its last column.
+of its rows as given, each pivoting on its last column; rows with one entry
+are settled first and cut from the others, with no reduction step.
 Nothing here is cached across calls: the complexes of ``cohomology`` live
 on the cached verification reports, and
 ``check_embedding_tensor.cache_clear()`` frees them.
@@ -423,12 +424,14 @@ def _eliminate(row: SparseRow, by_pivot: dict[int, SparseRow]) -> SparseRow:
 
 
 def _integral(row: SparseRow) -> SparseRow:
-    """The nonzero entries of a row times the lcm of their denominators, as ints."""
+    """The nonzero entries of a row times the lcm of their denominators, as
+    ints, in a new dict: a row of nonzero ints is one ``dict(row)``."""
+    values = row.values()
+    if 0 not in values and all(type(x) is int for x in values):
+        return dict(row)
     row = {c: x for c, x in row.items() if x}
-    if {*map(type, row.values())} - {int}:
-        m = lcm(*(x.denominator for x in row.values()))
-        row = {c: int(x * m) for c, x in row.items()}
-    return row
+    m = lcm(*(x.denominator for x in row.values()))
+    return {c: int(x * m) for c, x in row.items()}
 
 
 def _primitive(row: SparseRow, lead: int = 1) -> SparseRow:
@@ -447,27 +450,37 @@ def _primitive(row: SparseRow, lead: int = 1) -> SparseRow:
 def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
     """Reduced row echelon form of the span of sparse rows, in canonical form.
 
-    The elimination is fraction-free.  Each incoming row is cleared of
-    denominators (``_integral``), reduced against the pivot rows found so
-    far, and pivots on the column ``pick`` takes from what is left: the first
-    by default, the last for ``sparse_kernel``.  It is made primitive there
-    (gcd 1, pivot entry positive; the pivot is not scaled to 1) and clears
-    that column from every earlier pivot row that holds it, each of which is
-    made primitive again (its own pivot entry stays positive, as the step
-    scales it only by the new, positive, pivot entry).  Those rows are found
-    by column: ``held`` lists, per column that is not yet a pivot, the pivots
-    whose rows have held it, appended to when a row is added or cleared into
-    and dropped when the column becomes a pivot; an entry whose column has
-    since cancelled from its row is skipped.  The pivot rows stay
+    A row whose one entry is nonzero says its column is zero on the span:
+    that column becomes the unit pivot row {c: 1} and is cut from every other
+    row, and cuts that leave a one-entry row repeat this.  The rows left hold
+    no unit column, so neither does their RREF, and with the unit rows it is
+    the RREF of the span at either pivot end.  A cut row is a new dict, and
+    each row left is cleared of denominators (``_integral``) into another, so
+    input is not changed.  The rows left are eliminated fraction-free, one at
+    a time, so a row that cancels is dropped at once: each is reduced against
+    the pivot rows found so far, and pivots on the column ``pick`` takes from
+    what is left: the first by default, the last for ``sparse_kernel``.  It is
+    made primitive there (gcd 1, pivot entry positive; the pivot is not scaled
+    to 1) and clears that column from every earlier pivot row that holds it,
+    each of which is made primitive again (its own pivot entry stays positive,
+    as the step scales it only by the new, positive, pivot entry).  Those rows
+    are found by column: ``held`` lists, per column that is not yet a pivot,
+    the pivots whose rows have held it, appended to when a row is added or
+    cleared into and dropped when the column becomes a pivot; an entry whose
+    column has since cancelled from its row is skipped.  The pivot rows stay
     zero at every other pivot column throughout, so dividing each by its
     pivot entry at the end, x // a when a divides x and ``frac(x, a)``
     otherwise, gives the unique RREF of the span for that pivot end: rows
     sorted by pivot, each as ``(column, entry)`` pairs in column order.
-    Input is not changed.
     """
+    todo = list(rows)
     by_pivot: dict[int, SparseRow] = {}
+    while cut := {c for row in todo if len(row) == 1 for c, x in row.items() if x}:
+        by_pivot.update({c: {c: ONE} for c in cut})
+        todo = [row if cut.isdisjoint(row) else {c: x for c, x in row.items() if c not in cut}
+                for row in todo if len(row) > 1]
     held: dict[int, list[int]] = {}  # free column -> pivots whose rows have held it
-    for incoming in rows:
+    for incoming in todo:
         row = _eliminate(_integral(incoming), by_pivot) if incoming else None
         if not row:
             continue

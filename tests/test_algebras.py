@@ -237,6 +237,20 @@ def test_sparse_checkers_match_dense_oracle_scans(data):
         ("products-are-central", lambda i, j, k: double(i, j, k, tri, a.sc))))
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.data())
+def test_constants_match_a_full_triple_scan(data):
+    """``Algebra.constants`` skips the all-zero entries of the table and lists
+    what a scan of every slot lists, in the same order and of the same types."""
+    n = data.draw(st.integers(0, 6))
+    table = sc_table(random_table(data.draw, n))
+    scan = tuple((i, j, k, table[i][j][k]) for i, j, k in product(range(n), repeat=3)
+                 if table[i][j][k])
+    constants = Algebra("rand", n, table).constants
+    assert constants == scan and repr(constants) == repr(scan)
+
+
 def test_leibniz_rep_zero_maps(h3):
     zero = tuple(Matrix.zero(2, 2) for _ in range(3))
     rep = LeibnizRep(h3, 2, zero, zero)

@@ -616,6 +616,21 @@ def test_queries_leave_the_rows_of_the_complex_unchanged(t1, tii):
             assert cx.rows(k) == before and repr(cx.rows(k)) == repr(before)
 
 
+def test_kernel_reduces_fewer_rows_than_it_is_given(t1, monkeypatch):
+    """Work counted, not timed: the kernel of d_4 of T1 calls ``_eliminate``
+    fewer times than d_4 has nonempty rows, as its one-entry rows, and those
+    their cuts leave, become unit pivots without a reduction."""
+    cx = TensorComplex(t1, 4)
+    rows = cx.rows(4)
+    linalg = importlib.import_module("embtens.linalg")
+    calls = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda row, by_pivot, step=linalg._eliminate:
+                        calls.append(1) or step(row, by_pivot))
+    sparse_kernel(rows, cx.cochain_dim(4))
+    assert sum(1 for row in rows if row) == 181
+    assert 0 < len(calls) < 181
+
+
 def test_class_equals_reflexive(t1):
     d = multimap_as_matrix(tensor_coboundary(t1, unit_vector(3, 0)))
     assert class_equals(t1, d, d, 2)

@@ -33,8 +33,9 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
-from embtens.linalg import (Record, column_space, frac, sparse_image, sparse_kernel, vector,
-                            vector_to_json)
+from embtens.linalg import (Record, _sparse_rref, column_space, frac, sparse_image, sparse_kernel,
+                            vector, vector_to_json)
+from embtens import linalg
 from embtens.workspace import matrix_to_json
 from conftest import heisenberg, rand_fraction, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
@@ -354,6 +355,49 @@ def test_membership_is_a_zero_residual(nrows, ncols, data):
                 probe((Fraction(1),) * n)
 
 
+NONZERO = st.sampled_from([Fraction(c) for c in (1, -1, 2, 3, -6, "1/2", "-3/2", "7/5")])
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(1, 8), st.data())
+def test_cascading_cuts_match_dense_oracle(ncols, data):
+    """Rows of width up to 8, mostly with one or two nonzero entries, so that
+    settling one-entry rows cascades: a cut leaves a new one-entry row, a row
+    becomes empty, and two one-entry rows share a column.  rref, spans and
+    column spaces pivot on the first column, kernels on the last."""
+    rows = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        size = data.draw(st.sampled_from((0, 1, 1, 1, 2, 2, 2, 3)))
+        cols = data.draw(st.lists(st.integers(0, ncols - 1), min_size=min(size, ncols),
+                                  max_size=min(size, ncols), unique=True))
+        rows.append([data.draw(NONZERO) if c in cols else Fraction(0) for c in range(ncols)])
+    assert_matches_dense_oracle(rows, ncols)
+    assert_matches_dense_oracle(rows + rows[:1], ncols)
+
+
+def test_a_three_round_cascade_matches_dense_oracle(monkeypatch):
+    """e_0 = 0 and e_5 = 0 (twice stated for e_0) cut the second row to
+    e_1 = 0 and empty the fifth; that cuts the third row to e_2 = 0, and that
+    cuts the fourth to two entries, the one row left to reduce.  A zero entry
+    settles nothing."""
+    dense = [[1, 0, 0, 0, 0, 0], [2, 3, 0, 0, 0, 0], [0, -1, Fraction(1, 2), 0, 0, 0],
+             [0, 0, 1, 1, -2, 0], [1, 0, 0, 0, 0, -1], [0] * 6, [-3, 0, 0, 0, 0, 0],
+             [0, 0, 0, 0, 0, 7]]
+    assert_matches_dense_oracle(dense, 6)
+    rows = [{c: x for c, x in enumerate(row) if x} for row in dense]
+    zeros = [{4: 0}, {4: Fraction(0), 2: 3}]  # explicit zeros, as derivation rows hold them
+    for pick in (min, max):
+        assert _sparse_rref(rows + zeros, pick) == _sparse_rref(rows, pick)
+    calls = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda row, by_pivot, step=linalg._eliminate:
+                        calls.append(dict(row)) or step(row, by_pivot))
+    units = (((0, 1),), ((1, 1),), ((2, 1),))
+    assert _sparse_rref(rows) == units + (((3, 1), (4, -2)), ((5, 1),))
+    assert _sparse_rref(rows, max) == units + (((3, Fraction(-1, 2)), (4, 1)), ((5, 1),))
+    assert calls == [{3: 1, 4: -2}] * 2
+
+
 def test_coefficient_growth_matches_the_oracles():
     """Two fixed inputs whose exact elimination grows its coefficients: the
     12 x 15 Hilbert block and a seeded dense 30 x 40 rational matrix."""
@@ -589,12 +633,15 @@ def test_vectors_of_the_wrong_length_are_refused(h3, t1):
 
 
 def test_elimination_leaves_its_input_unchanged():
-    """Kernels, images and spans copy what they eliminate: empty rows and
-    explicit zero entries, as derivation rows hold them, stay as given."""
+    """Eliminations at either pivot end, kernels, images and spans copy what
+    they eliminate: empty rows, explicit zero entries, as derivation rows hold
+    them, and rows cut by settled one-entry rows stay as given."""
     rows = [{}, {0: 2, 2: 0, 3: Fraction(1, 3)}, {1: 0}, {3: 6, 0: 4, 1: -1}, {},
-            {2: Fraction(5, 2), 3: Fraction(0)}]
-    vectors = [[0, 0, 0, 0], [2, 0, 0, Fraction(1, 3)], [4, -1, Fraction(0), 6]]
-    for solve, given in ((sparse_kernel, rows), (sparse_image, rows),
+            {2: Fraction(5, 2), 3: Fraction(0)}, {1: 7, 2: 1}]
+    vectors = [[0, 0, 0, 0], [2, 0, 0, Fraction(1, 3)], [4, -1, Fraction(0), 6], [0, 7, 1, 0]]
+    for solve, given in ((lambda rs, n: _sparse_rref(rs), rows),
+                         (lambda rs, n: _sparse_rref(rs, max), rows),
+                         (sparse_kernel, rows), (sparse_image, rows),
                          (lambda vs, n: Subspace.from_spanning(n, vs), vectors)):
         before = copy.deepcopy(given)
         solve(given, 4)
