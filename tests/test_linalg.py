@@ -33,9 +33,9 @@ from embtens import (
     scalar_to_json,
     unit_vector,
 )
+from embtens import linalg
 from embtens.linalg import (Record, _sparse_rref, column_space, frac, sparse_image, sparse_kernel,
                             vector, vector_to_json)
-from embtens import linalg
 from embtens.workspace import matrix_to_json
 from conftest import heisenberg, rand_fraction, rand_matrix
 from oracles import bareiss_rank, bilinear_oracle, dense_rref
@@ -637,8 +637,9 @@ def test_elimination_leaves_its_input_unchanged():
     they eliminate: empty rows, explicit zero entries, as derivation rows hold
     them, and rows cut by settled one-entry rows stay as given."""
     rows = [{}, {0: 2, 2: 0, 3: Fraction(1, 3)}, {1: 0}, {3: 6, 0: 4, 1: -1}, {},
-            {2: Fraction(5, 2), 3: Fraction(0)}, {1: 7, 2: 1}]
-    vectors = [[0, 0, 0, 0], [2, 0, 0, Fraction(1, 3)], [4, -1, Fraction(0), 6], [0, 7, 1, 0]]
+            {2: Fraction(5, 2), 3: Fraction(0)}, {1: 7, 2: 1}, {2: 3}]
+    vectors = [[0, 0, 0, 0], [2, 0, 0, Fraction(1, 3)], [4, -1, Fraction(0), 6], [0, 7, 1, 0],
+               [0, 0, 3, 0]]
     for solve, given in ((lambda rs, n: _sparse_rref(rs), rows),
                          (lambda rs, n: _sparse_rref(rs, max), rows),
                          (sparse_kernel, rows), (sparse_image, rows),
