@@ -189,6 +189,11 @@ class LeibnizRep(Record):
         for ops in (self.rho_l, self.rho_r):
             _check_operators(ops, self.algebra.dim, self.rep_dim)
 
+    @cached_property
+    def nonzero(self) -> tuple[list, list]:
+        """The nonzero entries of each rho_l(u) and of each rho_r(u), listed once."""
+        return tuple([op.nonzero() for op in ops] for ops in (self.rho_l, self.rho_r))
+
 
 def check_leibniz_rep(rep: LeibnizRep) -> CheckReport:
     """The three representation axioms on all basis pairs."""

@@ -17,10 +17,10 @@ one cochain by the twisted differential d_T of the controlling DGLA
 instead, with the sign d f = (-1)^(p-1) d_T f at arity p, so the matrix
 assembly and the DGLA are each other's test oracle.  ``_as_cochain``
 normalises a cochain as it enters, passing every coefficient through
-``frac``.
+``frac``; ``class_equals`` reads it into one integer row instead.
 
 ``TensorComplex`` holds each d_k as sparse ``{column: entry}`` rows, which
-``cohomology`` and ``class_equals`` eliminate into sparse echelon rows;
+``cohomology`` and ``class_equals`` eliminate into integer echelon rows;
 ``CohomologyReport.to_json`` alone makes those dense, and nothing here calls
 ``TensorComplex.differential(k)``, which densifies d_k into a ``Matrix``.
 
@@ -48,11 +48,11 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
+    _integral,
     _sparse_rows,
     quotient_dim,
     sparse_image,
     sparse_kernel,
-    vec_sub,
     vector,
 )
 from .tensors import EmbeddingTensor, descendent, require_embedding_tensor
@@ -97,7 +97,7 @@ def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
     nonzero constant [x_i, x_j]_p for each bracketed pair.  Zero blocks are skipped.
     """
     n, m = rep.algebra.dim, rep.rep_dim
-    left, right = ([op.nonzero() for op in ops] for ops in (rep.rho_l, rep.rho_r))
+    left, right = rep.nonzero
     out: list[SparseRow] = [{} for _ in range(n ** (arity + 1) * m)]
 
     def place(i: int, j: int, block) -> None:  # at output tuple i, input tuple j
@@ -126,21 +126,26 @@ def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
     return out
 
 
-def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
-    """A cochain of t as a map: a vector is arity 0, a Matrix arity 1; every
-    coefficient goes through ``frac``, so whole ``Fraction``s enter as ``int``s."""
+def _cochain_map(t: EmbeddingTensor, f) -> MultiMap:
+    """A cochain of t as a map, its coefficients as given: a vector is arity 0,
+    a Matrix arity 1.  Its shape is checked against t's action here."""
     if isinstance(f, Matrix):
         f = matrix_as_multimap(f)
-    if isinstance(f, MultiMap):
-        f = MultiMap(f.arity, f.domain_dim, f.codomain_dim, vector(f.coeffs))
-    else:
-        v = vector(f)
-        f = MultiMap(0, t.action.target.dim, len(v), v)
+    elif not isinstance(f, MultiMap):
+        f = tuple(f)
+        f = MultiMap(0, t.action.target.dim, len(f), f)
     _check_cochain(f, t.action)
     return f
 
 
-def tensor_coboundary(t: EmbeddingTensor, f: "MultiMap | Vector") -> MultiMap:
+def _as_cochain(t: EmbeddingTensor, f) -> MultiMap:
+    """A cochain of t as a map (``_cochain_map``) with every coefficient
+    through ``frac``, so whole ``Fraction``s enter as ``int``s."""
+    f = _cochain_map(t, f)
+    return MultiMap(f.arity, f.domain_dim, f.codomain_dim, vector(f.coeffs))
+
+
+def tensor_coboundary(t: EmbeddingTensor, f: MultiMap | Vector) -> MultiMap:
     """The coboundary operator of the tensor complex on one cochain.
 
     It is the twisted differential of the controlling DGLA up to sign:
@@ -253,23 +258,25 @@ def class_equals(t: EmbeddingTensor, f, g, k: int,
 
     ``NotACocycle`` names the first cochain whenever it is not a cocycle, and
     the second otherwise.  The second is tested only when f - g is not a
-    coboundary: f and f - g in Z^k put g in Z^k.
+    coboundary: f and f - g in Z^k put g in Z^k.  Each is read once, as an
+    integer row F = l_f f or G = l_g g, and l_g F - l_f G is tested in B^k.
     """
     cx = _complex_at(t, k, max_degree)
 
-    def coeffs(x) -> Vector:
-        c = _as_cochain(t, x)
+    def integer(x) -> tuple[SparseRow, int]:
+        c = _cochain_map(t, x)
         if c.arity != k - 1:
             raise DimensionMismatch(f"a degree-{k} cochain has arity {k - 1}, not {c.arity} "
                                     "(a source vector has arity 0)")
-        return c.coeffs
+        return _integral(dict(enumerate(c.coeffs)))
 
-    vf, vg = coeffs(f), coeffs(g)
+    (vf, lf), (vg, lg) = integer(f), integer(g)
     cocycles = cx.cocycles(k)
-    if not cocycles.contains(vf):
+    if not cocycles._holds(dict(vf)):
         raise NotACocycle(f"the first cochain is not a cocycle in degree {k}")
-    if cx.image(k).contains(vec_sub(vf, vg)):
+    diff = {c: x for c in vf.keys() | vg.keys() if (x := lg * vf.get(c, 0) - lf * vg.get(c, 0))}
+    if cx.image(k)._holds(diff):
         return True
-    if not cocycles.contains(vg):
+    if not cocycles._holds(vg):
         raise NotACocycle(f"the second cochain is not a cocycle in degree {k}")
     return False

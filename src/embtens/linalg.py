@@ -9,8 +9,8 @@ exact ``Fraction`` (not a subclass) in one ``as_integer_ratio()`` call: its
 numerator when whole, itself otherwise.  An ``int`` and the ``Fraction`` of
 the same value compare and hash equal, so mixing them changes no result.
 Vectors are plain tuples of scalars, matrices are immutable row-major
-``Flat`` records, and a subspace is held by its reduced row echelon rows,
-so subspace equality is literal equality of canonical rows.  ``Record`` is
+``Flat`` records, and a subspace is held by canonical integer echelon rows,
+so subspace equality is literal equality of those rows.  ``Record`` is
 the base of every immutable value type in the package, and ``Flat`` the
 base of those holding a flat tuple of scalars (``Matrix`` and
 ``graded.MultiMap``): it defines their entrywise arithmetic once.
@@ -20,20 +20,22 @@ All elimination goes through one sparse RREF, ``_sparse_rref``, on
 and ``Subspace.from_spanning`` convert their dense input, and
 ``sparse_kernel`` and ``sparse_image`` take sparse rows directly.  The
 elimination runs on integers, fraction-free: each row is cleared of
-denominators once, pivot rows are kept primitive (gcd 1, pivot entry
-positive, not scaled to 1), and rationals are made once, at output, where
-each row is divided by its pivot entry.  The earlier pivot rows a new
-pivot is cleared from are found by column, not by a scan of every pivot
-row.  The RREF of a row space is unique; it comes out as the rows a
-``Subspace`` keeps, ``(column, entry)`` pairs with the pivot first and each
-entry an ``int`` when whole.  One step, ``_eliminate``, reduces a row for
-elimination and membership alike (a ``Subspace``'s rows have pivot 1, so a
-residual is never scaled), and dense tuples are made only for output
-(``_dense``): ``Subspace.contains`` asks only whether the sparse residual
-is empty, since ``_eliminate`` drops every entry that cancels, and
-``reduce`` alone makes the residual dense.  A kernel costs one elimination
-of its rows as given, each pivoting on its last column; rows with one entry
-are settled first and cut from the others, with no reduction step.
+denominators once (``_integral``), and pivot rows are kept primitive (gcd
+1, pivot entry positive, not scaled to 1) and zero at every other pivot.
+The earlier pivot rows a new pivot is cleared from are found by column, not
+by a scan of every pivot row.  Those rows are canonical: an RREF row times
+the lcm of its denominators is primitive with a positive pivot, and such a
+row divided by its pivot entry is the RREF row, so they are as unique as the
+RREF.  A ``Subspace`` keeps them, as ``(column, entry)`` pairs, pivot first;
+rationals are made only where a caller reads them: the ``rows`` view,
+``basis``, ``to_json``, ``reduce`` and ``rref``.  One step, ``_eliminate``,
+reduces an integer row for elimination and membership alike: ``contains``,
+``coordinates`` and ``is_subspace_of`` clear integer rows against integer
+rows and ask only whether what is left is empty, as ``_eliminate`` drops
+every entry that cancels.  Dense tuples are made only for output
+(``_dense``).  A kernel costs one elimination of its rows as given, each
+pivoting on its last column; rows with one entry are settled first and cut
+from the others, with no reduction step.
 Nothing here is cached across calls: the complexes of ``cohomology`` live
 on the cached verification reports, and
 ``check_embedding_tensor.cache_clear()`` frees them.
@@ -386,12 +388,19 @@ def _sparse_rows(m: Matrix) -> list[SparseRow]:
 
 def _dense(pairs, n: int) -> Vector:
     """The length-n dense tuple with these ``(column, entry)`` pairs, each
-    entry through ``frac``: the residual ``Subspace.reduce`` leaves may hold
+    entry through ``frac``: a residual summed from unnormalised terms may hold
     whole ``Fraction``s, and this is where they go."""
     out = [ZERO] * n
     for c, x in pairs:
         out[c] = frac(x)
     return tuple(out)
+
+
+def _rational(row: EchelonRow) -> EchelonRow:
+    """An integer echelon row, pivot first, divided by its pivot entry: its
+    RREF row, each entry an ``int`` when whole and a ``Fraction`` otherwise."""
+    a = row[0][1]
+    return row if a == 1 else tuple((c, x // a if x % a == 0 else frac(x, a)) for c, x in row)
 
 
 def _eliminate(row: SparseRow, by_pivot: dict[int, SparseRow]) -> SparseRow:
@@ -400,9 +409,9 @@ def _eliminate(row: SparseRow, by_pivot: dict[int, SparseRow]) -> SparseRow:
 
     Against the pivot row P at p, with a = P[p] and f = row[p] each divided
     by their gcd, the step is row := a row - f P, dropping the entries that
-    cancel, so integer rows stay integer.  The row is scaled only when a != 1:
-    against the pivot-1 rows of a ``Subspace`` the step is the plain
-    row - f P, on any rationals, and what is left is the residual."""
+    cancel, so integer rows stay integer; the row is scaled only when a != 1.
+    What is left is empty exactly when the row lies in the span of the pivot
+    rows."""
     for p in [c for c in row if c in by_pivot]:
         other = by_pivot[p]
         a, f = other[p], row[p]
@@ -423,15 +432,17 @@ def _eliminate(row: SparseRow, by_pivot: dict[int, SparseRow]) -> SparseRow:
     return row
 
 
-def _integral(row: SparseRow) -> SparseRow:
-    """The nonzero entries of a row times the lcm of their denominators, as
-    ints, in a new dict: a row of nonzero ints is one ``dict(row)``."""
+def _integral(row: SparseRow) -> tuple[SparseRow, int]:
+    """The nonzero entries of a row times m, the lcm of their denominators, as
+    ints in a new dict, and m: a row of nonzero ints is one ``dict(row)``.  Any
+    entry but an ``int`` or exact ``Fraction`` goes through ``frac`` first."""
     values = row.values()
-    if 0 not in values and all(type(x) is int for x in values):
-        return dict(row)
-    row = {c: x for c, x in row.items() if x}
-    m = lcm(*(x.denominator for x in row.values()))
-    return {c: int(x * m) for c, x in row.items()}
+    if all(type(x) is int for x in values) and 0 not in values:
+        return dict(row), 1
+    ratios = {c: (x if type(x) is int or type(x) is Fraction else frac(x)).as_integer_ratio()
+              for c, x in row.items()}
+    m = lcm(*{d for _, d in ratios.values()})
+    return {c: n * (m // d) for c, (n, d) in ratios.items() if n}, m
 
 
 def _primitive(row: SparseRow, lead: int = 1) -> SparseRow:
@@ -448,7 +459,7 @@ def _primitive(row: SparseRow, lead: int = 1) -> SparseRow:
 
 
 def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
-    """Reduced row echelon form of the span of sparse rows, in canonical form.
+    """The integer echelon rows of the span of sparse rows, in canonical form.
 
     A row whose one entry is nonzero says its column is zero on the span:
     that column becomes the unit pivot row {c: 1} and is cut from every other
@@ -468,10 +479,9 @@ def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
     the pivots whose rows have held it, appended to when a row is added or
     cleared into and dropped when the column becomes a pivot; an entry whose
     column has since cancelled from its row is skipped.  The pivot rows stay
-    zero at every other pivot column throughout, so dividing each by its
-    pivot entry at the end, x // a when a divides x and ``frac(x, a)``
-    otherwise, gives the unique RREF of the span for that pivot end: rows
-    sorted by pivot, each as ``(column, entry)`` pairs in column order.
+    zero at every other pivot column throughout, and come out as they stand,
+    sorted by pivot, as ``(column, entry)`` pairs in column order: each is its
+    RREF row times the lcm of its denominators, unique as the RREF is.
     """
     todo = list(rows)
     by_pivot: dict[int, SparseRow] = {}
@@ -481,7 +491,7 @@ def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
                 for row in todo if len(row) > 1]
     held: dict[int, list[int]] = {}  # free column -> pivots whose rows have held it
     for incoming in todo:
-        row = _eliminate(_integral(incoming), by_pivot) if incoming else None
+        row = _eliminate(_integral(incoming)[0], by_pivot) if incoming else None
         if not row:
             continue
         p = pick(row)
@@ -500,18 +510,12 @@ def _sparse_rref(rows, pick=min) -> tuple[EchelonRow, ...]:
                     if c != p:
                         held[c].append(q)
         by_pivot[p] = row
-    out = []
-    for p in sorted(by_pivot):
-        row = by_pivot[p]
-        if (a := row[p]) != 1:
-            row = {c: x // a if x % a == 0 else frac(x, a) for c, x in row.items()}
-        out.append(tuple(sorted(row.items())))
-    return tuple(out)
+    return tuple(tuple(sorted(by_pivot[p].items())) for p in sorted(by_pivot))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns, exactly."""
-    rows = _sparse_rref(_sparse_rows(m))
+    rows = tuple(map(_rational, _sparse_rref(_sparse_rows(m))))
     return Matrix.from_sparse_rows(m.rows, m.cols, rows), tuple(row[0][0] for row in rows)
 
 
@@ -524,13 +528,17 @@ def rank(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 class Subspace(Record):
-    """A subspace of Q^n held by its RREF rows, as ``_sparse_rref`` returns
-    them; the RREF is unique, so equal subspaces are equal records.  Rows are
-    reduced against a pivot index built on first use, and ``basis``, the
-    dense echelon tuples, is made only when read."""
+    """A subspace of Q^n held by its integer echelon rows, as ``_sparse_rref``
+    returns them: each primitive, its pivot first with a positive entry, and
+    zero at every other pivot.  That form is canonical: an RREF row times the
+    lcm of its denominators is such a row, and such a row divided by its pivot
+    entry is the RREF row back.  So equal subspaces are equal records.  Rows
+    are cleared in integers against a pivot index built on first use, and the
+    rational views, ``rows`` (the RREF rows as ``(column, entry)`` pairs) and
+    ``basis`` (dense RREF tuples), are made only when read."""
 
     ambient_dim: int
-    rows: tuple[EchelonRow, ...]
+    echelon: tuple[EchelonRow, ...]
 
     def __post_init__(self):
         if self.ambient_dim < 0:
@@ -553,34 +561,49 @@ class Subspace(Record):
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.echelon)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(row[0][0] for row in self.rows)
+        return tuple(row[0][0] for row in self.echelon)
+
+    @cached_property
+    def rows(self) -> tuple[EchelonRow, ...]:
+        return tuple(map(_rational, self.echelon))
 
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
-        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
+        return tuple(_dense(_rational(row), self.ambient_dim) for row in self.echelon)
 
     @cached_property
     def _by_pivot(self) -> dict[int, SparseRow]:
-        return {row[0][0]: dict(row) for row in self.rows}
+        return {row[0][0]: dict(row) for row in self.echelon}
 
-    def _residual(self, v: Vector) -> SparseRow:
-        """The nonzero entries of v's residual against the echelon rows."""
+    def _integer(self, v: Vector) -> tuple[SparseRow, int]:
+        """v times m, the lcm of its denominators, as a sparse integer row, and m."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient dimension mismatch")
-        return _eliminate({j: x for j, x in enumerate(v) if x}, self._by_pivot)
+        return _integral(dict(enumerate(v)))
+
+    def _holds(self, row: SparseRow) -> bool:
+        """Whether an integer row, cleared in place, lies in the subspace."""
+        return not _eliminate(row, self._by_pivot)
 
     def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating against the echelon rows."""
-        return _dense(self._residual(v).items(), self.ambient_dim)
+        """Residual of v against the echelon rows E_p, with pivot entries a_p:
+        v - sum_p (v_p / a_p) E_p, one pass, as each vanishes at other pivots."""
+        row, m = self._integer(v)
+        by_pivot, out = self._by_pivot, dict(row)
+        for p in [c for c in row if c in by_pivot]:
+            pivot_row = by_pivot[p]
+            f = frac(row[p], pivot_row[p])
+            for c, x in pivot_row.items():
+                out[c] = out.get(c, ZERO) - f * x
+        return _dense(((c, frac(x, m)) for c, x in out.items()), self.ambient_dim)
 
     def contains(self, v: Vector) -> bool:
-        """Whether v lies in the subspace: ``_eliminate`` drops every entry
-        that cancels, so the residual is zero exactly when it is empty."""
-        return not self._residual(v)
+        """Whether v lies in the subspace."""
+        return self._holds(self._integer(v)[0])
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Coefficients of v on the echelon basis, or None if outside."""
@@ -589,25 +612,34 @@ class Subspace(Record):
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return not any(_eliminate(dict(row), other._by_pivot) for row in self.rows)
+        return all(other._holds(dict(row)) for row in self.echelon)
 
     def to_json(self) -> list:
-        return [vector_to_json(_dense(row, self.ambient_dim)) for row in self.rows]
+        return [vector_to_json(_dense(_rational(row), self.ambient_dim)) for row in self.echelon]
 
 
 def sparse_kernel(rows: list[SparseRow], ncols: int) -> Subspace:
     """Canonical basis of {v : row . v = 0 for every row}, v in Q^ncols.
 
     Eliminating with each pivot on the last column of its row puts every
-    pivot p after the free columns of its row, so e_f - sum_p R[p][f] e_p
-    leads with 1 at the free column f and vanishes at the others: these
-    vectors are already the kernel's RREF, built in column order."""
-    vecs = {f: [(f, ONE)] for f in range(ncols)}
-    for *rest, (p, _) in _sparse_rref(rows, max):
-        del vecs[p]
+    pivot p after the free columns of its row, so with a_p the pivot entry of
+    row R_p, e_f - sum_p (R_p[f] / a_p) e_p is the kernel's RREF row at the
+    free column f.  Times L, the lcm of the reduced denominators, it is
+    integral and primitive (each prime power of L is a whole denominator):
+    the kernel's integer echelon row, built in column order."""
+    terms: dict[int, list] = {f: [] for f in range(ncols)}
+    for *rest, (p, a) in _sparse_rref(rows, max):
+        del terms[p]
         for c, x in rest:
-            vecs[c].append((p, -x))
-    return Subspace(ncols, tuple(map(tuple, vecs.values())))
+            terms[c].append((p, x, a))
+    vecs = []
+    for f, column in terms.items():
+        if column:
+            m = lcm(*[a // gcd(x, a) for _, x, a in column])
+            vecs.append(((f, m), *[(p, -m * x // a) for p, x, a in column]))
+        else:
+            vecs.append(((f, ONE),))
+    return Subspace(ncols, tuple(vecs))
 
 
 def sparse_image(rows: list[SparseRow], ncols: int) -> Subspace:

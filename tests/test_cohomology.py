@@ -2,6 +2,7 @@
 import copy
 import importlib
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -19,6 +20,7 @@ from embtens import (
     MultiMap,
     NotACocycle,
     NotAnEmbeddingTensor,
+    ParseError,
     Subspace,
     TensorComplex,
     adjoint_action,
@@ -43,6 +45,7 @@ from embtens import (
     matrix_as_multimap,
     multimap_as_matrix,
     projection_tensor,
+    quotient_dim,
     quotient_lie,
     quotient_projection_tensor,
     rref,
@@ -53,7 +56,8 @@ from embtens import (
     twisted_differential,
     unit_vector,
 )
-from embtens.cohomology import _as_cochain, lp_differential
+from embtens import linalg
+from embtens.cohomology import _as_cochain, _complex_at, lp_differential
 from embtens.deformations import _square_failures
 from embtens.linalg import sparse_image, sparse_kernel
 from embtens.tensors import descendent_table
@@ -433,25 +437,65 @@ def test_h9_degree_four_rung():
 
 
 def test_subspaces_stay_sparse_until_output(t1, monkeypatch):
-    """Dense echelon tuples are made only at the output boundary: no
-    ``Subspace`` of a cohomology query or class test builds ``basis``, and
-    writing the report out makes each row dense without keeping them."""
+    """Rational and dense echelon rows are made only at the output boundary:
+    no ``Subspace`` of a cohomology query or class test builds ``rows`` or
+    ``basis``, and writing the report out makes each row rational and dense
+    without keeping either."""
     made = []
     monkeypatch.setattr(Subspace, "__post_init__", lambda s: made.append(s))
     report = cohomology(t1, 3)
     cocycle = [0] * report.cocycle_basis.ambient_dim
-    for c, x in report.cocycle_basis.rows[-1]:
+    for c, x in report.cocycle_basis.echelon[-1]:
         cocycle[c] = x
     cocycle = MultiMap(2, 3, 3, tuple(cocycle))
     exact = tensor_coboundary(t1, Matrix.from_rows([[1, 0, 2], [0, 3, 0], [1, 1, 0]]))
     assert class_equals(t1, cocycle, cocycle + exact, 3)
     assert not class_equals(t1, cocycle, MultiMap.zero(2, 3, 3), 3)
     assert len(made) == 2  # the cocycles and the coboundaries; class_equals reuses the latter
-    assert not any("basis" in vars(s) for s in made)
     payload = report.to_json()
+    assert not any("basis" in vars(s) or "rows" in vars(s) for s in made)
+    rational = [0] * report.cocycle_basis.ambient_dim
+    for c, x in report.cocycle_basis.rows[-1]:
+        rational[c] = x
     assert payload["cocycleBasis"][-1] == [int(x) if x.denominator == 1 else str(x)
-                                           for x in cocycle.coeffs]
+                                           for x in rational]
     assert "basis" not in vars(report.cocycle_basis)
+
+
+def test_queries_on_integer_rows_make_no_fraction(tii, monkeypatch):
+    """Tii's d_k hold ``Fraction``s, yet once its complex is assembled its
+    kernels, images, containment check and class tests run on integer rows:
+    with ``linalg.frac``, the one maker of rationals, patched to raise, all of
+    them succeed on ``int`` and ``Fraction`` cochains."""
+    cohomology(tii, 1)  # the complex and its induced representation
+    cx = _complex_at(tii, 4, 4)
+    for k in (3, 4):
+        cx.rows(k)
+    n = tii.action.target.dim
+    y = MultiMap(2, n, n, tuple(Fraction(i % 5 - 2, i % 3 + 1) for i in range(n ** 3)))
+    exact = tensor_coboundary(tii, y)
+    outside = MultiMap(3, n, n, (1,) + (0,) * (n ** 4 - 1))
+
+    def refuse(*args):
+        raise AssertionError("frac called")
+
+    monkeypatch.setattr(linalg, "frac", refuse)
+    cocycles, coboundaries = cx.cocycles(4), cx.image(4)
+    assert (cocycles.dim, coboundaries.dim, quotient_dim(cocycles, coboundaries)) == (24, 19, 5)
+    answers = []
+    for row in cocycles.echelon:
+        f = [0] * cocycles.ambient_dim
+        for c, x in row:
+            f[c] = x
+        as_int = MultiMap(3, n, n, tuple(f))
+        as_fraction = MultiMap(3, n, n, tuple(Fraction(x, 7) for x in f))
+        assert class_equals(tii, as_int, as_int + exact, 4)
+        assert class_equals(tii, as_fraction + exact, as_fraction, 4)
+        answers.append(class_equals(tii, as_fraction, MultiMap.zero(3, n, n), 4))
+        assert answers[-1] is coboundaries.contains(f)
+        with pytest.raises(NotACocycle, match="^the second cochain"):
+            class_equals(tii, as_fraction, outside, 4)
+    assert answers.count(False) >= 5  # the rows of Z^4 span it, and dim H^4 = 5
 
 
 def test_cohomology_of_zero_tensor_in_degree_one(tzero):
@@ -728,6 +772,93 @@ def test_class_equals_agrees_with_bareiss(kind, seed, exact, broken):
             class_equals(t, f, g, k)
     else:
         assert class_equals(t, f, g, k) is expected
+
+
+CLASS_TENSORS = {
+    "h3-T1": lambda: EmbeddingTensor(adjoint_action(heisenberg()),
+                                     Matrix.from_rows([[0, 0, 0], [1, 0, 0], [2, 3, 0]])),
+    "h3-Tii": lambda: EmbeddingTensor(adjoint_action(heisenberg()), Matrix.from_rows(
+        [[2, 0, 0], [0, 2, 0], [0, 0, Fraction(4, 3)]])),
+    "g2h3": lambda: EmbeddingTensor(g2h3_action(), Matrix.from_rows([[1, -2, 0],
+                                                                     [Fraction(1, 2), 3, 0]])),
+}
+FRACTIONS = st.sampled_from([Fraction(c) for c in (0, 0, 0, 1, -1, 2, "1/2", "-2/3", "5/3")])
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_TENSORS))
+@settings(derandomize=True, database=None, max_examples=20, deadline=None,
+          phases=[Phase.generate])
+@given(k=st.sampled_from((2, 3)), exact=st.booleans(),
+       broken=st.sampled_from(((), ("first",), ("second",), ("first", "second"))),
+       data=st.data())
+def test_fraction_cochains_agree_with_bareiss(name, k, exact, broken, data):
+    """Cocycles with ``Fraction`` coefficients, g = f + d y (``exact``, y with
+    ``Fraction`` coefficients too) or another cocycle, each perhaps moved off
+    the cocycles by a ``Fraction`` cochain: the answer is the Bareiss-rank
+    oracle's, and ``NotACocycle`` names the first cochain, then the second."""
+    t = CLASS_TENSORS[name]()
+    cx, (n, m) = TensorComplex(t, k), (t.action.target.dim, t.action.source.dim)
+    basis, size = cohomology(t, k).cocycle_basis.basis, cx.cochain_dim(k)
+
+    def draw(count: int) -> list:
+        return data.draw(st.lists(FRACTIONS, min_size=count, max_size=count))
+
+    def cocycle() -> list:
+        coeffs = draw(len(basis))
+        return [sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0)) for j in range(size)]
+
+    f = cocycle()
+    if exact:
+        y = MultiMap(k - 2, n, m, tuple(draw(n ** (k - 2) * m)))
+        g = [a + b for a, b in zip(f, tensor_coboundary(t, y).coeffs)]
+    else:
+        g = cocycle()
+    f, g = ([x + d for x, d in zip(v, draw(size))] if which in broken else v
+            for which, v in (("first", f), ("second", g)))
+    expected = class_equals_by_bareiss(cx, k, f, g)
+    assert expected is True or not exact or broken
+    f, g = (MultiMap(k - 1, n, m, tuple(v)) for v in (f, g))
+    if isinstance(expected, str):
+        with pytest.raises(NotACocycle, match=f"^the {expected} cochain is not a cocycle"):
+            class_equals(t, f, g, k)
+    else:
+        assert class_equals(t, f, g, k) is expected
+
+
+@pytest.mark.parametrize("f, g, error, message", [
+    (MultiMap(1, 3, 3, (0.5,) + (0,) * 8), Matrix.zero(3, 3), ParseError,
+     "refusing inexact scalar 0.5; use 'p/q' strings"),
+    (Matrix.zero(3, 3), MultiMap(1, 3, 3, (0.0,) * 9), ParseError,
+     "refusing inexact scalar 0.0; use 'p/q' strings"),
+    (Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), MultiMap(1, 3, 3, (0.25,) * 9),
+     ParseError, "refusing inexact scalar 0.25; use 'p/q' strings"),
+    (Matrix.zero(3, 3), MultiMap.zero(2, 3, 3), DimensionMismatch,
+     "a degree-2 cochain has arity 1, not 2 (a source vector has arity 0)"),
+    (Matrix.zero(2, 3), Matrix.zero(3, 3), DimensionMismatch,
+     "expected a map from the 3-dim space into the 3-dim one"),
+    (Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Matrix.zero(3, 3), NotACocycle,
+     "the first cochain is not a cocycle in degree 2"),
+], ids=["float-first", "float-zero-second", "float-second-before-cocycle-test", "arity",
+        "shape", "not-a-cocycle"])
+def test_class_equals_typed_input_errors(t1, f, g, error, message):
+    """Each cochain is read, shape and scalars, before any membership test."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        class_equals(t1, f, g, 2)
+
+
+def test_each_representation_lists_its_nonzero_entries_once(t1, g23_net, monkeypatch):
+    """``lp_differential`` reads the nonzero entries of rho_l and rho_r from
+    the representation, listed once, in every degree."""
+    reps = [induced_representation(t) for t in (t1, g23_net)]
+    for rep in reps:
+        assert rep.nonzero == tuple([op.nonzero() for op in ops] for ops in (rep.rho_l, rep.rho_r))
+    expected = [[lp_differential(rep, a) for a in range(-1, 4)] for rep in reps]
+
+    def refuse(m):
+        raise AssertionError("nonzero entries listed again")
+
+    monkeypatch.setattr(Matrix, "nonzero", refuse)
+    assert [[lp_differential(rep, a) for a in range(-1, 4)] for rep in reps] == expected
 
 
 def test_class_equals_rejects_non_cocycle(t1):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -250,9 +251,23 @@ def assert_canonical_scalars(values) -> None:
         assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
 
 
+def assert_integer_echelon(space: Subspace) -> None:
+    """Each echelon row is primitive integers with its pivot first and positive,
+    is zero at every other pivot, and the rows alone give the same record."""
+    pivots = {row[0][0] for row in space.echelon}
+    for row in space.echelon:
+        assert all(type(x) is int and x for _, x in row)
+        assert gcd(*(x for _, x in row)) == 1 and row[0][1] > 0
+        assert [c for c, _ in row] == sorted({c for c, _ in row})
+        assert pivots.isdisjoint(c for c, _ in row[1:])
+    again = Subspace(space.ambient_dim, space.echelon)
+    assert again == space and hash(again) == hash(space)
+
+
 def assert_matches_dense_oracle(rows, ncols: int) -> None:
     """rref, span, kernel and column space against the dense oracle, with
-    every scalar they put out in canonical form."""
+    every scalar they put out in canonical form, and every space held by
+    integer echelon rows."""
     m = Matrix(len(rows), ncols, tuple(Fraction(x) for row in rows for x in row))
     red, pivots = dense_rref(rows, ncols)
     reduced = rref(m)
@@ -276,6 +291,7 @@ def assert_matches_dense_oracle(rows, ncols: int) -> None:
     for space in (span, ker, image):
         assert_canonical_scalars(x for row in space.basis for x in row)
         assert_canonical_scalars(x for row in space.rows for _, x in row)
+        assert_integer_echelon(space)
 
 
 SPARSE = st.sampled_from([Fraction(c) for c in (0,) * 12 + (
@@ -358,6 +374,31 @@ def test_membership_is_a_zero_residual(nrows, ncols, data):
 NONZERO = st.sampled_from([Fraction(c) for c in (1, -1, 2, 3, -6, "1/2", "-3/2", "7/5")])
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.integers(0, 5), st.integers(1, 6), st.data())
+def test_one_space_is_one_record(nrows, ncols, data):
+    """A spanning set shuffled, each vector rescaled by a nonzero rational,
+    spans an equal record with an equal hash, held by the same integer rows.
+    Membership of random rational vectors, and containment of the span of
+    some of them, agree with ranks by Bareiss elimination."""
+    rows = [data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    span = Subspace.from_spanning(ncols, rows)
+    order = data.draw(st.permutations(range(nrows)))
+    scales = data.draw(st.lists(NONZERO, min_size=nrows, max_size=nrows))
+    again = Subspace.from_spanning(ncols, [[c * x for x in rows[i]] for c, i in zip(scales, order)])
+    assert again == span and hash(again) == hash(span) and again.echelon == span.echelon
+    rank = bareiss_rank(rows)
+    vectors = [tuple(data.draw(st.lists(SPARSE, min_size=ncols, max_size=ncols)))
+               for _ in range(data.draw(st.integers(0, 3)))]
+    for v in vectors:
+        assert span.contains(v) is (bareiss_rank(rows + [list(v)]) == rank)
+    other = Subspace.from_spanning(ncols, vectors)
+    assert other.is_subspace_of(span) is (bareiss_rank(rows + [list(v) for v in vectors]) == rank)
+    assert span.is_subspace_of(other) is (bareiss_rank(rows + [list(v) for v in vectors])
+                                          == bareiss_rank(vectors))
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None,
           phases=[Phase.generate])
 @given(st.integers(1, 8), st.data())
@@ -380,7 +421,8 @@ def test_a_three_round_cascade_matches_dense_oracle(monkeypatch):
     """e_0 = 0 and e_5 = 0 (twice stated for e_0) cut the second row to
     e_1 = 0 and empty the fifth; that cuts the third row to e_2 = 0, and that
     cuts the fourth to two entries, the one row left to reduce.  A zero entry
-    settles nothing."""
+    settles nothing.  The rows come out as integers, primitive with a positive
+    pivot entry; divided by that entry they are the RREF."""
     dense = [[1, 0, 0, 0, 0, 0], [2, 3, 0, 0, 0, 0], [0, -1, Fraction(1, 2), 0, 0, 0],
              [0, 0, 1, 1, -2, 0], [1, 0, 0, 0, 0, -1], [0] * 6, [-3, 0, 0, 0, 0, 0],
              [0, 0, 0, 0, 0, 7]]
@@ -394,8 +436,11 @@ def test_a_three_round_cascade_matches_dense_oracle(monkeypatch):
                         calls.append(dict(row)) or step(row, by_pivot))
     units = (((0, 1),), ((1, 1),), ((2, 1),))
     assert _sparse_rref(rows) == units + (((3, 1), (4, -2)), ((5, 1),))
-    assert _sparse_rref(rows, max) == units + (((3, Fraction(-1, 2)), (4, 1)), ((5, 1),))
+    assert _sparse_rref(rows, max) == units + (((3, -1), (4, 2)), ((5, 1),))
     assert calls == [{3: 1, 4: -2}] * 2
+    assert Subspace(6, _sparse_rref(rows)).rows == units + (((3, 1), (4, -2)), ((5, 1),))
+    assert [tuple((c, frac(x, row[-1][1])) for c, x in row) for row in _sparse_rref(rows, max)] \
+        == [*units, ((3, Fraction(-1, 2)), (4, 1)), ((5, 1),)]
 
 
 def test_coefficient_growth_matches_the_oracles():
@@ -506,7 +551,8 @@ def test_record_repr_names_every_field():
 def test_record_keeps_cached_properties():
     s = Subspace.from_spanning(3, [(0, 1, 2), (0, 0, 3)])
     assert s.pivots is s.pivots == (1, 2)
-    assert s == Subspace(3, s.rows)
+    assert s == Subspace(3, s.echelon)
+    assert s.rows is s.rows == (((1, 1),), ((2, 1),))
     assert s.basis is s.basis
 
 
@@ -667,9 +713,20 @@ def test_elimination_leaves_its_input_unchanged():
     (lambda: Subspace.full(-2), DimensionMismatch, "subspace of negative ambient dimension -2"),
     (lambda: Subspace.from_spanning(-3, []), DimensionMismatch,
      "subspace of negative ambient dimension -3"),
+    (lambda: Subspace.from_spanning(3, [(1, 0, 0)]).contains((0.5, 0, 0)), ParseError,
+     "refusing inexact scalar 0.5; use 'p/q' strings"),
+    (lambda: Subspace.full(3).contains((1, 0.0, 0)), ParseError,
+     "refusing inexact scalar 0.0; use 'p/q' strings"),
+    (lambda: Subspace.from_spanning(3, [(1, 0, 0)]).coordinates((0.5, 0, 0)), ParseError,
+     "refusing inexact scalar 0.5; use 'p/q' strings"),
+    (lambda: Subspace.from_spanning(3, [(1, 0, 0)]).reduce((0.5, 0.25, 0)), ParseError,
+     "refusing inexact scalar 0.5; use 'p/q' strings"),
+    (lambda: Subspace.zero(2).reduce((Fraction(1, 2), 0.25)), ParseError,
+     "refusing inexact scalar 0.25; use 'p/q' strings"),
 ], ids=["float", "ragged-rows", "apply-length", "spanning-length", "ambients", "shape",
         "negative-zero", "negative-square", "negative-cols", "subspace-zero-negative",
-        "subspace-full-negative", "subspace-spanning-negative"])
+        "subspace-full-negative", "subspace-spanning-negative", "contains-float",
+        "contains-float-zero", "coordinates-float", "reduce-float", "reduce-float-on-zero"])
 def test_typed_input_errors(probe, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         probe()
