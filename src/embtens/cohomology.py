@@ -40,7 +40,7 @@ from itertools import product
 
 from .algebras import LeibnizRep
 from .errors import DegreeOutOfRange, DimensionMismatch, NotACocycle
-from .graded import MultiMap, _check_cochain, matrix_as_multimap, twisted_differential
+from .graded import MultiMap, _check_cochain, twisted_differential
 from .linalg import (
     Matrix,
     Record,
@@ -127,10 +127,11 @@ def lp_differential(rep: LeibnizRep, arity: int) -> list[SparseRow]:
 
 
 def _cochain_map(t: EmbeddingTensor, f) -> MultiMap:
-    """A cochain of t as a map, its coefficients as given: a vector is arity 0,
-    a Matrix arity 1.  Its shape is checked against t's action here."""
+    """A cochain of t as a map holding every coefficient as given, zeros
+    included: a vector is arity 0, a Matrix arity 1, column u its value on
+    e_u.  Its shape is checked against t's action here."""
     if isinstance(f, Matrix):
-        f = matrix_as_multimap(f)
+        f = MultiMap(1, f.cols, f.rows, tuple(x for c in range(f.cols) for x in f.col(c)))
     elif not isinstance(f, MultiMap):
         f = tuple(f)
         f = MultiMap(0, t.action.target.dim, len(f), f)

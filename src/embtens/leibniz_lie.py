@@ -7,22 +7,22 @@ at the bottom of this module work.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 
 from .algebras import (
     Algebra,
     LEIBNIZ,
     LeibnizRep,
     _derivation_residuals,
-    _homomorphism_residual,
+    _homomorphism_law,
     _quotient_data,
+    _table_of,
     coherent_derivation_algebra,
     sc_table,
-    table_sum,
 )
 from .errors import ActionIllDefined, NotCoherentDerivation, NotLeibnizLie
 from .linalg import Matrix, Record, Vector, is_zero_vector
-from .reports import CheckReport, first_failure, require, scan, scan_sparse, verdict
+from .reports import CheckReport, first_failure, require, scan_sparse, verdict
 from .tensors import (
     Action,
     EmbeddingTensor,
@@ -81,7 +81,8 @@ def require_leibniz_lie(l: LeibnizLie) -> None:
 
 def _sum_algebra(l: LeibnizLie) -> Algebra:
     """The algebra with bracket x > y + [x, y], built for any triangle, unverified."""
-    return Algebra(f"{l.lie.name}_sub", l.lie.dim, table_sum(l.triangle, l.lie.sc), LEIBNIZ)
+    h, terms = l.lie, chain(l._algebra.constants, l.lie.constants)
+    return Algebra(f"{h.name}_sub", h.dim, _table_of(h.dim, terms), LEIBNIZ)
 
 
 def subadjacent(l: LeibnizLie) -> Algebra:
@@ -147,9 +148,9 @@ def check_leibniz_lie_homomorphism(src: LeibnizLie, dst: LeibnizLie, phi: Matrix
     one broke, and the notes say which held.
     """
     phi.require_shape(dst.lie.dim, src.lie.dim, "phi")
-    laws = (("triangle-product", _homomorphism_residual(phi, src._algebra, dst._algebra)),
-            ("lie-bracket", _homomorphism_residual(phi, src.lie, dst.lie)))
-    fails = [f for law in laws for f in islice(scan(product(range(src.lie.dim), repeat=2), law), 1)]
+    laws = (("triangle-product", _homomorphism_law(phi, src._algebra, dst._algebra)),
+            ("lie-bracket", _homomorphism_law(phi, src.lie, dst.lie)))
+    fails = [f for law in laws for f in islice(scan_sparse(dst.lie.dim, law), 1)]
     broken = {f.law for f in fails}
     return verdict("leibniz-lie-homomorphism", fails, notes=tuple(
         f"{law} {'broken' if law in broken else 'preserved'}" for law, _ in laws))

@@ -3,26 +3,27 @@
 A tensor is stored as a matrix whose column ``u`` holds the coordinates
 of ``T(e_u)`` in the source-algebra basis.  All checks quantify over
 ordered basis pairs, including the diagonal, since none of the brackets
-here are assumed antisymmetric.
+here are assumed antisymmetric.  Each law and table is read from its one
+evaluator in ``algebras``; the tensor identity is ``_homomorphism_law``.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .algebras import (
     Algebra,
     LEIBNIZ,
     ScTable,
     _block_table,
+    _bracket_law,
     _check_operators,
     _derivation_residuals,
-    _homomorphism_residual,
+    _homomorphism_law,
+    _table_of,
     coherent_derivation_algebra,
     direct_sum,
     sc_table,
-    table_sum,
 )
 from .errors import DimensionMismatch, NotAnEmbeddingTensor, NotCoherentAction
 from .linalg import (
@@ -32,11 +33,9 @@ from .linalg import (
     Subspace,
     Vector,
     ZERO,
-    _sparse_rows,
     combination,
     combine,
     vec_sub,
-    vector,
 )
 from .reports import CheckReport, first_failure, require, scan, scan_sparse, verdict
 
@@ -89,22 +88,13 @@ def check_coherent_action(action: Action) -> CheckReport:
     """Derivation property, homomorphism property, and coherence, on basis tuples.
 
     Derivation and coherence are ``_derivation_residuals`` of the target at the rho_i,
-    homomorphism comes from sparse operator products; the witness is the first found."""
+    homomorphism is ``_bracket_law`` at p = q = rho; the witness is the first found."""
     g, n = action.source, action.target.dim
-    ops, by_row = [op.nonzero() for op in action.rho], [_sparse_rows(op) for op in action.rho]
+    ops = [op.nonzero() for op in action.rho]
     derivation, coherence = _derivation_residuals(action.target, [
         (i, c, r, x) for i, entries in enumerate(ops) for r, c, x in entries])
-    homomorphism = defaultdict(Counter)  # (i, j) -> rho([e_i, e_j]) - rho_i rho_j + rho_j rho_i
-    for i, j, p, c in g.constants:
-        for r, k, x in ops[p]:
-            homomorphism[i, j][r * n + k] += c * x
-    for (i, entries), (j, rows) in product(enumerate(ops), enumerate(by_row)):
-        for r, k, x in entries:
-            for col, y in rows[k].items():
-                homomorphism[i, j][r * n + col] -= x * y
-                homomorphism[j, i][r * n + col] += x * y
     return first_failure("coherent-action", scan_sparse(n, ("derivation", derivation)),
-                         scan_sparse(n * n, ("homomorphism", homomorphism)),
+                         scan_sparse(n * n, ("homomorphism", _bracket_law(g, n, ops, ops, ops))),
                          scan_sparse(n, ("coherence", coherence)))
 
 
@@ -112,29 +102,27 @@ def require_coherent(action: Action) -> None:
     require(check_coherent_action(action), NotCoherentAction, "action ")
 
 
-def induced_triangle(t: EmbeddingTensor) -> ScTable:
-    """The table of e_i > e_j = rho(Te_i)e_j on the target, from nonzero entries
-    only: each x = (Te_i)_a adds x (rho_a)_rj to coordinate r of e_i > e_j.
-    Built for any candidate tensor, unverified."""
-    n = t.action.target.dim
+def _triangle_terms(t: EmbeddingTensor):
+    """The terms (i, j, r, xy) of e_i > e_j = rho(Te_i)e_j, x = (Te_i)_a and y = (rho_a)_rj."""
     ops = [op.nonzero() for op in t.action.rho]
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a, i, x in t.matrix.nonzero():
-        for r, j, y in ops[a]:
-            table[i][j][r] += x * y
-    return tuple(tuple(map(vector, row)) for row in table)
+    return ((i, j, r, x * y) for a, i, x in t.matrix.nonzero() for r, j, y in ops[a])
+
+
+def induced_triangle(t: EmbeddingTensor) -> ScTable:
+    """The table of e_i > e_j = rho(Te_i)e_j on the target, for any candidate tensor."""
+    return _table_of(t.action.target.dim, _triangle_terms(t))
 
 
 def descendent_table(t: EmbeddingTensor) -> ScTable:
-    """The table of [e_i, e_j]_T = e_i > e_j + [e_i, e_j] on the target,
-    for any candidate tensor."""
-    return table_sum(induced_triangle(t), t.action.target.sc)
+    """The table of [e_i, e_j]_T = e_i > e_j + [e_i, e_j] for any candidate tensor."""
+    return _table_of(t.action.target.dim, chain(_triangle_terms(t), t.action.target.constants))
 
 
 @lru_cache(maxsize=None)
 def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
     """The defining tensor identity [Te_u, Te_v] = T[e_u, e_v]_T on all ordered
-    basis pairs, from the nonzero entries of T and of the structure constants.
+    basis pairs: T is a homomorphism from the descendent algebra to the source,
+    and the residual is ``_homomorphism_law`` of T taken with sign -1.
 
     The report carries every nonzero residual, and a passing one keeps the
     descendent algebra; over an incoherent action it fails with the action's
@@ -145,15 +133,7 @@ def check_embedding_tensor(t: EmbeddingTensor) -> CheckReport:
                        notes=("action is not coherent",))
     g, h = t.action.source, t.action.target
     desc = Algebra(f"{h.name}_desc", h.dim, descendent_table(t), LEIBNIZ)
-    rows, found = _sparse_rows(t.matrix), defaultdict(Counter)
-    cols = [{a: x for a, x in enumerate(t.column(u)) if x} for u in range(h.dim)]
-    for a, b, p, c in g.constants:
-        for u, x in rows[a].items():
-            for v, y in rows[b].items():
-                found[u, v][p] += c * x * y
-    for u, v, q, c in desc.constants:
-        for a, x in cols[q].items():
-            found[u, v][a] -= c * x
+    found = _homomorphism_law(t.matrix, desc, g, sign=-1)
     report = verdict("embedding-tensor", scan_sparse(g.dim, ("tensor-identity", found)))
     if report.ok:
         report.__dict__["_descendent"] = desc
@@ -182,10 +162,8 @@ def check_tensor_homomorphism(t: EmbeddingTensor, t_prime: EmbeddingTensor,
     phi_h.require_shape(h.dim, h.dim, "phi_h")
     return first_failure(
         "tensor-homomorphism",
-        scan(product(range(g.dim), repeat=2),
-             ("phi-source-endomorphism", _homomorphism_residual(phi_g, g, g))),
-        scan(product(range(h.dim), repeat=2),
-             ("phi-target-endomorphism", _homomorphism_residual(phi_h, h, h))),
+        scan_sparse(g.dim, ("phi-source-endomorphism", _homomorphism_law(phi_g, g, g))),
+        scan_sparse(h.dim, ("phi-target-endomorphism", _homomorphism_law(phi_h, h, h))),
         scan([()], ("intertwining", lambda: (t.matrix @ phi_h - phi_g @ t_prime.matrix).entries)),
         scan(product(range(g.dim), range(h.dim)), ("action-compatibility", lambda i, u: vec_sub(
             phi_h.apply(t.action.rho[i].col(u)), t.action.apply(phi_g.col(i), phi_h.col(u))))))
@@ -199,8 +177,7 @@ def hemisemidirect(action: Action) -> Algebra:
     """The Leibniz bracket [x+u, y+v] = [x,y] + rho(x)v + [u,v] on source + target."""
     require_coherent(action)
     g, h = action.source, action.target
-    return Algebra(f"{g.name}+{h.name}", g.dim + h.dim,
-                   _block_table(g, h, action.rho), LEIBNIZ)
+    return Algebra(f"{g.name}+{h.name}", g.dim + h.dim, _block_table(g, h, action.rho), LEIBNIZ)
 
 
 def graph_subalgebra_check(t: EmbeddingTensor) -> CheckReport:
@@ -224,17 +201,14 @@ def descendent(t: EmbeddingTensor) -> Algebra:
 def algebra_from_matrix_subspace(name: str, sub: Subspace, n: int) -> tuple[Algebra, tuple[Matrix, ...]]:
     """An abstract Lie algebra on the echelon basis of a commutator-closed matrix subspace."""
     mats = tuple(Matrix(n, n, v) for v in sub.basis)
-    table = []
-    for a in range(len(mats)):
-        row = []
-        for b in range(len(mats)):
-            comm = (mats[a] @ mats[b]) - (mats[b] @ mats[a])
-            coords = sub.coordinates(comm.entries)
-            if coords is None:
-                raise DimensionMismatch(
-                    f"subspace behind {name!r} is not closed under commutators")
-            row.append(coords)
-        table.append(tuple(row))
+
+    def coordinates(a: Matrix, b: Matrix) -> Vector:
+        coords = sub.coordinates(((a @ b) - (b @ a)).entries)
+        if coords is None:
+            raise DimensionMismatch(f"subspace behind {name!r} is not closed under commutators")
+        return coords
+
+    table = tuple(tuple(coordinates(a, b) for b in mats) for a in mats)
     return Algebra(name, len(mats), sc_table(table), "lie"), mats
 
 

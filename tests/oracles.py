@@ -9,11 +9,13 @@ structure table, the Heisenberg tensor family from its closed
 polynomial system, the Loday-Pirashvili coboundary and the two
 coefficient equations of a linear deformation entry by entry from
 matrix entries and structure constants, the induced representation of
-a tensor, the residuals of a coherent action and of the tensor
-identity, and the linear system of the derivations from brackets of
-unit vectors, and the graded brackets, the differential and the
-direct-sum embedding and restriction output tuple by output tuple, each
-tuple walking all its shuffles.  Nothing here imports the package.
+a tensor, the residuals of a coherent action, of the tensor identity, of
+a homomorphism of algebras and of the bracket law of operators, the
+table sum and the block table on a direct sum entry by entry, the linear
+system of the derivations from brackets of unit vectors, and the graded
+brackets, the differential and the direct-sum embedding and restriction
+output tuple by output tuple, each tuple walking all its shuffles.
+Nothing here imports the package.
 """
 from __future__ import annotations
 
@@ -122,7 +124,7 @@ def close_ideal(bracket, dim: int, seeds) -> list[list[Fraction]]:
 
 def bilinear_oracle(table, x, y) -> tuple:
     """sum over i, j, k of x_i y_j table[i][j][k] e_k, as a plain triple sum."""
-    out_dim = len(table[0][0])
+    out_dim = len(table[0][0]) if table and table[0] else 0
     out = [Fraction(0)] * out_dim
     for i in range(len(x)):
         for j in range(len(y)):
@@ -464,8 +466,8 @@ def coherent_action_residuals(action) -> list[tuple]:
         rho_i [e_a, e_b] - [rho_i e_a, e_b] - [e_a, rho_i e_b]  (derivation),
 
     on each pair (i, j) the entries of rho([e_i, e_j]) - [rho_i, rho_j]
-    (homomorphism), and on each triple [rho_i e_a, e_b] (coherence), from
-    brackets of unit vectors and plain matrix products.
+    (homomorphism, ``bracket_residual``), and on each triple [rho_i e_a, e_b]
+    (coherence), from brackets of unit vectors and plain matrix products.
     """
     g, h, rho = action.source, action.target, action.rho
     units, n = _units(h.dim), h.dim
@@ -478,14 +480,8 @@ def coherent_action_residuals(action) -> list[tuple]:
         right = bilinear_oracle(h.sc, units[a], _mat_col(rho[i], b))
         return _sub(_sub(_mat_vec(rho[i], h.sc[a][b]), left(i, a, b)), right)
 
-    def product_entries(p, q):
-        return [sum((Fraction(p.entries[r * n + k]) * q.entries[k * n + c] for k in range(n)),
-                    Fraction(0)) for r in range(n) for c in range(n)]
-
     def homomorphism(i, j):
-        image = [sum((Fraction(x) * op.entries[e] for x, op in zip(g.sc[i][j], rho)), Fraction(0))
-                 for e in range(n * n)]
-        return _sub(image, _sub(product_entries(rho[i], rho[j]), product_entries(rho[j], rho[i])))
+        return bracket_residual(g.sc, rho, rho, rho, i, j)
 
     found = [("derivation", w, derivation(*w)) for w in triples]
     found += [("homomorphism", w, homomorphism(*w)) for w in product(range(g.dim), repeat=2)]
@@ -512,3 +508,83 @@ def tensor_identity_residuals(t) -> list[tuple]:
         if any(res):
             found.append(("tensor-identity", (u, v), res))
     return found
+
+
+def _mat_mul(p, q) -> list[Fraction]:
+    """The row-major entries of the package matrix product p q, each a plain sum."""
+    return [sum((Fraction(p.entries[r * p.cols + k]) * q.entries[k * q.cols + c]
+                 for k in range(p.cols)), Fraction(0))
+            for r in range(p.rows) for c in range(q.cols)]
+
+
+def homomorphism_residual(phi, src_table, dst_table, i: int, j: int) -> tuple:
+    """phi[e_i, e_j] - [phi e_i, phi e_j] for a package matrix phi from the
+    algebra of ``src_table`` to that of ``dst_table``, from a plain
+    matrix-vector product and a plain triple sum."""
+    return _sub(_mat_vec(phi, src_table[i][j]),
+                bilinear_oracle(dst_table, _mat_col(phi, i), _mat_col(phi, j)))
+
+
+def bracket_residual(table, rho, p, q, i: int, j: int) -> tuple:
+    """The row-major entries of rho([e_i, e_j]) - p_i q_j + q_j p_i, for n x n
+    package matrices listed one per basis vector of the table's algebra:
+    rho combined by the coordinates of [e_i, e_j], and plain matrix products."""
+    n2 = len(rho[i].entries)
+    image = [sum((Fraction(x) * op.entries[e] for x, op in zip(table[i][j], rho)), Fraction(0))
+             for e in range(n2)]
+    return _sub(image, _sub(_mat_mul(p[i], q[j]), _mat_mul(q[j], p[i])))
+
+
+def right_left_residual(rho_l, rho_r, i: int, j: int) -> tuple:
+    """The row-major entries of rho_r(j) rho_l(i) + rho_r(j) rho_r(i), the third
+    axiom of a Leibniz representation, from plain matrix products."""
+    return tuple(a + b for a, b in zip(_mat_mul(rho_r[j], rho_l[i]), _mat_mul(rho_r[j], rho_r[i])))
+
+
+def table_sum(a, b) -> tuple:
+    """The entrywise sum of two structure tables of one shape."""
+    return tuple(tuple(tuple(Fraction(x) + y for x, y in zip(u, v)) for u, v in zip(ra, rb))
+                 for ra, rb in zip(a, b))
+
+
+def block_table(a, b, ops=()) -> tuple:
+    """The table on the direct sum of the algebras of tables a and b, entry by
+    entry: [e_i, e_j] of a or of b on its own block, column u of ops[x] on a
+    pair (x, u) of a and b when package matrices ops are given, zero elsewhere."""
+    m, n = len(a), len(a) + len(b)
+
+    def entry(i, j):
+        if i < m and j < m:
+            return tuple(Fraction(x) for x in a[i][j]) + (Fraction(0),) * (n - m)
+        if i >= m and j >= m:
+            return (Fraction(0),) * m + tuple(Fraction(x) for x in b[i - m][j - m])
+        if i < m and ops:
+            return (Fraction(0),) * m + tuple(_mat_col(ops[i], j - m))
+        return (Fraction(0),) * n
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+def tensor_homomorphism_residuals(t, t_prime, phi_g, phi_h) -> list[tuple]:
+    """Every nonzero residual of the four tensor-homomorphism laws, as (law,
+    where, residual) in scan order: ``homomorphism_residual`` of phi_g and of
+    phi_h on each pair, the entries of T phi_h - phi_g T', and on each (i, u)
+    phi_h(rho_i e_u) - rho(phi_g e_i)(phi_h e_u), from plain sums."""
+    g, h, rho = t.action.source, t.action.target, t.action.rho
+
+    def compatibility(i, u):
+        acted, image = [Fraction(0)] * h.dim, _mat_col(phi_h, u)
+        for a in range(g.dim):
+            c = Fraction(phi_g.entries[a * g.dim + i])
+            acted = [x + c * y for x, y in zip(acted, _mat_vec(rho[a], image))]
+        return _sub(_mat_vec(phi_h, _mat_col(rho[i], u)), acted)
+
+    found = [("phi-source-endomorphism", w, homomorphism_residual(phi_g, g.sc, g.sc, *w))
+             for w in product(range(g.dim), repeat=2)]
+    found += [("phi-target-endomorphism", w, homomorphism_residual(phi_h, h.sc, h.sc, *w))
+              for w in product(range(h.dim), repeat=2)]
+    found.append(("intertwining", (), _sub(_mat_mul(t.matrix, phi_h),
+                                           _mat_mul(phi_g, t_prime.matrix))))
+    found += [("action-compatibility", w, compatibility(*w))
+              for w in product(range(g.dim), range(h.dim))]
+    return [(law, w, res) for law, w, res in found if any(res)]

@@ -1,6 +1,7 @@
 """Axiom checkers, the ideal of squares, quotients, derivation algebras."""
 import random
 import re
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -31,14 +32,27 @@ from embtens import (
     sc_table,
     unit_vector,
 )
-from embtens.algebras import _derivation_residuals
+from embtens import (EmbeddingTensor, check_coherent_action, check_embedding_tensor,
+                     check_leibniz_lie_homomorphism, check_tensor_homomorphism, direct_sum)
+from embtens.tensors import descendent_table
+from embtens.algebras import (_block_table, _bracket_law, _derivation_residuals,
+                              _homomorphism_law, _operator_products)
+from embtens.leibniz_lie import _sum_algebra
 from conftest import heisenberg, heisenberg5, rand_fraction
 from oracles import (
     bareiss_rank,
     bilinear_oracle,
+    block_table,
+    bracket_residual,
     close_ideal,
+    coherent_action_residuals,
     derivation_system,
+    homomorphism_residual,
     leibniz_residual_oracle,
+    right_left_residual,
+    table_sum,
+    tensor_homomorphism_residuals,
+    tensor_identity_residuals,
 )
 
 Z3 = (0, 0, 0)
@@ -235,6 +249,98 @@ def test_sparse_checkers_match_dense_oracle_scans(data):
         triples, ("product-identity", product_identity),
         ("product-kills-brackets", lambda i, j, k: br(units[i], br(units[j], units[k]), tri)),
         ("products-are-central", lambda i, j, k: double(i, j, k, tri, a.sc))))
+
+
+def random_matrix(draw, rows: int, cols: int) -> Matrix:
+    """A rows x cols matrix that is zero, the identity when square, or sparse."""
+    kind = draw(st.sampled_from(("zero", "identity", SPARSE, RARE)))
+    if kind == "identity" and rows == cols:
+        return Matrix.identity(rows)
+    if isinstance(kind, str):
+        return Matrix.zero(rows, cols)
+    return Matrix(rows, cols, tuple(draw(kind) for _ in range(rows * cols)))
+
+
+def failures(report) -> list:
+    return [(f.law, f.where, tuple(f.residual)) for f in report.failures]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          phases=[Phase.generate])
+@given(st.data())
+def test_structure_laws_match_dense_oracles(data):
+    """Random sparse tables of dimension 0-4, some not antisymmetric, random
+    operators and random maps: at every pair the homomorphism law, the bracket
+    law and the rho-right-left products equal their dense oracles, the derived
+    tables equal the table sum and the block table, and the reports of the five
+    checkers built on those laws equal dense scans of the oracles."""
+    draw = data.draw
+    g, h = (Algebra(name, d, sc_table(random_table(draw, d)))
+            for name, d in (("g", draw(st.integers(0, 4))), ("h", draw(st.integers(0, 4)))))
+    m, n = g.dim, h.dim
+
+    def ops(count: int, dim: int) -> tuple:
+        return tuple(random_matrix(draw, dim, dim) for _ in range(count))
+
+    # the bracket law and the Leibniz representation axioms
+    rho_l, rho_r = ops(m, n), ops(m, n)
+    rep = LeibnizRep(g, n, rho_l, rho_r)
+    left, right = rep.nonzero
+    laws = [("rho-left-bracket", _bracket_law(g, n, left, left, left),
+             lambda i, j: bracket_residual(g.sc, rho_l, rho_l, rho_l, i, j)),
+            ("rho-right-bracket", _bracket_law(g, n, right, left, right),
+             lambda i, j: bracket_residual(g.sc, rho_r, rho_l, rho_r, i, j))]
+    pairs = list(product(range(m), repeat=2))
+    products = defaultdict(Counter)  # the rho-right-left law from the product generator
+    for q in (left, right):
+        for j, i, e, x in _operator_products(n, right, q):
+            products[i, j][e] += x
+    laws.append(("rho-right-left", products,
+                 lambda i, j: right_left_residual(rho_l, rho_r, i, j)))
+    for w in pairs:
+        for _, sparse, oracle in laws:
+            assert dense(sparse, w, n * n) == oracle(*w)
+    assert witness(check_leibniz_rep(rep)) == first_witness(
+        (pairs, *((law, oracle) for law, _, oracle in laws)))
+
+    # the coherent action, its tensor and the derived tables
+    action = Action(g, h, ops(m, n))
+    t, t_prime = (EmbeddingTensor(action, random_matrix(draw, m, n)) for _ in range(2))
+    triangle = [[[sum((Fraction(t.matrix.entry(a, i)) * action.rho[a].entry(r, j)
+                       for a in range(m)), Fraction(0)) for r in range(n)] for j in range(n)]
+                for i in range(n)]
+    desc = Algebra("desc", n, descendent_table(t))
+    assert desc.sc == table_sum(triangle, h.sc)
+    assert _sum_algebra(LeibnizLie(h, sc_table(triangle))).sc == desc.sc
+    assert direct_sum(g, h, "s").sc == block_table(g.sc, h.sc)
+    assert _block_table(g, h, action.rho) == block_table(g.sc, h.sc, action.rho)
+    identity = _homomorphism_law(t.matrix, desc, g, sign=-1)
+    for w in product(range(n), repeat=2):
+        assert dense(identity, w, m) == tuple(-x for x in homomorphism_residual(
+            t.matrix, desc.sc, g.sc, *w))
+    incoherent = coherent_action_residuals(action)
+    assert failures(check_coherent_action.__wrapped__(action)) == incoherent[:1]
+    report = check_embedding_tensor.__wrapped__(t)
+    assert failures(report) == (incoherent[:1] or tensor_identity_residuals(t))
+    assert report.notes == (("action is not coherent",) if incoherent else ())
+
+    # the two homomorphism checks
+    phi_g, phi_h = random_matrix(draw, m, m), random_matrix(draw, n, n)
+    for phi, a in ((phi_g, g), (phi_h, h)):
+        law = _homomorphism_law(phi, a, a)
+        for w in product(range(a.dim), repeat=2):
+            assert dense(law, w, a.dim) == homomorphism_residual(phi, a.sc, a.sc, *w)
+    assert failures(check_tensor_homomorphism(t, t_prime, phi_g, phi_h)) == \
+        tensor_homomorphism_residuals(t, t_prime, phi_g, phi_h)[:1]
+    src, dst = LeibnizLie(g, sc_table(random_table(draw, m))), LeibnizLie(h, desc.sc)
+    phi = random_matrix(draw, n, m)
+    expected = [first_witness((pairs, (law, lambda i, j, s=s, d=d: homomorphism_residual(
+        phi, s, d, i, j)))) for law, s, d in (("triangle-product", src.triangle, dst.triangle),
+                                              ("lie-bracket", g.sc, h.sc))]
+    report = check_leibniz_lie_homomorphism(src, dst, phi)
+    assert failures(report) == [w for w in expected if w]
+    assert report.notes == tuple(f"{law} {'broken' if w else 'preserved'}" for law, w in zip(
+        ("triangle-product", "lie-bracket"), expected))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None,

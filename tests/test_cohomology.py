@@ -832,13 +832,18 @@ def test_fraction_cochains_agree_with_bareiss(name, k, exact, broken, data):
      "refusing inexact scalar 0.0; use 'p/q' strings"),
     (Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), MultiMap(1, 3, 3, (0.25,) * 9),
      ParseError, "refusing inexact scalar 0.25; use 'p/q' strings"),
+    (Matrix(3, 3, (0.0,) * 9), Matrix.zero(3, 3), ParseError,
+     "refusing inexact scalar 0.0; use 'p/q' strings"),
+    (Matrix.zero(3, 3), Matrix(3, 3, (0.0,) * 9), ParseError,
+     "refusing inexact scalar 0.0; use 'p/q' strings"),
     (Matrix.zero(3, 3), MultiMap.zero(2, 3, 3), DimensionMismatch,
      "a degree-2 cochain has arity 1, not 2 (a source vector has arity 0)"),
     (Matrix.zero(2, 3), Matrix.zero(3, 3), DimensionMismatch,
      "expected a map from the 3-dim space into the 3-dim one"),
     (Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), Matrix.zero(3, 3), NotACocycle,
      "the first cochain is not a cocycle in degree 2"),
-], ids=["float-first", "float-zero-second", "float-second-before-cocycle-test", "arity",
+], ids=["float-first", "float-zero-second", "float-second-before-cocycle-test",
+        "float-zero-matrix-first", "float-zero-matrix-second", "arity",
         "shape", "not-a-cocycle"])
 def test_class_equals_typed_input_errors(t1, f, g, error, message):
     """Each cochain is read, shape and scalars, before any membership test."""

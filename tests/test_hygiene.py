@@ -224,6 +224,63 @@ def test_detects_a_second_evaluation_of_the_derivation_law():
                                             ("leibniz_residual", 10), ("", 13)]
 
 
+STRUCTURE_EVALUATORS = ("_table_of", "_homomorphism_law", "_operator_products", "_bracket_law")
+DELETED_EVALUATORS = ("table_sum", "_homomorphism_residual", "_bracket_residual")
+READ_LAWS = ("check_coherent_action", "check_embedding_tensor")
+
+
+def structure_law_sites(source: str) -> list[tuple[str, int]]:
+    """('def <name>', line) of each function or class named as a structure-law
+    evaluator or as one of the deleted dense routes, and within
+    ``check_coherent_action`` and ``check_embedding_tensor`` ('<check> +=',
+    line) of each augmented assignment and ('<check> reads <name>', line) of
+    each evaluator name."""
+    found = []
+
+    def visit(node, check: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in STRUCTURE_EVALUATORS + DELETED_EVALUATORS:
+                found.append((f"def {node.name}", node.lineno))
+            check = node.name if node.name in READ_LAWS else check
+        elif check and isinstance(node, ast.AugAssign):
+            found.append((f"{check} +=", node.lineno))
+        elif check and getattr(node, "id", None) in STRUCTURE_EVALUATORS:
+            found.append((f"{check} reads {node.id}", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, check)
+
+    visit(ast.parse(source), "")
+    return sorted(found, key=lambda site: site[1])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_evaluator_per_structure_law(path):
+    """Each structure law and derived table is evaluated in one place: only
+    ``algebras`` defines the table scatter and the homomorphism and bracket laws,
+    no module defines the dense routes they replaced, and the coherent-action and
+    tensor checks read those laws instead of accumulating their own sums."""
+    found = [where for where, _ in structure_law_sites(path.read_text(encoding="utf-8"))]
+    assert found == {
+        "algebras.py": [f"def {name}" for name in STRUCTURE_EVALUATORS],
+        "tensors.py": ["check_coherent_action reads _bracket_law",
+                       "check_embedding_tensor reads _homomorphism_law"],
+    }.get(path.name, [])
+
+
+def test_detects_a_second_structure_law_evaluation():
+    source = ("def table_sum(a, b):\n    return a\n\n"
+              "def check_coherent_action(action):\n    found = {}\n"
+              "    for i in action:\n        found[i] += 1\n"
+              "    return _bracket_law(action)\n\n"
+              "class _homomorphism_law:\n    pass\n\n"
+              "def check_embedding_tensor(t):\n    x = 0\n    x -= 1\n\n"
+              "def other(a):\n    a += 1\n    return _table_of(a)\n")
+    assert structure_law_sites(source) == [
+        ("def table_sum", 1), ("check_coherent_action +=", 7),
+        ("check_coherent_action reads _bracket_law", 8), ("def _homomorphism_law", 10),
+        ("check_embedding_tensor +=", 15)]
+
+
 def shape_comparisons(source: str) -> list[int]:
     """Lines where a comparison reads a ``.rows`` or ``.cols`` attribute
     anywhere in its operands."""

@@ -35,11 +35,11 @@ from embtens import (
     sc_table,
     unit_vector,
 )
-from embtens.algebras import table_sum
 from embtens.tensors import algebra_from_matrix_subspace, descendent_table, induced_triangle
 from conftest import (family_ii_matrix, g2h3_action, heisenberg, heisenberg_of, rand_fraction,
                       rand_matrix)
-from oracles import coherent_action_residuals, heisenberg_net_system, tensor_identity_residuals
+from oracles import (coherent_action_residuals, heisenberg_net_system, table_sum,
+                     tensor_identity_residuals)
 
 Z3 = (0, 0, 0)
 
